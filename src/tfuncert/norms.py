@@ -14,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _require_same_grid
-from .transforms import PhaseSpaceFunction, fourier, stft, stft_row_chunks
+from .transforms import _MAX_MATERIALIZED, PhaseSpaceFunction, fourier, stft, stft_row_chunks
 
 __all__ = [
     "WeightSpec",
@@ -288,6 +288,62 @@ def moment_seminorm(f: SampledFunction, p: float, a: float, side: str = "x") -> 
 # phase-space norms
 
 
+class _MixedReduction:
+    """The mixed (r, s) norm of a weighted |field|, fed (x rows, w columns) chunk by chunk.
+
+    With inner='x' the inner norm integrates over x at fixed w with exponent
+    r and cell h^d, and the outer norm over w with exponent s and cell
+    (1/L)^d; inner='omega' swaps the roles.  A separable weight is split: the
+    profile of the inner variable multiplies the field, the profile of the
+    outer variable multiplies the inner norms (equal, since it is constant
+    along each inner sum).  A tabulated weight multiplies the field.
+    """
+
+    def __init__(self, grid: Grid, order: MixedOrder, weight: WeightSpec):
+        self.grid, self.order = grid, order
+        self.over_x = order.inner == "x"
+        if weight.separable:
+            wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
+            self.field = None
+            self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
+        else:
+            self.field = weight.field(grid)
+            self.inner_weight = self.outer_weight = None
+        self.acc = np.zeros(grid.size)
+
+    def add(self, idx, rows: np.ndarray) -> None:
+        """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
+        mags = np.abs(rows)
+        if self.field is not None:
+            mags *= self.field[idx]
+        elif self.over_x:
+            mags *= self.inner_weight[idx, None]
+        else:
+            mags *= self.inner_weight[None, :]
+        r = self.order.r
+        if not self.over_x:
+            self.acc[idx] = _power_sum(mags, r, self.grid.freq_cell, axis=1)
+        elif r == math.inf:
+            np.maximum(self.acc, np.max(mags, axis=0), out=self.acc)
+        else:
+            mags **= r
+            self.acc += np.sum(mags, axis=0)
+
+    def inner(self) -> np.ndarray:
+        """Inner norms along the outer variable, before the outer weight."""
+        r = self.order.r
+        if not self.over_x or r == math.inf:
+            return self.acc
+        return (self.acc * self.grid.cell) ** (1.0 / r)
+
+    def value(self) -> float:
+        inner = self.inner()
+        if self.outer_weight is not None:
+            inner = inner * self.outer_weight
+        outer_cell = self.grid.freq_cell if self.over_x else self.grid.cell
+        return float(_power_sum(inner, self.order.s, outer_cell))
+
+
 def mixed_norm(
     F: PhaseSpaceFunction, order: MixedOrder, weight: WeightSpec = _UNIT_WEIGHT
 ) -> float:
@@ -298,18 +354,9 @@ def mixed_norm(
     cell (1/L)^d; inner='omega' swaps the roles.  The weight multiplies the
     field values before either norm is taken.
     """
-    grid = F.grid
-    if weight.separable:
-        wx = weight.x_profile(grid)
-        ww = weight.omega_profile(grid)
-        mags = np.abs(F.values) * wx[:, None] * ww[None, :]
-    else:
-        mags = np.abs(F.values) * weight.field(grid)
-    if order.inner == "x":
-        inner = _power_sum(mags, order.r, grid.cell, axis=0)
-        return float(_power_sum(inner, order.s, grid.freq_cell))
-    inner = _power_sum(mags, order.r, grid.freq_cell, axis=1)
-    return float(_power_sum(inner, order.s, grid.cell))
+    reduction = _MixedReduction(F.grid, order, weight)
+    reduction.add(slice(None), F.values)
+    return reduction.value()
 
 
 def stft_mixed_norm(
@@ -327,32 +374,10 @@ def stft_mixed_norm(
     """
     if not weight.separable:
         raise ValueError("streaming mixed norm requires a separable weight")
-    grid = f.grid
-    wx = weight.x_profile(grid)
-    ww = weight.omega_profile(grid)
-    r, s = order.r, order.s
-    if order.inner == "x":
-        if r == math.inf:
-            acc = np.zeros(grid.size)
-            for idx, rows in stft_row_chunks(f, g, chunk):
-                acc = np.maximum(acc, np.max(np.abs(rows) * wx[idx, None], axis=0))
-            inner = acc * ww
-        else:
-            acc = np.zeros(grid.size)
-            for idx, rows in stft_row_chunks(f, g, chunk):
-                acc += np.sum((np.abs(rows) * wx[idx, None]) ** r, axis=0)
-            inner = (acc * grid.cell) ** (1.0 / r) * ww
-        return float(_power_sum(inner, s, grid.freq_cell))
-    outers = np.empty(grid.size)
+    reduction = _MixedReduction(f.grid, order, weight)
     for idx, rows in stft_row_chunks(f, g, chunk):
-        mags = np.abs(rows) * ww[None, :]
-        outers[idx] = _power_sum(mags, r, grid.freq_cell, axis=1) * wx[idx]
-    return float(_power_sum(outers, s, grid.cell))
-
-
-# Materialize the phase-space field only up to this many entries; beyond it
-# the streaming row-chunk path is used.
-_STREAM_THRESHOLD = 1 << 24
+        reduction.add(idx, rows)
+    return reduction.value()
 
 
 def _stft_norm_dispatch(
@@ -360,7 +385,7 @@ def _stft_norm_dispatch(
 ) -> float:
     if weight.separable:
         return stft_mixed_norm(f, g, order, weight)
-    if f.grid.size**2 <= _STREAM_THRESHOLD:
+    if f.grid.size**2 <= _MAX_MATERIALIZED:
         return mixed_norm(stft(f, g), order, weight)
     raise ValueError("field too large for a tabulated weight; supply a separable weight")
 

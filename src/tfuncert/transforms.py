@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .sampling import Grid, SampledFunction, _require_same_grid
+from .sampling import Grid, SampledFunction, _centered_ifftn, _require_same_grid
 
 __all__ = [
     "AliasingError",
@@ -36,8 +38,18 @@ __all__ = [
 # enough that genuinely non-decaying inputs are still rejected
 ALIASING_THRESHOLD = 1e-8
 
-# Largest phase-space field materialized by stft(): size**2 complex entries.
+# Largest phase-space field held in memory: size**2 complex entries.  Beyond
+# it phase-space norms are reduced from streamed row chunks only.
 _MAX_MATERIALIZED = 1 << 24
+
+# Threads for the STFT row transforms: every CPU this process may run on.
+# Each row is transformed on its own, so results do not depend on the count.
+_FFT_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+# Rows of the phase-space field produced per step.
+_CHUNK = 256
 
 
 class AliasingError(ValueError):
@@ -46,16 +58,6 @@ class AliasingError(ValueError):
 
 def _centered_fftn(arr: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(arr)))
-
-
-def _centered_ifftn(arr: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(arr)))
-
-
-def _centered_fft_rows(arr: np.ndarray, dim_axes: tuple[int, ...]) -> np.ndarray:
-    return np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(arr, axes=dim_axes), axes=dim_axes), axes=dim_axes
-    )
 
 
 def fourier(f: SampledFunction) -> SampledFunction:
@@ -83,6 +85,15 @@ def _check_decay(f: SampledFunction, what: str) -> None:
             f"{what}: boundary magnitude {edge:.3e} exceeds "
             f"{ALIASING_THRESHOLD:g} of peak {peak:.3e}; aliasing risk"
         )
+
+
+def _check_stft_inputs(f: SampledFunction, g: SampledFunction, decay: bool = True) -> None:
+    """Guards of the STFT: a nonzero window and, unless ``decay`` is off, decaying inputs."""
+    if not np.any(g.values):
+        raise ValueError("stft window is identically zero")
+    if decay:
+        _check_decay(f, "stft: function")
+        _check_decay(g, "stft: window")
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -148,43 +159,130 @@ class PhaseSpaceFunction:
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
 
 
-def _shift_index_matrix(n: int) -> np.ndarray:
-    """idx[i, t] = (t - i + n/2) mod n, so g[idx[i]] samples g(. - x_i)."""
-    t = np.arange(n)
-    return (t[None, :] - t[:, None] + n // 2) % n
+# ---------------------------------------------------------------------------
+# STFT engine
+#
+# Row i of V_g f is the centered DFT fftshift . fft . ifftshift of the node
+# product p_i[t] = f[t] conj(g[(t - i + n/2) mod n]).  For even n,
+# fftshift . fft = fft . diag((-1)^j), and ifftshift(p_i)[j] =
+# f[(j + n/2) mod n] conj(g[(j - i) mod n]), so the row is the plain DFT of
+#     (-1)^j f[(j + n/2) mod n]  *  conj(g)[(j - i) mod n].
+# The first factor is the same for every row and is computed once, with the
+# quadrature cell folded in; no output factor is left.  The second is a
+# contiguous slice of conj(g) tiled twice, so the whole window bank is one
+# strided view: no index arrays, no gathered copies.  Both hold per axis in
+# d = 2, and every row is transformed on its own.
 
 
-def _window_chunk(g2: np.ndarray, flat_idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Stack of circularly shifted windows g(. - x_i) for the given flat x nodes."""
-    n = shape[0]
-    multi = np.unravel_index(flat_idx, shape)
-    grids = np.meshgrid(*[np.arange(n)] * len(shape), indexing="ij")
-    gathered = [
-        (t[None] - idx.reshape((-1,) + (1,) * len(shape)) + n // 2) % n
-        for t, idx in zip(grids, multi)
-    ]
-    return g2[tuple(gathered)]
+def _row_fftn(block: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+    """DFT (or inverse DFT) of each row of ``block`` on ``_FFT_WORKERS`` threads.
+
+    The forward transform may overwrite ``block``.  scipy.fft is imported on
+    first use: it adds about 0.1 s to process start, which commands that never
+    take an STFT should not pay.
+    """
+    import scipy.fft
+
+    if inverse:
+        return scipy.fft.ifftn(block, axes=axes, workers=_FFT_WORKERS)
+    return scipy.fft.fftn(block, axes=axes, overwrite_x=True, workers=_FFT_WORKERS)
 
 
-def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int = 256):
-    """Yield ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
+def _parity(grid: Grid) -> np.ndarray:
+    """(-1)^(j_1 + ... + j_d) on the node array."""
+    sign = 1.0 - 2.0 * (np.arange(grid.n) % 2)
+    out = sign
+    for _ in range(grid.dim - 1):
+        out = np.multiply.outer(out, sign)
+    return out
 
-    Rows arrive in increasing x-node order; each row holds V_g f(x_i, .) over
-    the full frequency lattice.  This is the memory-bounded route to mixed
-    norms of phase-space fields too large to materialize.
+
+def _window_bank(w: np.ndarray, flip: bool = False) -> np.ndarray:
+    """View with ``bank[i][j] = w[(j - i) mod n]`` per axis, or ``w[(j + i) mod n]`` if flipped.
+
+    ``w`` has the node shape; ``bank[i]`` is indexed by the multi-index of x
+    node i and is a read-only view of ``w`` tiled twice per axis.
+    """
+    d, n = w.ndim, w.shape[0]
+    view = sliding_window_view(np.tile(w, (2,) * d), w.shape)
+    rows = slice(0, n) if flip else slice(n, 0, -1)
+    return view[(rows,) * d]
+
+
+def _bank_segments(bank: np.ndarray, start: int, stop: int):
+    """Yield ``(lo, hi, windows)`` covering flat x nodes [start, stop).
+
+    ``windows`` stacks ``bank[x node p]`` for p in [start + lo, start + hi);
+    the range is cut where the first node index changes, so every stack is a
+    strided view of the bank.
+    """
+    if bank.ndim == 2:
+        yield 0, stop - start, bank[start:stop]
+        return
+    n = bank.shape[0]
+    p = start
+    while p < stop:
+        i1, i2 = divmod(p, n)
+        q = min(stop, (i1 + 1) * n)
+        yield p - start, q - start, bank[i1, i2 : i2 + q - p]
+        p = q
+
+
+def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
+    """Return ``fill(start, stop, out)`` writing V_g f rows of x nodes [start, stop) into out.
+
+    With ``flip`` the row of node i is that of node -i (periodically), as the
+    ambiguity function needs.  ``out`` is a C-contiguous complex block of
+    shape ``(stop - start, size)``.
     """
     grid = f.grid
-    d = grid.dim
-    axes = tuple(range(1, d + 1))
-    f2 = f.reshaped()
-    g2 = g.reshaped()
-    size = grid.size
+    axes = tuple(range(1, grid.dim + 1))
+    fs = np.fft.ifftshift(f.reshaped()) * (_parity(grid) * grid.cell)
+    bank = _window_bank(np.conj(g.reshaped()), flip)
+
+    def fill(start: int, stop: int, out: np.ndarray) -> None:
+        block = out.reshape((stop - start,) + grid.shape)
+        for lo, hi, windows in _bank_segments(bank, start, stop):
+            np.multiply(fs, windows, out=block[lo:hi])
+        res = _row_fftn(block, axes)
+        if not np.may_share_memory(res, block):
+            block[...] = res
+
+    return fill
+
+
+def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int = _CHUNK):
+    """Yield ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
+
+    Rows arrive in increasing x-node order, at most ``chunk`` per step; each
+    row holds V_g f(x_i, .) over the full frequency lattice, bit-identical
+    to the same row of :func:`stft` whatever the chunk size.  Each step
+    allocates only its own chunk, so this is the memory-bounded route to
+    mixed norms of fields too large to materialize.  Inputs are not
+    decay-checked here.
+    """
+    size = f.grid.size
+    fill = _engine_rows(f, g)
     for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size))
-        windows = _window_chunk(g2, idx, grid.shape)
-        prod = f2[None] * np.conj(windows)
-        rows = _centered_fft_rows(prod, axes) * grid.cell
-        yield idx, rows.reshape(len(idx), size)
+        stop = min(start + chunk, size)
+        rows = np.empty((stop - start, size), dtype=np.complex128)
+        fill(start, stop, rows)
+        yield np.arange(start, stop), rows
+
+
+def _materialize(f: SampledFunction, g: SampledFunction, flip: bool = False) -> np.ndarray:
+    size = f.grid.size
+    if size * size > _MAX_MATERIALIZED:
+        raise ValueError(
+            f"phase-space field with {size}x{size} entries is too large to materialize; "
+            "use stft_row_chunks / the streaming mixed norm instead"
+        )
+    out = np.empty((size, size), dtype=np.complex128)
+    fill = _engine_rows(f, g, flip)
+    for start in range(0, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
+        fill(start, stop, out[start:stop])
+    return out
 
 
 def stft(f: SampledFunction, g: SampledFunction, *, check: bool = True) -> PhaseSpaceFunction:
@@ -197,45 +295,22 @@ def stft(f: SampledFunction, g: SampledFunction, *, check: bool = True) -> Phase
     bulk nearly cancels) use it, everything user-facing keeps the default.
     """
     _require_same_grid(f, g, "stft")
-    if not np.any(g.values):
-        raise ValueError("stft window is identically zero")
-    if check:
-        _check_decay(f, "stft: function")
-        _check_decay(g, "stft: window")
-    size = f.grid.size
-    if size * size > _MAX_MATERIALIZED:
-        raise ValueError(
-            f"phase-space field with {size}x{size} entries is too large to materialize; "
-            "use stft_row_chunks / the streaming mixed norm instead"
-        )
-    out = np.empty((size, size), dtype=np.complex128)
-    for idx, rows in stft_row_chunks(f, g):
-        out[idx] = rows
-    return PhaseSpaceFunction(f.grid, out)
-
-
-def _flip_indices(grid: Grid) -> np.ndarray:
-    """Flat index permutation realizing x -> -x under periodic identification."""
-    n = grid.n
-    axis_flip = (n - np.arange(n)) % n
-    if grid.dim == 1:
-        return axis_flip
-    mesh = np.meshgrid(*[axis_flip] * grid.dim, indexing="ij")
-    return np.ravel_multi_index([m.ravel() for m in mesh], grid.shape)
+    _check_stft_inputs(f, g, decay=check)
+    return PhaseSpaceFunction(f.grid, _materialize(f, g))
 
 
 def ambiguity(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
     """Cross-ambiguity A(f,g)(x,w) = \\int f(t - x/2) conj(g(t + x/2)) e^{-2 pi i w.t} dt.
 
     Computed from the STFT through A(f,g)(x,w) = e^{-i pi w.x} V_g f(-x, w),
-    which avoids half-node shifts.
+    which avoids half-node shifts; the flip x -> -x is a flipped window bank.
     """
-    V = stft(f, g)
+    _require_same_grid(f, g, "ambiguity")
+    _check_stft_inputs(f, g)
     grid = f.grid
-    flip = _flip_indices(grid)
     dots = grid.coords() @ grid.freq_coords().T
     phase = np.exp(-1j * math.pi * dots)
-    return PhaseSpaceFunction(grid, phase * V.values[flip])
+    return PhaseSpaceFunction(grid, phase * _materialize(f, g, flip=True))
 
 
 def ambiguity_direct(f: SampledFunction, g: SampledFunction, steps: int) -> np.ndarray:
@@ -270,19 +345,12 @@ def stft_adjoint(Y: np.ndarray, g: SampledFunction) -> np.ndarray:
     Y = np.asarray(Y, dtype=np.complex128)
     if Y.shape != (size, size):
         raise ValueError(f"Y must have shape ({size}, {size})")
-    d = grid.dim
-    axes = tuple(range(1, d + 1))
-    # W[i, j] = sum_k Y[i, k] e^{+2 pi i x_j . w_k}
-    Yr = Y.reshape((size,) + grid.shape)
-    W = np.fft.fftshift(
-        np.fft.ifftn(np.fft.ifftshift(Yr, axes=axes), axes=axes), axes=axes
-    ).reshape(size, size) * (grid.n**d)
-    g2 = g.reshaped()
-    acc = np.zeros(size, dtype=np.complex128)
-    chunk = 256
-    for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size))
-        # windows[i, j] = g(x_j - x_i)
-        windows = _window_chunk(g2, idx, grid.shape).reshape(len(idx), size)
-        acc += np.sum(windows * W[idx], axis=0)
-    return grid.cell * acc
+    shape = grid.shape
+    axes = tuple(range(1, grid.dim + 1))
+    # The engine transposed: with U_i = ifft(Y_i) and j the node index of
+    # ifftshift(u), S^H Y = cell n^d fftshift((-1)^j sum_i g[(j - i) mod n] U_i[j]).
+    U = _row_fftn(Y.reshape((size,) + shape), axes, inverse=True)
+    for lo, hi, windows in _bank_segments(_window_bank(g.reshaped()), 0, size):
+        U[lo:hi] *= windows
+    acc = U.sum(axis=0) * (_parity(grid) * (grid.cell * grid.n**grid.dim))
+    return np.fft.fftshift(acc).ravel()

@@ -25,7 +25,16 @@ from .sampling import (
     _require_same_grid,
 )
 from .transforms import fourier, inverse_fourier, stft, stft_adjoint
-from .norms import AdmissibleTriple, default_window, lp_weighted, modulation_norm, moment_seminorm
+from .norms import (
+    AdmissibleTriple,
+    BracketWeight,
+    MixedOrder,
+    _MixedReduction,
+    default_window,
+    lp_weighted,
+    modulation_norm,
+    moment_seminorm,
+)
 from .constants import DomainError, ExponentSet, check_galperin_grochenig
 
 __all__ = [
@@ -397,12 +406,11 @@ def _modulation_grad(
 ) -> tuple[float, np.ndarray]:
     grid = f.grid
     V = stft(f, g, check=check).values
-    wx = (1.0 + grid.radii()) ** alpha
-    ww = (1.0 + grid.freq_radii()) ** beta
-    mags = np.abs(V)
-    weighted = wx[:, None] * mags
-    inner = (np.sum(weighted**r, axis=0) * grid.cell) ** (1.0 / r)
-    value = float((np.sum((ww * inner) ** s) * grid.freq_cell) ** (1.0 / s))
+    reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
+    reduction.add(slice(None), V)
+    inner = reduction.inner()
+    value = reduction.value()
+    wx, ww = reduction.inner_weight, reduction.outer_weight
     if value == 0.0:
         raise ValueError("zero modulation norm; the derivative is undefined")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -34,6 +34,7 @@ from tfuncert.constants import (
 )
 from tfuncert.norms import default_window, lp_weighted
 from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth
+from tfuncert.transforms import AliasingError
 
 from conftest import gaussian
 
@@ -115,6 +116,16 @@ def test_lieb_forward_gaussian_saturates(grid512):
     assert rep.passed and rep.slack > 0
     with pytest.raises(DomainError):
         certify_lieb_forward(f, f, 1.5, 2.0)
+
+
+def test_lieb_forward_rejects_non_decaying(grid512):
+    # the streamed norm keeps the boundary guard of the materialized transform
+    flat = random_smooth(RandomFunctionSpec(seed=1), grid512)
+    flat = flat.with_values(flat.values + 1e-3)
+    with pytest.raises(AliasingError):
+        certify_lieb_forward(flat, gaussian(grid512), 4.0, 2.0)
+    with pytest.raises(AliasingError):
+        certify_lieb_forward(gaussian(grid512), flat, 4.0, 2.0)
 
 
 def test_lieb_reverse_extremals_both_orders(grid512):

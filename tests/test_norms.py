@@ -160,6 +160,15 @@ def test_streaming_matches_dense(grid128):
         dense = mixed_norm(V, order, weight)
         streamed = stft_mixed_norm(f, g, order, weight, chunk=29)
         assert streamed == pytest.approx(dense, rel=1e-12)
+    # d = 2, with chunks that straddle rows of the first node axis
+    grid2 = make_grid(16, 9.0, dim=2)
+    f2 = random_smooth(RandomFunctionSpec(seed=2, envelope_sigma=1.2), grid2)
+    g2 = default_window(grid2)
+    V2 = stft(f2, g2)
+    for order in (MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")):
+        dense = mixed_norm(V2, order, weight)
+        streamed = stft_mixed_norm(f2, g2, order, weight, chunk=37)
+        assert streamed == pytest.approx(dense, rel=1e-12)
     with pytest.raises(ValueError):
         stft_mixed_norm(f, g, MixedOrder(2.0, 2.0), TabulatedWeight(np.abs(V.values)))
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tfuncert.norms import default_window, lp_weighted
+from tfuncert import transforms
+from tfuncert.norms import MixedOrder, default_window, lp_weighted, stft_mixed_norm
 from tfuncert.sampling import (
     RandomFunctionSpec,
     SampledFunction,
@@ -141,11 +142,12 @@ def _stft_direct(f, g):
 
 
 def test_stft_matches_direct_sum():
-    grid = make_grid(16, 8.0)
-    f = random_smooth(SMALL_SPEC, grid)
-    g = default_window(grid)
-    V = stft(f, g)
-    np.testing.assert_allclose(V.values, _stft_direct(f, g), atol=1e-13)
+    # n = 8 is the smallest grid, the edge case of the parity-folded shifts
+    for grid in (make_grid(16, 8.0), make_grid(8, 8.0)):
+        f = random_smooth(SMALL_SPEC, grid)
+        g = default_window(grid)
+        V = stft(f, g)
+        np.testing.assert_allclose(V.values, _stft_direct(f, g), atol=1e-13)
 
 
 def test_stft_gaussian_closed_form(grid512):
@@ -168,14 +170,43 @@ def test_stft_moyal_exact(grid512):
 
 
 def test_stft_row_chunks_agree(grid128):
-    f = random_smooth(RandomFunctionSpec(seed=5), grid128)
-    g = default_window(grid128)
-    V = stft(f, g).values
-    seen = 0
-    for idx, rows in stft_row_chunks(f, g, chunk=37):
-        np.testing.assert_array_equal(rows, V[idx])
-        seen += len(idx)
-    assert seen == grid128.size
+    # in d = 2 a 37-row chunk straddles rows of the first node axis
+    for grid, spec in (
+        (grid128, RandomFunctionSpec(seed=5)),
+        (make_grid(16, 9.0, dim=2), SMALL_SPEC),
+    ):
+        f = random_smooth(spec, grid)
+        g = default_window(grid)
+        V = stft(f, g).values
+        seen = 0
+        for idx, rows in stft_row_chunks(f, g, chunk=37):
+            np.testing.assert_array_equal(rows, V[idx])
+            seen += len(idx)
+        assert seen == grid.size
+
+
+def test_stft_results_independent_of_fft_workers(monkeypatch, grid128):
+    rng = np.random.default_rng(12)
+    for grid in (grid128, make_grid(16, 9.0, dim=2)):
+        f = random_smooth(SMALL_SPEC, grid)
+        g = default_window(grid)
+        size = grid.size
+        Y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+            results.append(
+                (
+                    stft(f, g).values,
+                    stft_adjoint(Y, g),
+                    stft_mixed_norm(f, g, MixedOrder(1.5, 2.5, "x")),
+                    stft_mixed_norm(f, g, MixedOrder(2.5, 1.5, "omega"), chunk=37),
+                )
+            )
+        (V1, a1, x1, w1), (V2, a2, x2, w2) = results
+        np.testing.assert_array_equal(V1, V2)
+        np.testing.assert_array_equal(a1, a2)
+        assert x1 == x2 and w1 == w2
 
 
 def test_stft_guards(grid512):
