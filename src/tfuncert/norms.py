@@ -14,7 +14,14 @@ from typing import Iterable, Union
 import numpy as np
 
 from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _require_same_grid
-from .transforms import _MAX_MATERIALIZED, PhaseSpaceFunction, fourier, stft, stft_row_chunks
+from .transforms import (
+    _MAX_MATERIALIZED,
+    PhaseSpaceFunction,
+    _check_stft_inputs,
+    fourier,
+    stft,
+    stft_row_chunks,
+)
 
 __all__ = [
     "WeightSpec",
@@ -313,7 +320,10 @@ class _MixedReduction:
 
     def add(self, idx, rows: np.ndarray) -> None:
         """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
-        mags = np.abs(rows)
+        self.add_magnitudes(idx, np.abs(rows))
+
+    def add_magnitudes(self, idx, mags: np.ndarray) -> None:
+        """Fold in ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten."""
         if self.field is not None:
             mags *= self.field[idx]
         elif self.over_x:
@@ -370,7 +380,9 @@ def stft_mixed_norm(
 
     Only separable weights are supported here; the inner='x' order
     accumulates power sums over x per frequency node, the inner='omega'
-    order reduces each x row as it is produced.
+    order reduces each x row as it is produced.  Like
+    :func:`~tfuncert.transforms.stft_row_chunks` it does not check its inputs;
+    :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
     if not weight.separable:
         raise ValueError("streaming mixed norm requires a separable weight")
@@ -383,6 +395,9 @@ def stft_mixed_norm(
 def _stft_norm_dispatch(
     f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: WeightSpec
 ) -> float:
+    """Mixed norm of V_g f behind the guards of :func:`stft`, whichever route it takes."""
+    _require_same_grid(f, g, "modulation norm")
+    _check_stft_inputs(f, g)
     if weight.separable:
         return stft_mixed_norm(f, g, order, weight)
     if f.grid.size**2 <= _MAX_MATERIALIZED:

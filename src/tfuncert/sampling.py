@@ -7,6 +7,7 @@ used throughout, this rule is spectrally accurate.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -92,23 +93,22 @@ class Grid:
         k = np.arange(self.n)
         return (k - self.n // 2) * self.freq_spacing
 
+    # The node tables below are computed once per (n, spacing, dim) and shared:
+    # they are read-only.
+
     def coords(self) -> np.ndarray:
         """Node coordinates, shape ``(size, dim)``."""
-        axes = [self.axis] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice(self.n, self.spacing, self.dim)[0]
 
     def freq_coords(self) -> np.ndarray:
-        axes = [self.freq_axis] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _lattice(self.n, self.freq_spacing, self.dim)[0]
 
     def radii(self) -> np.ndarray:
         """Euclidean node norms |x|, flat."""
-        return np.linalg.norm(self.coords(), axis=-1)
+        return _lattice(self.n, self.spacing, self.dim)[1]
 
     def freq_radii(self) -> np.ndarray:
-        return np.linalg.norm(self.freq_coords(), axis=-1)
+        return _lattice(self.n, self.freq_spacing, self.dim)[1]
 
     @property
     def cell(self) -> float:
@@ -140,6 +140,18 @@ class Grid:
             and self.dim == other.dim
             and math.isclose(self.extent, other.extent, rel_tol=tol, abs_tol=0.0)
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice(n: int, step: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only coordinates ``(j - n/2) * step`` of the row-major node lattice and their norms."""
+    axis = (np.arange(n) - n // 2) * step
+    mesh = np.meshgrid(*[axis] * dim, indexing="ij")
+    coords = np.stack([m.ravel() for m in mesh], axis=-1)
+    radii = np.linalg.norm(coords, axis=-1)
+    coords.setflags(write=False)
+    radii.setflags(write=False)
+    return coords, radii
 
 
 def make_grid(n: int, extent: float, dim: int = 1) -> Grid:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tfuncert.constants import babenko_beckner, lieb_H
-from tfuncert.sampling import make_grid
+from tfuncert.sampling import SampledFunction, make_grid
 
 from conftest import gaussian, run_cli
 
@@ -155,6 +155,14 @@ def test_certify_single_input(tmp_path):
     assert run_cli(
         ["certify", "young", "--input", str(path), "--m", "1", "--n", "1", "--r", "1"]
     )[0] == 2
+
+
+def test_certify_refuses_non_decaying_modulation_input(tmp_path):
+    grid = make_grid(128, 12.0)
+    flat = tmp_path / "flat.json"
+    flat.write_text(SampledFunction(grid, np.ones(grid.size)).to_json())
+    argv = ["certify", "cowling_price_functional", "--input", str(flat)]
+    assert run_cli([*argv, "--p", "2", "--q", "2", "--a", "1", "--b", "1"]) == (2, "")
 
 
 def test_certify_young_mass_corner_requires_nonnegative(tmp_path):

@@ -23,8 +23,8 @@ from tfuncert.norms import (
     psi_phi_norm,
     stft_mixed_norm,
 )
-from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth
-from tfuncert.transforms import stft
+from tfuncert.sampling import RandomFunctionSpec, SampledFunction, make_grid, random_smooth
+from tfuncert.transforms import AliasingError, stft
 
 from conftest import gaussian
 
@@ -203,6 +203,26 @@ def test_modulation_norm_weighted_monotone(grid512):
     base = modulation_norm(f, g, 2.0, 2.0)
     heavier = modulation_norm(f, g, 2.0, 2.0, alpha=1.0, beta=0.5)
     assert heavier > base
+
+
+def test_modulation_norm_guards_every_route():
+    # a non-decaying input wraps around the box; separable and tabulated
+    # weights must refuse it alike
+    grid = make_grid(128, 12.0)
+    flat = SampledFunction(grid, np.ones(grid.size))
+    g = default_window(grid)
+    with pytest.raises(AliasingError):
+        modulation_norm(flat, g, 2.0, 2.0)
+    with pytest.raises(AliasingError):
+        modulation_norm_m(flat, g, BracketWeight(0.5, 0.5))
+    with pytest.raises(AliasingError):
+        modulation_norm_m(flat, g, TabulatedWeight(np.ones((grid.size, grid.size))))
+    with pytest.raises(ValueError, match="identically zero"):
+        modulation_norm(g, g.with_values(np.zeros(grid.size)), 2.0, 2.0)
+    with pytest.raises(ValueError, match="same grid"):
+        modulation_norm(g, default_window(make_grid(128, 10.0)), 2.0, 2.0)
+    # the streaming primitive stays unguarded
+    assert math.isfinite(stft_mixed_norm(flat, g, MixedOrder(2.0, 2.0)))
 
 
 def test_modulation_norm_m_routes(grid128):

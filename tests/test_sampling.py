@@ -59,6 +59,11 @@ def test_grid_coords_match_axis_tensor():
     assert coords[k, 1] == grid.axis[5]
     radii = grid.radii()
     assert radii[k] == pytest.approx(math.hypot(grid.axis[3], grid.axis[5]))
+    assert grid.freq_coords()[k, 1] == grid.freq_axis[5]
+    assert grid.freq_radii()[k] == pytest.approx(math.hypot(grid.freq_axis[3], grid.freq_axis[5]))
+    # the tables are built once per geometry and shared, so they are read-only
+    assert make_grid(8, 4.0, dim=2).coords() is coords
+    assert not coords.flags.writeable and not radii.flags.writeable
 
 
 def test_grid_boundary_mask():

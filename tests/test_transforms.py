@@ -185,7 +185,27 @@ def test_stft_row_chunks_agree(grid128):
         assert seen == grid.size
 
 
+def _record_fft_calls(monkeypatch) -> list:
+    """Log ``(entries, workers)`` of every scipy.fft fftn/ifftn call from now on."""
+    import scipy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(scipy.fft, name)
+
+        def spy(x, *args, _real=real, **kwargs):
+            calls.append((x.size, kwargs["workers"]))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return calls
+
+
 def test_stft_results_independent_of_fft_workers(monkeypatch, grid128):
+    # these blocks are below the size that is threaded by default; lower it so
+    # that two workers really run
+    monkeypatch.setattr(transforms, "_THREADED_MIN_ENTRIES", 1)
+    calls = _record_fft_calls(monkeypatch)
     rng = np.random.default_rng(12)
     for grid in (grid128, make_grid(16, 9.0, dim=2)):
         f = random_smooth(SMALL_SPEC, grid)
@@ -207,6 +227,16 @@ def test_stft_results_independent_of_fft_workers(monkeypatch, grid128):
         np.testing.assert_array_equal(V1, V2)
         np.testing.assert_array_equal(a1, a2)
         assert x1 == x2 and w1 == w2
+    assert {workers for _, workers in calls} == {1, 2}
+
+
+def test_small_row_blocks_run_on_one_worker(monkeypatch, grid128):
+    monkeypatch.setattr(transforms, "_FFT_WORKERS", 2)
+    calls = _record_fft_calls(monkeypatch)
+    stft(gaussian(grid128), default_window(grid128))
+    grid = make_grid(64, 10.0, dim=2)
+    list(stft_row_chunks(gaussian(grid), default_window(grid)))
+    assert calls == [(128 * 128, 1)] + [(256 * 64**2, 2)] * 16
 
 
 def test_stft_guards(grid512):
