@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported on first use, inside the functions that solve: it
+# adds about 0.4 s to process start, which commands that never solve an
+# eigenproblem or a linear system should not pay
 
 from .sampling import (
     Grid,
@@ -86,6 +88,9 @@ class QuadraticFormPair:
     ``form0`` represents (u,v) through the m0-weighted STFT energy; ``form_full``
     adds the |psi(x)|^2 and |phi(w)|^2 moment terms.  Both are Hermitian, the
     recorded defects are the relative asymmetry removed by symmetrization.
+    For conjugation-symmetric input (a real window, m0^2 and |phi|^2 even in
+    w) both forms are real symmetric and stored as ``float64``; otherwise they
+    are complex Hermitian ``complex128``.
     """
 
     grid: Grid
@@ -112,62 +117,89 @@ def _lag_tables(grid: Grid):
     """Index plumbing for circulant-in-lag assembly on the periodized grid.
 
     Returns ``flat`` with flat[l, m] = flat index of the per-axis difference
-    (m - l) mod n, the per-node parity (-1)^(sum of axis indices), and the
-    flat indices of nodes shifted by n/2 along every axis.
+    (m - l) mod n, and the per-node parity (-1)^(sum of axis indices).
     """
     n, size = grid.n, grid.size
     ax = np.unravel_index(np.arange(size), grid.shape)
     diff = tuple((a[None, :] - a[:, None]) % n for a in ax)
     flat = np.ravel_multi_index(diff, grid.shape)
     parity = (-1.0) ** (sum(ax) % 2)
-    shifted = np.ravel_multi_index(tuple((a + n // 2) % n for a in ax), grid.shape)
-    return flat, parity, shifted
+    return flat, parity
 
 
-def _assemble_form0_general(m0sq: np.ndarray, gp: np.ndarray, grid: Grid) -> np.ndarray:
+def _assemble_form0_general(
+    m0sq: np.ndarray, gp: np.ndarray, grid: Grid, tables: tuple, real: bool
+) -> np.ndarray:
     """Dense form0 for tabulated m0, via per-lag circular convolutions.
 
     Writing V_g u in terms of periodized window shifts turns the double
     phase-space sum into, for each node lag l, a circular convolution between
     the window autocorrelation at that lag and the frequency transform of the
-    m0^2 rows; cost O(size^2 log size) instead of O(size^3).
+    m0^2 rows; cost O(size^2 log size) instead of O(size^3).  ``real`` keeps
+    only the real part, for conjugation-symmetric input.
     """
     size, d = grid.size, grid.dim
     axes = tuple(range(1, d + 1))
-    flat, parity, shifted = _lag_tables(grid)
+    flat, parity = tables
     # Dhat[i, l] = parity[l] * sum_k m0^2(x_i, w_k) e^{-2 pi i l k / n} * freq_cell
     dhat = np.fft.fftn(m0sq.reshape((size,) + grid.shape), axes=axes).reshape(size, size)
     dhat *= parity[None, :] * grid.freq_cell
-    lagged = gp[flat]  # lagged[l, m] = gp[(m - l) mod n]
     conj_gp = np.conj(gp)[None, :]
-    out = np.empty((size, size), dtype=np.complex128)
-    step = max(1, (1 << 22) // size)
+    # parity on the spectrum shifts each circular convolution by n/2 on every axis
+    spec_parity = parity.reshape(grid.shape)
+    cols = np.arange(size)[None, :]
+    form0 = np.empty((size, size), dtype=np.float64 if real else np.complex128)
+    # blocks of 2^18 entries (4 MiB complex) bound the temporaries per block
+    step = max(1, (1 << 18) // size)
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
-        w = (conj_gp * lagged[rows]).reshape((-1,) + grid.shape)
+        # gp[flat[l, m]] = gp[(m - l) mod n]
+        w = (conj_gp * gp[flat[rows]]).reshape((-1,) + grid.shape)
         c = np.ascontiguousarray(dhat.T[rows]).reshape((-1,) + grid.shape)
-        conv = np.fft.ifftn(np.fft.fftn(w, axes=axes) * np.fft.fftn(c, axes=axes), axes=axes)
-        out[rows] = conv.reshape(-1, size)[:, shifted]
-    # two cell powers from |V|^2 and one from the phase-space x quadrature
-    out *= grid.cell**3
-    form0 = np.empty((size, size), dtype=np.complex128)
-    cols = np.broadcast_to(np.arange(size)[None, :], (size, size))
-    form0[flat, cols] = out
+        spec = np.fft.fftn(w, axes=axes)
+        spec *= np.fft.fftn(c, axes=axes)
+        spec *= spec_parity
+        block = np.fft.ifftn(spec, axes=axes).reshape(-1, size)
+        # two cell powers from |V|^2 and one from the phase-space x quadrature
+        block *= grid.cell**3
+        # the convolution at lag l and node m is form0[(m - l) mod n, m]
+        form0[flat[rows], cols] = block.real if real else block
     return form0
 
 
-def _assemble_form_phi(phi: np.ndarray, grid: Grid) -> np.ndarray:
+def _assemble_form_phi(phisq: np.ndarray, grid: Grid, tables: tuple, real: bool) -> np.ndarray:
     """Matrix of u -> sum_k |phi(w_k)|^2 |u_hat(w_k)|^2 freq_cell; circulant in the lag."""
-    flat, parity, _ = _lag_tables(grid)
-    t = np.fft.fftn((np.abs(phi) ** 2).reshape(grid.shape)).reshape(grid.size)
+    flat, parity = tables
+    t = np.fft.fftn(phisq.reshape(grid.shape)).reshape(grid.size)
     t = t * parity * grid.freq_cell * grid.cell**2
-    return t[flat]
+    return (t.real if real else t)[flat]
+
+
+def _conjugation_symmetric(
+    gp: np.ndarray, m0sq: Optional[np.ndarray], phisq: np.ndarray, mirror: np.ndarray
+) -> bool:
+    """Whether both forms are real: g real, m0^2 and |phi|^2 even in w.
+
+    For real g, conj(V_g u(x, w)) = V_g conj(u)(x, -w), so an m0^2 weight even
+    in w makes form0 real; likewise for the |phi|^2 term.  ``mirror`` maps each
+    node to the node of its negative; on the centered grid the mirrored tables
+    are bit-equal, so the comparison is exact.  ``m0sq=None`` is a constant m0.
+    """
+    return (
+        not np.any(gp.imag)
+        and (m0sq is None or np.array_equal(m0sq, np.take(m0sq, mirror, axis=1)))
+        and np.array_equal(phisq, phisq[mirror])
+    )
 
 
 def _hermitize(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    # one contiguous copy of the adjoint; strided transposed reads cost more
+    adj = np.ascontiguousarray(mat.conj().T)
     scale_ = float(np.max(np.abs(mat)))
-    defect = float(np.max(np.abs(mat - mat.conj().T))) / (scale_ or 1.0)
-    return 0.5 * (mat + mat.conj().T), defect
+    defect = float(np.max(np.abs(mat - adj))) / (scale_ or 1.0)
+    adj += mat
+    adj *= 0.5
+    return adj, defect
 
 
 def build_forms(
@@ -177,7 +209,9 @@ def build_forms(
 
     The window must be L2-normalized; with m0 constant the assembly reduces
     exactly to the tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is
-    what the general path produces up to rounding.
+    what the general path produces up to rounding.  Conjugation-symmetric
+    input gives real symmetric forms, which the Cholesky check and the
+    eigensolver then handle in real arithmetic.
     """
     if triple.psi.shape[0] != grid.size:
         raise ValueError("triple tabulation does not match grid size")
@@ -187,19 +221,26 @@ def build_forms(
     if abs(gnorm - 1.0) > _WINDOW_NORM_TOL:
         raise ValueError(f"window must be L2-normalized, got norm {gnorm!r}")
     gp = window.values
-    if np.ndim(triple.m0) == 0:
+    constant = np.ndim(triple.m0) == 0
+    if not constant and grid.dim == 2 and grid.n > _D2_FORM_CAP:
+        raise ValueError(
+            f"dense two-dimensional assembly with tabulated m0 is capped at "
+            f"n = {_D2_FORM_CAP} per axis, got n = {grid.n}"
+        )
+    tables = _lag_tables(grid)
+    m0sq = None if constant else triple._m0_squared()
+    phisq = np.abs(triple.phi) ** 2
+    # flat[:, 0] is the node of (0 - l) mod n: the node of -w on every axis
+    real = _conjugation_symmetric(gp, m0sq, phisq, tables[0][:, 0])
+    dtype = np.float64 if real else np.complex128
+    if constant:
         # constant-table specialization of the lag path: only lag zero survives
         base = float(triple.m0) ** 2 * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
-        form0_raw = base * np.eye(grid.size, dtype=np.complex128)
+        form0_raw = base * np.eye(grid.size, dtype=dtype)
     else:
-        if grid.dim == 2 and grid.n > _D2_FORM_CAP:
-            raise ValueError(
-                f"dense two-dimensional assembly with tabulated m0 is capped at "
-                f"n = {_D2_FORM_CAP} per axis, got n = {grid.n}"
-            )
-        form0_raw = _assemble_form0_general(triple._m0_squared(), gp, grid)
-    form_psi = np.diag(np.abs(triple.psi) ** 2 * grid.cell).astype(np.complex128)
-    form_phi = _assemble_form_phi(triple.phi, grid)
+        form0_raw = _assemble_form0_general(m0sq, gp, grid, tables, real)
+    form_psi = np.diag(np.abs(triple.psi) ** 2 * grid.cell).astype(dtype, copy=False)
+    form_phi = _assemble_form_phi(phisq, grid, tables, real)
     form0, defect0 = _hermitize(form0_raw)
     form_full, defect_full = _hermitize(form0_raw + form_psi + form_phi)
     try:
@@ -232,20 +273,22 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
     Eigenvectors come back form0-orthonormal, i.e. normalized in the weighted
     phase-space norm the pencil encodes.
     """
+    import scipy.linalg
+
     size = pair.grid.size
     if not (1 <= count <= size):
         raise ValueError(f"count must be in 1..{size}, got {count}")
     vals, vecs = scipy.linalg.eigh(
         pair.form_full, pair.form0, subset_by_index=[0, count - 1]
     )
+    lead = pair.form_full @ vecs
+    residuals = np.linalg.norm(lead - vals * (pair.form0 @ vecs), axis=0)
+    residuals /= np.linalg.norm(lead, axis=0)
     solutions = []
     for idx in range(count):
         nu = float(vals[idx])
         v = vecs[:, idx]
-        lead = pair.form_full @ v
-        residual = float(
-            np.linalg.norm(lead - nu * (pair.form0 @ v)) / np.linalg.norm(lead)
-        )
+        residual = float(residuals[idx])
         if residual > EIGEN_RESIDUAL_TOL:
             raise ValueError(
                 f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL} at index {idx}"
@@ -262,6 +305,8 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
 
 def operator_A_apply(pair: QuadraticFormPair, u: SampledFunction) -> SampledFunction:
     """Apply the localization operator by solving form_full w = form0 u."""
+    import scipy.linalg
+
     if not pair.grid.compatible(u.grid):
         raise ValueError("input sampled on a different grid")
     w = scipy.linalg.solve(pair.form_full, pair.form0 @ u.values, assume_a="pos")
@@ -287,22 +332,15 @@ def oscillator_spectrum(n: int, extent: float, count: int = 6) -> np.ndarray:
     decay super-exponentially.  Serves as the discretization-independent
     cross-check for the quadratic-form eigenproblem.
     """
-    if not (1 <= count <= 10):
-        raise ValueError(f"count must be in 1..10, got {count}")
-    grid = make_grid(n, extent)
-    h = grid.spacing
-    c = 1.0 / (4.0 * math.pi**2 * h**2)
-    diag = grid.axis**2 + 2.0 * c
-    off = np.full(n - 1, -c)
-    return scipy.linalg.eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1), eigvals_only=True
-    )
+    return oscillator_modes(n, extent, count)[0]
 
 
 def oscillator_modes(
     n: int, extent: float, count: int = 6
 ) -> tuple[np.ndarray, list[SampledFunction]]:
     """Finite-difference oscillator eigenvalues plus L2-normalized eigenvectors."""
+    import scipy.linalg
+
     if not (1 <= count <= 10):
         raise ValueError(f"count must be in 1..10, got {count}")
     grid = make_grid(n, extent)

@@ -235,6 +235,20 @@ def test_spectrum_quadratic_form():
     assert all(defect < 1e-10 for defect in rec["herm_defects"])
 
 
+def test_spectrum_symmetric_triple_modes_are_real(tmp_path):
+    # a real window with coord profiles is conjugation-symmetric: the pencil
+    # is solved in real arithmetic and the exported modes have zero imaginary parts
+    csv = tmp_path / "modes.csv"
+    code, _ = run_cli(
+        ["spectrum", "--psi", "coord", "--phi", "coord", "--m0", "1.0",
+         "--count", "2", "--grid", "128,10", "--csv", str(csv)]
+    )
+    assert code == 0
+    table = np.genfromtxt(csv, delimiter=",", names=True)
+    assert np.any(table["mode_0_re"] != 0.0)
+    assert np.all(table["mode_0_im"] == 0.0) and np.all(table["mode_1_im"] == 0.0)
+
+
 def test_spectrum_errors():
     assert run_cli(["spectrum"])[0] == 2  # neither oscillator nor a triple
     assert run_cli(["spectrum", "--psi", "bogus", "--phi", "coord", "--m0", "1"])[0] == 2

@@ -2,10 +2,17 @@
 finite differences, and the constrained descent against the Gaussian minimizer."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import tfuncert
 
 from tfuncert.constants import DomainError, ExponentSet, check_galperin_grochenig
 from tfuncert.norms import (
@@ -87,6 +94,7 @@ def test_build_forms_matches_brute_force_1d():
     triple = AdmissibleTriple(x.astype(complex), w.astype(complex), m0)
     pair = build_forms(triple, win, grid)
     Q0, Qfull = _brute_forms(triple, win, grid)
+    assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
     assert pair.herm_defect0 < 1e-12 and pair.herm_defect_full < 1e-12
@@ -101,8 +109,56 @@ def test_build_forms_matches_brute_force_2d():
     triple = AdmissibleTriple(psi, phi, m0)
     pair = build_forms(triple, win, grid)
     Q0, Qfull = _brute_forms(triple, win, grid)
+    assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
+
+
+def _asymmetric_triple(case, grid):
+    """(triple, window) with one of the three conjugation symmetries broken."""
+    x, w = grid.axis, grid.freq_axis
+    win = _unit_window(grid)
+    m0 = 1.0 + np.exp(-np.add.outer(x**2, w**2))
+    phi = w
+    if case == "modulated_window":
+        win = win.with_values(win.values * np.exp(2j * math.pi * 0.75 * x))
+    elif case == "odd_m0":
+        m0 = 1.0 + 0.5 * np.outer(np.exp(-(x**2)), np.tanh(w))
+    elif case == "shifted_phi":
+        phi = 1.0 + w
+    return AdmissibleTriple(x.astype(complex), phi.astype(complex), m0), win
+
+
+@pytest.mark.parametrize("case", ["modulated_window", "odd_m0", "shifted_phi"])
+def test_build_forms_asymmetric_input_stays_complex(case):
+    grid = make_grid(16, 8.0)
+    triple, win = _asymmetric_triple(case, grid)
+    pair = build_forms(triple, win, grid)
+    Q0, Qfull = _brute_forms(triple, win, grid)
+    assert pair.form0.dtype == np.complex128 and pair.form_full.dtype == np.complex128
+    # the imaginary part is what a real route would drop
+    assert np.max(np.abs(Qfull.imag)) > 1e-3 * np.max(np.abs(Qfull))
+    np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
+    np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
+    nus = [sol.nu for sol in smallest_eigen(pair, 3)]
+    expected = scipy.linalg.eigh(Qfull, Q0, eigvals_only=True, subset_by_index=[0, 2])
+    np.testing.assert_allclose(nus, expected, atol=1e-10)
+
+
+def test_real_route_eigenvalues_match_complex_brute_force():
+    grid = make_grid(32, 8.0)
+    win = _unit_window(grid)
+    x, w = grid.axis, grid.freq_axis
+    m0 = 1.0 + np.exp(-np.add.outer(x**2, w**2))
+    triple = AdmissibleTriple(x.astype(complex), w.astype(complex), m0)
+    pair = build_forms(triple, win, grid)
+    assert pair.form_full.dtype == np.float64
+    Q0, Qfull = _brute_forms(triple, win, grid)
+    # the brute-force pencil keeps its rounding-level imaginary parts
+    expected = scipy.linalg.eigh(Qfull, Q0, eigvals_only=True, subset_by_index=[0, 3])
+    sols = smallest_eigen(pair, 4)
+    np.testing.assert_allclose([sol.nu for sol in sols], expected, atol=1e-10)
+    assert all(sol.residual < 1e-10 for sol in sols)
 
 
 def test_build_forms_constant_weight_tight_frame():
@@ -112,6 +168,7 @@ def test_build_forms_constant_weight_tight_frame():
         grid.axis.astype(complex), grid.freq_axis.astype(complex), 2.0
     )
     pair = build_forms(triple, win, grid)
+    assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
     # constant m0: the frame identity collapses form0 to m0^2 h I
     np.testing.assert_allclose(
         pair.form0, 4.0 * grid.cell * np.eye(grid.size), atol=1e-14
@@ -177,6 +234,19 @@ def test_oscillator_spectrum_and_modes():
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
     with pytest.raises(ValueError):
         oscillator_spectrum(512, 12.0, 11)
+
+
+def test_import_defers_scipy_solvers_and_fft():
+    src = str(Path(tfuncert.__file__).resolve().parents[1])
+    probe = (
+        "import sys, tfuncert, tfuncert.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.fft') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
