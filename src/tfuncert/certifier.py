@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .transforms import (  # noqa: F401
     stft,
 )
 from .norms import (
-    BracketWeight,
     MixedOrder,
     default_window,
     lp_weighted,
@@ -52,6 +51,7 @@ from .constants import (
     as_exponent,
     babenko_beckner,
     check_lieb_domain,
+    general_dual,
     holder_dual,
     leindler_duals,
     lieb_H,
@@ -82,18 +82,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-
-INEQUALITY_IDS = (
-    "hausdorff_young",
-    "young",
-    "leindler",
-    "lieb_forward",
-    "lieb_reverse_xw",
-    "lieb_reverse_wx",
-    "heisenberg",
-    "cowling_price_functional",
-    "modulation_bound",
-)
 
 # Sharp constant of ||x f||_2 + ||w Ff||_2 >= K ||f||_2 in one dimension:
 # combine the arithmetic-geometric mean bound with the product uncertainty
@@ -174,8 +162,12 @@ def _grid_meta(grid: Grid) -> dict:
     return {"n": grid.n, "extent": grid.extent, "dim": grid.dim}
 
 
-def _unit(f: SampledFunction, norm: float) -> SampledFunction:
-    return f if norm == 0.0 else scale(f, 1.0 / norm)
+def _unit(f: SampledFunction, norm: float) -> tuple[SampledFunction, float]:
+    """f scaled to unit norm, and the norm of the result: 1 by homogeneity,
+    or 0 for a zero f, which is left as it is."""
+    if norm == 0.0:
+        return f, 0.0
+    return scale(f, 1.0 / norm), 1.0
 
 
 def _expdict(**kw) -> dict:
@@ -194,9 +186,9 @@ def certify_hausdorff_young(
     if not (1.0 <= r <= 2.0):
         raise DomainError(f"hausdorff_young requires 1 <= r <= 2, got r={r}")
     d = f.grid.dim
-    f = _unit(f, lp_weighted(f, r))
+    f, nf = _unit(f, lp_weighted(f, r))
     const = babenko_beckner(r) ** d
-    lhs = const * lp_weighted(f, r)
+    lhs = const * nf
     rhs = lp_weighted(fourier(f), holder_dual(r))
     return CertificateReport(
         "hausdorff_young", _expdict(r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
@@ -224,10 +216,10 @@ def certify_young(
     _young_relation(m, n, r, "young")
     _require_same_grid(f, g, "certify_young")
     d = f.grid.dim
-    f = _unit(f, lp_weighted(f, m))
-    g = _unit(g, lp_weighted(g, n))
+    f, nf = _unit(f, lp_weighted(f, m))
+    g, ng = _unit(g, lp_weighted(g, n))
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
-    lhs = const * lp_weighted(f, m) * lp_weighted(g, n)
+    lhs = const * nf * ng
     rhs = lp_weighted(convolve(f, g), r)
     return CertificateReport(
         "young", _expdict(m=m, n=n, r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
@@ -260,11 +252,11 @@ def certify_leindler(
     _require_nonnegative(f, "leindler")
     _require_nonnegative(g, "leindler")
     d = f.grid.dim
-    f = _unit(f, lp_weighted(f, m))
-    g = _unit(g, lp_weighted(g, n))
+    f, nf = _unit(f, lp_weighted(f, m))
+    g, ng = _unit(g, lp_weighted(g, n))
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
     lhs = lp_weighted(convolve(f, g), r)
-    rhs = const * lp_weighted(f, m) * lp_weighted(g, n)
+    rhs = const * nf * ng
     return CertificateReport(
         "leindler", _expdict(m=m, n=n, r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
     )
@@ -288,9 +280,9 @@ def certify_lieb_forward(
     _require_same_grid(f, g, "certify_lieb_forward")
     pp = holder_dual(p)
     const = lieb_H(r, p) ** (1.0 / r)
-    f = _unit(f, lp_weighted(f, p))
-    g = _unit(g, lp_weighted(g, pp))
-    lhs = const * lp_weighted(f, p) * lp_weighted(g, pp)
+    f, nf = _unit(f, lp_weighted(f, p))
+    g, ng = _unit(g, lp_weighted(g, pp))
+    lhs = const * nf * ng
     rhs = _ambiguity_mixed_norm(f, g, MixedOrder(r, r, inner="x"))
     return CertificateReport(
         "lieb_forward", _expdict(r=r, p=p), lhs, rhs, const, tol, _grid_meta(f.grid), seed
@@ -337,13 +329,12 @@ def certify_lieb_reverse(
     d = f.grid.dim
     const = sharp_B(r, s, u, v, d)
     if order == "x":
-        f = _unit(f, lp_weighted(fourier(f), u))
-        g = _unit(g, lp_weighted(fourier(g), v))
-        rhs = const * lp_weighted(fourier(f), u) * lp_weighted(fourier(g), v)
+        f, nf = _unit(f, lp_weighted(fourier(f), u))
+        g, ng = _unit(g, lp_weighted(fourier(g), v))
     else:
-        f = _unit(f, lp_weighted(f, u))
-        g = _unit(g, lp_weighted(g, v))
-        rhs = const * lp_weighted(f, u) * lp_weighted(g, v)
+        f, nf = _unit(f, lp_weighted(f, u))
+        g, ng = _unit(g, lp_weighted(g, v))
+    rhs = const * nf * ng
     lhs = _ambiguity_mixed_norm(f, g, MixedOrder(r, s, inner=order))
     ineq_id = "lieb_reverse_xw" if order == "x" else "lieb_reverse_wx"
     return CertificateReport(
@@ -364,10 +355,10 @@ def certify_heisenberg(
     """||x f||_2^2 + ||w Ff||_2^2 >= ||f||_2^2 / (2 pi) in one dimension."""
     if f.grid.dim != 1:
         raise DomainError("heisenberg certificate is one-dimensional")
-    f = _unit(f, lp_weighted(f, 2.0))
+    f, nf = _unit(f, lp_weighted(f, 2.0))
     lhs = moment_seminorm(f, 2.0, 1.0, "x") ** 2 + moment_seminorm(f, 2.0, 1.0, "omega") ** 2
     const = 1.0 / (2.0 * math.pi)
-    rhs = const * lp_weighted(f, 2.0) ** 2
+    rhs = const * nf**2
     return CertificateReport(
         "heisenberg", {}, lhs, rhs, const, tol, _grid_meta(f.grid), seed
     )
@@ -398,18 +389,16 @@ def certify_modulation_bound(
         )
     _require_same_grid(f, g, "certify_modulation_bound")
     const = sharp_B(r, s, u, v, f.grid.dim)
-    mod = modulation_norm(f, g, r, s)
-    f_unit = _unit(f, mod)
-    mod_unit = modulation_norm(f_unit, g, r, s)
+    f, mod = _unit(f, modulation_norm(f, g, r, s))
     if side == "frequency":
         gn = lp_weighted(fourier(g), v)
-        rhs = lp_weighted(fourier(f_unit), u)
+        rhs = lp_weighted(fourier(f), u)
     else:
         gn = lp_weighted(g, v)
-        rhs = lp_weighted(f_unit, u)
+        rhs = lp_weighted(f, u)
     if gn == 0.0:
         raise DomainError("window has zero norm; the bound is vacuous")
-    lhs = mod_unit / (const * gn)
+    lhs = mod / (const * gn)
     return CertificateReport(
         "modulation_bound",
         _expdict(r=r, s=s, u=u, v=v, side=side),
@@ -451,10 +440,9 @@ def certify_cowling_functional(
     """
     if g is None:
         g = default_window(f.grid)
-    mod = modulation_norm(f, g, r, s, alpha, beta)
-    f = _unit(f, mod)
+    f, mod = _unit(f, modulation_norm(f, g, r, s, alpha, beta))
     lhs = evaluate_banach_functional(f, p, q, a, b)
-    rhs = K * modulation_norm(f, g, r, s, alpha, beta)
+    rhs = K * mod
     return CertificateReport(
         "cowling_price_functional",
         _expdict(p=p, q=q, a=a, b=b, r=r, s=s, alpha=alpha, beta=beta, K=K),
@@ -524,7 +512,7 @@ def build_lieb_extremals(
 
 
 # ---------------------------------------------------------------------------
-# batteries
+# the inequality table and batteries
 
 
 def _young_target(m: float, n: float) -> float:
@@ -533,99 +521,201 @@ def _young_target(m: float, n: float) -> float:
     return math.inf if inv == 0.0 else 1.0 / inv
 
 
+def _convolution_lattice(*pairs: tuple[float, float]) -> list[dict]:
+    return [{"m": m, "n": n, "r": _young_target(m, n)} for m, n in pairs]
+
+
+def _partner_point(r: float, s: float, **extra) -> dict:
+    """(r, s) with u = min(2, r') and v solving the reverse-bound relation."""
+    u = min(2.0, holder_dual(r))
+    return {"r": r, "s": s, "u": u, "v": solve_partner_exponent(s, r, u), **extra}
+
+
+def _centered_gaussian(grid: Grid, width: float = math.pi) -> SampledFunction:
+    """exp(-width |x|^2) sampled on the grid."""
+    return sample_gaussian(GaussianSpec(width * np.eye(grid.dim)), grid)
+
+
+def _one_gaussian(grid: Grid, **exponents) -> tuple:
+    return (_centered_gaussian(grid),)
+
+
+def _convolution_pair(grid: Grid, m: float, n: float, r: float) -> tuple:
+    if m == 1.0 and n == 1.0:
+        # the r = 1 corner: mass factorizes, any decaying pair is extremal
+        widths = (math.pi, math.pi)
+    elif m == 1.0 or n == 1.0:
+        raise DomainError(
+            "no grid extremal when exactly one exponent is 1 (the dual degenerates)"
+        )
+    else:
+        mp, np_ = general_dual(m), general_dual(n)
+        base = math.pi / max(abs(mp), abs(np_))
+        widths = (abs(mp) * base, abs(np_) * base)
+    return tuple(_centered_gaussian(grid, w) for w in widths)
+
+
+def _lieb_reverse_pair(grid: Grid, order: str, r: float, s: float, u: float, v: float):
+    mp, np_ = leindler_duals(u, v, r)
+    # geometric-mean normalization keeps both widths within sqrt(|m'/n'|) of pi
+    width = math.pi / math.sqrt(abs(mp) * abs(np_))
+    return build_lieb_extremals(r, s, u, v, width * np.eye(grid.dim), None, grid, order)
+
+
+def _partner_v(e: dict) -> float:
+    return solve_partner_exponent(e["s"], e["r"], e["u"])
+
+
+def _young_mass_corner(inputs: tuple, point: dict) -> None:
+    # the r=1 corner is an equality check (mass factorizes), which only holds
+    # for nonnegative inputs
+    if point["m"] == 1.0 and point["n"] == 1.0 and point["r"] == 1.0:
+        for h in inputs:
+            _require_nonnegative(h, "young at m=n=r=1")
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """Everything the battery, the default lattice and the CLI know of one id.
+
+    ``certify`` calls the certifier by its module-global name, so a rebinding
+    of ``certify_*`` on this module is what runs.
+    """
+
+    certify: Callable[..., CertificateReport]
+    exponents: tuple[str, ...]  # positional exponents, in the certifier's order
+    lattice: Callable[[], list[dict]]
+    extremal: Callable[..., tuple]  # (grid, **exponents) -> saturating inputs
+    # extremal exponents that may be omitted: a value, or a function of the
+    # exponents before it
+    defaults: dict = field(default_factory=dict)
+    # second input: None (one input), "seeded" (a second seeded input),
+    # "squared" (seeded pair, squared magnitudes) or "window" (default_window
+    # unless one is given)
+    second: Optional[str] = None
+    keywords: dict = field(default_factory=dict)  # point keys passed by name, with defaults
+    missing_second: str = ""  # error when a required second stored input is absent
+    check_input: Optional[Callable[[tuple, dict], None]] = None  # stored inputs only
+
+
+def _lieb_reverse_entry(order: str) -> _Inequality:
+    return _Inequality(
+        lambda *a, **k: certify_lieb_reverse(*a, order=order, **k),
+        ("r", "s", "u", "v"),
+        lambda: [_partner_point(r, s) for r, s in ((1.5, 1.5), (1.25, 1.75), (2.0, 2.0), (1.75, 1.25))],
+        lambda grid, **e: _lieb_reverse_pair(grid, order, **e),
+        {"u": lambda e: min(2.0, 0.5 * (1.0 + holder_dual(e["r"]))), "v": _partner_v},
+        second="seeded",
+        missing_second="certify lieb_reverse requires --input2",
+    )
+
+
+_INEQUALITIES = {
+    "hausdorff_young": _Inequality(
+        lambda *a, **k: certify_hausdorff_young(*a, **k),
+        ("r",),
+        lambda: [{"r": r} for r in (1.0, 1.25, 1.5, 1.75, 2.0)],
+        _one_gaussian,
+    ),
+    "young": _Inequality(
+        lambda *a, **k: certify_young(*a, **k),
+        ("m", "n", "r"),
+        lambda: _convolution_lattice((1.25, 1.25), (1.5, 1.2), (2.0, 2.0), (1.0, 1.0)),
+        _convolution_pair,
+        {"r": lambda e: _young_target(e["m"], e["n"])},
+        second="seeded",
+        missing_second="certify young requires --input2 for the second factor",
+        check_input=_young_mass_corner,
+    ),
+    "leindler": _Inequality(
+        lambda *a, **k: certify_leindler(*a, **k),
+        ("m", "n", "r"),
+        lambda: _convolution_lattice((0.8, 0.8), (0.9, 0.7), (1.0, 1.0)),
+        _convolution_pair,
+        {"r": lambda e: _young_target(e["m"], e["n"])},
+        second="squared",
+        missing_second="certify leindler requires --input2 for the second factor",
+    ),
+    "lieb_forward": _Inequality(
+        lambda *a, **k: certify_lieb_forward(*a, **k),
+        ("r", "p"),
+        lambda: [{"r": 4.0, "p": 2.0}, {"r": 3.0, "p": 2.0}, {"r": 4.0, "p": 4.0 / 3.0}],
+        lambda grid, **e: (_centered_gaussian(grid),) * 2,
+        {"p": 2.0},
+        second="seeded",
+        missing_second="certify lieb_forward requires --input2",
+    ),
+    "lieb_reverse_xw": _lieb_reverse_entry("x"),
+    "lieb_reverse_wx": _lieb_reverse_entry("omega"),
+    "heisenberg": _Inequality(
+        lambda *a, **k: certify_heisenberg(*a, **k),
+        (),
+        lambda: [{}],
+        _one_gaussian,
+    ),
+    "cowling_price_functional": _Inequality(
+        lambda *a, **k: certify_cowling_functional(*a, **k),
+        ("p", "q", "a", "b"),
+        lambda: [{"p": 2.0, "q": 2.0, "a": 1.0, "b": 1.0}],
+        _one_gaussian,
+        {"p": 2.0, "q": 2.0, "a": 1.0, "b": 1.0},
+        keywords={"K": HEISENBERG_SHARP_K},
+    ),
+    "modulation_bound": _Inequality(
+        lambda *a, **k: certify_modulation_bound(*a, **k),
+        ("r", "s", "u", "v"),
+        lambda: [
+            _partner_point(r, s, side=side)
+            for r, s, side in ((2.0, 2.0, "frequency"), (2.0, 2.0, "time"), (1.5, 1.5, "frequency"))
+        ],
+        lambda grid, **e: (_centered_gaussian(grid), default_window(grid)),
+        {"r": 2.0, "s": 2.0, "u": lambda e: min(2.0, holder_dual(e["r"])), "v": _partner_v},
+        second="window",
+        keywords={"side": "frequency"},
+    ),
+}
+
+INEQUALITY_IDS = tuple(_INEQUALITIES)
+
+
+def _inequality(inequality: str) -> _Inequality:
+    try:
+        return _INEQUALITIES[inequality]
+    except KeyError:
+        raise DomainError(
+            f"unknown inequality id {inequality!r}; known: {INEQUALITY_IDS}"
+        ) from None
+
+
+def _certify(
+    inequality: str, inputs: tuple, point: dict, tol: float, seed: Optional[int] = None
+) -> CertificateReport:
+    """Certify one exponent point on the inputs; keys the id does not use are ignored."""
+    entry = _INEQUALITIES[inequality]
+    for key in entry.exponents:
+        if key not in point:
+            raise DomainError(f"{inequality} point lacks exponent {key!r}")
+    keywords = {key: point.get(key, default) for key, default in entry.keywords.items()}
+    exponents = (point[key] for key in entry.exponents)
+    return entry.certify(*inputs, *exponents, tol=tol, seed=seed, **keywords)
+
+
 def default_lattice(inequality: str) -> list[dict]:
     """A small built-in exponent lattice for each certifiable inequality."""
-    if inequality == "hausdorff_young":
-        return [{"r": r} for r in (1.0, 1.25, 1.5, 1.75, 2.0)]
-    if inequality == "young":
-        pts = [(1.25, 1.25), (1.5, 1.2), (2.0, 2.0), (1.0, 1.0)]
-        return [{"m": m, "n": n, "r": _young_target(m, n)} for m, n in pts]
-    if inequality == "leindler":
-        pts = [(0.8, 0.8), (0.9, 0.7), (1.0, 1.0)]
-        return [{"m": m, "n": n, "r": _young_target(m, n)} for m, n in pts]
-    if inequality == "lieb_forward":
-        return [{"r": 4.0, "p": 2.0}, {"r": 3.0, "p": 2.0}, {"r": 4.0, "p": 4.0 / 3.0}]
-    if inequality in ("lieb_reverse_xw", "lieb_reverse_wx"):
-        out = []
-        for r, s in ((1.5, 1.5), (1.25, 1.75), (2.0, 2.0), (1.75, 1.25)):
-            u = min(2.0, holder_dual(r))
-            v = solve_partner_exponent(s, r, u)
-            out.append({"r": r, "s": s, "u": u, "v": v})
-        return out
-    if inequality == "heisenberg":
-        return [{}]
-    if inequality == "modulation_bound":
-        out = []
-        for r, s, side in ((2.0, 2.0, "frequency"), (2.0, 2.0, "time"), (1.5, 1.5, "frequency")):
-            u = min(2.0, holder_dual(r))
-            v = solve_partner_exponent(s, r, u)
-            out.append({"r": r, "s": s, "u": u, "v": v, "side": side})
-        return out
-    if inequality == "cowling_price_functional":
-        return [{"p": 2.0, "q": 2.0, "a": 1.0, "b": 1.0}]
-    raise DomainError(f"unknown inequality id {inequality!r}; known: {INEQUALITY_IDS}")
+    return _inequality(inequality).lattice()
 
 
-def _battery_inputs(
-    inequality: str, point: dict, seed: int, grid: Grid
-) -> tuple:
+def _battery_inputs(second: Optional[str], seed: int, grid: Grid) -> tuple:
     """Deterministic inputs for one battery evaluation."""
     f = random_smooth(RandomFunctionSpec(seed=seed), grid)
-    if inequality in ("young", "lieb_forward", "lieb_reverse_xw", "lieb_reverse_wx"):
-        g = random_smooth(RandomFunctionSpec(seed=seed + 500_000), grid)
-        return f, g
-    if inequality == "leindler":
-        g = random_smooth(RandomFunctionSpec(seed=seed + 500_000), grid)
-        fsq = f.with_values(np.abs(f.values) ** 2)
-        gsq = g.with_values(np.abs(g.values) ** 2)
-        return fsq, gsq
-    if inequality == "modulation_bound":
+    if second is None:
+        return (f,)
+    if second == "window":
         return f, default_window(grid)
-    return (f,)
-
-
-def _certify_point(
-    inequality: str, point: dict, seed: int, grid: Grid, tol: float
-) -> CertificateReport:
-    inputs = _battery_inputs(inequality, point, seed, grid)
-    if inequality == "hausdorff_young":
-        return certify_hausdorff_young(inputs[0], point["r"], tol, seed)
-    if inequality == "young":
-        return certify_young(*inputs, point["m"], point["n"], point["r"], tol, seed)
-    if inequality == "leindler":
-        return certify_leindler(*inputs, point["m"], point["n"], point["r"], tol, seed)
-    if inequality == "lieb_forward":
-        return certify_lieb_forward(*inputs, point["r"], point["p"], tol, seed)
-    if inequality in ("lieb_reverse_xw", "lieb_reverse_wx"):
-        order = "x" if inequality == "lieb_reverse_xw" else "omega"
-        return certify_lieb_reverse(
-            *inputs, point["r"], point["s"], point["u"], point["v"], order, tol, seed
-        )
-    if inequality == "heisenberg":
-        return certify_heisenberg(inputs[0], tol, seed)
-    if inequality == "modulation_bound":
-        return certify_modulation_bound(
-            *inputs,
-            point["r"],
-            point["s"],
-            point["u"],
-            point["v"],
-            point.get("side", "frequency"),
-            tol,
-            seed,
-        )
-    if inequality == "cowling_price_functional":
-        return certify_cowling_functional(
-            inputs[0],
-            point["p"],
-            point["q"],
-            point["a"],
-            point["b"],
-            K=point.get("K", HEISENBERG_SHARP_K),
-            tol=tol,
-            seed=seed,
-        )
-    raise DomainError(f"unknown inequality id {inequality!r}")
+    g = random_smooth(RandomFunctionSpec(seed=seed + 500_000), grid)
+    if second == "squared":
+        return f.with_values(np.abs(f.values) ** 2), g.with_values(np.abs(g.values) ** 2)
+    return f, g
 
 
 @dataclass
@@ -666,10 +756,9 @@ def run_battery(
     collected instead of aborting.  TFUNCERT_THREADS > 1 parallelizes the
     independent evaluations without changing their order in the result.
     """
-    if inequality not in INEQUALITY_IDS:
-        raise DomainError(f"unknown inequality id {inequality!r}; known: {INEQUALITY_IDS}")
+    entry = _inequality(inequality)
     if lattice is None:
-        lattice = default_lattice(inequality)
+        lattice = entry.lattice()
     if grid is None:
         grid = make_grid(512, 12.0)
     tasks = [(pi, point, seed) for pi, point in enumerate(lattice) for seed in range(seeds)]
@@ -678,7 +767,8 @@ def run_battery(
     def job(task):
         _, point, seed = task
         try:
-            return _certify_point(inequality, dict(point), seed, grid, tol)
+            inputs = _battery_inputs(entry.second, seed, grid)
+            return _certify(inequality, inputs, point, tol, seed)
         except (DomainError, ValueError) as exc:
             return {"point": dict(point), "seed": seed, "error": str(exc)}
 

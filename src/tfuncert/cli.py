@@ -10,23 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .sampling import (
-    GaussianSpec,
-    Grid,
-    RandomFunctionSpec,
-    SampledFunction,
-    make_grid,
-    random_smooth,
-    sample_gaussian,
-    scale,
-)
+from .sampling import Grid, SampledFunction, make_grid, scale
 from .transforms import AliasingError
 from .norms import AdmissibleTriple, default_window, lp_weighted
 from .constants import (
@@ -44,28 +33,14 @@ from .constants import (
     sharp_B,
     solve_partner_exponent,
 )
-from .certifier import (
-    DEFAULT_TOL,
-    HEISENBERG_SHARP_K,
-    INEQUALITY_IDS,
-    _young_target,
-    build_lieb_extremals,
-    certify_cowling_functional,
-    certify_hausdorff_young,
-    certify_heisenberg,
-    certify_leindler,
-    certify_lieb_forward,
-    certify_lieb_reverse,
-    certify_modulation_bound,
-    certify_young,
-    default_lattice,
-    run_battery,
-    _require_nonnegative,
-)
-from .variational import (
+from .certifier import DEFAULT_TOL, _certify, _inequality, run_battery
+# minimize_banach is no longer called here; it stays importable from this
+# module for code that binds it by module (the benchmark's span tracer does)
+from .variational import (  # noqa: F401
     MinimizeOptions,
     build_forms,
     minimize_banach,
+    minimize_multistart,
     oscillator_modes,
     smallest_eigen,
 )
@@ -88,16 +63,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    grid: tuple[int, float, int]
-    tol: float
-    seed: int
-    output: Optional[str] = None
-    fmt: str = "json"
 
 
 class _Emitter:
@@ -227,135 +192,63 @@ def cmd_constants(args, out: _Emitter) -> int:
 # certify
 
 
-def _centered_gaussian(grid: Grid, width: float) -> SampledFunction:
-    """exp(-width |x|^2) sampled on the grid."""
-    return sample_gaussian(GaussianSpec(width * np.eye(grid.dim)), grid)
+def _extremal_inputs(ineq: str, entry, args, grid: Grid) -> tuple[tuple, dict]:
+    """The saturating inputs and exponents of one extremal certificate.
 
-
-def _extremal_report(ineq: str, kv: dict, args, grid: Grid, tol: float):
-    """One extremal (saturation) certificate for the requested inequality."""
-
-    def need(key, fallback=None):
+    Each exponent comes from --extremal K=V, else --K, else the id's default.
+    """
+    kv = _parse_kv(args.extremal, "--extremal")
+    point = {}
+    for key in entry.exponents:
+        fallback = entry.defaults.get(key)
+        fallback = fallback(point) if callable(fallback) else fallback
         if key in kv:
-            return kv[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return as_exponent(flag, key)
-        if fallback is not None:
-            return fallback
-        raise DomainError(f"extremal {ineq} requires exponent {key}")
-
-    if ineq == "hausdorff_young":
-        f = _centered_gaussian(grid, math.pi)
-        return certify_hausdorff_young(f, need("r"), tol)
-    if ineq in ("young", "leindler"):
-        m, n = need("m"), need("n")
-        r = need("r", _young_target(m, n))
-        if m == 1.0 and n == 1.0:
-            # the r = 1 corner: mass factorizes, any decaying pair is extremal
-            widths = (math.pi, math.pi)
-        elif m == 1.0 or n == 1.0:
-            raise DomainError(
-                "no grid extremal when exactly one exponent is 1 (the dual degenerates)"
-            )
+            point[key] = kv[key]
+        elif getattr(args, key) is not None:
+            point[key] = as_exponent(getattr(args, key), key)
+        elif fallback is not None:
+            point[key] = fallback
         else:
-            mp, np_ = general_dual(m), general_dual(n)
-            base = math.pi / max(abs(mp), abs(np_))
-            widths = (abs(mp) * base, abs(np_) * base)
-        f = _centered_gaussian(grid, widths[0])
-        g = _centered_gaussian(grid, widths[1])
-        certify = certify_young if ineq == "young" else certify_leindler
-        return certify(f, g, m, n, r, tol)
-    if ineq == "lieb_forward":
-        r, p = need("r"), need("p", 2.0)
-        f = _centered_gaussian(grid, math.pi)
-        return certify_lieb_forward(f, f, r, p, tol)
-    if ineq in ("lieb_reverse_xw", "lieb_reverse_wx"):
-        order = "x" if ineq == "lieb_reverse_xw" else "omega"
-        r, s = need("r"), need("s")
-        u = need("u", min(2.0, 0.5 * (1.0 + holder_dual(r))))
-        v = need("v", solve_partner_exponent(s, r, u))
-        mp, np_ = leindler_duals(u, v, r)
-        # geometric-mean normalization keeps both widths within sqrt(|m'/n'|) of pi
-        width = math.pi / math.sqrt(abs(mp) * abs(np_))
-        f, g = build_lieb_extremals(r, s, u, v, width * np.eye(grid.dim), None, grid, order)
-        return certify_lieb_reverse(f, g, r, s, u, v, order, tol)
-    if ineq == "heisenberg":
-        f = _centered_gaussian(grid, math.pi)
-        return certify_heisenberg(f, tol)
-    if ineq == "modulation_bound":
-        r, s = need("r", 2.0), need("s", 2.0)
-        u = need("u", min(2.0, holder_dual(r)))
-        v = need("v", solve_partner_exponent(s, r, u))
-        f = _centered_gaussian(grid, math.pi)
-        return certify_modulation_bound(f, default_window(grid), r, s, u, v, args.side, tol)
-    if ineq == "cowling_price_functional":
-        f = _centered_gaussian(grid, math.pi)
-        return certify_cowling_functional(
-            f, need("p", 2.0), need("q", 2.0), need("a", 1.0), need("b", 1.0), tol=tol
-        )
-    raise DomainError(f"no extremal construction for {ineq!r}")
+            raise DomainError(f"extremal {ineq} requires exponent {key}")
+    return entry.extremal(grid, **point), point
 
 
-def _single_input_report(ineq: str, args, grid: Grid, tol: float):
+def _stored_inputs(ineq: str, entry, args) -> tuple[tuple, dict]:
+    """The --input/--input2 functions and the exponent flags of one certificate."""
     f = _load_function(args.input)
     g = _load_function(args.input2) if args.input2 else None
-
-    def need(key):
-        flag = getattr(args, key, None)
+    if entry.second is None:
+        inputs = (f,)
+    elif g is not None:
+        inputs = (f, g)
+    elif entry.second == "window":
+        inputs = (f, default_window(f.grid))
+    else:
+        raise DomainError(entry.missing_second)
+    point = {}
+    for key in entry.exponents:
+        flag = getattr(args, key)
         if flag is None:
             raise DomainError(f"certify {ineq} with --input requires --{key}")
-        return as_exponent(flag, key)
-
-    if ineq == "hausdorff_young":
-        return certify_hausdorff_young(f, need("r"), tol)
-    if ineq in ("young", "leindler"):
-        if g is None:
-            raise DomainError(f"certify {ineq} requires --input2 for the second factor")
-        m, n, r = need("m"), need("n"), need("r")
-        if ineq == "young" and m == 1.0 and n == 1.0 and r == 1.0:
-            # the r=1 corner is an equality check (mass factorizes), which
-            # only holds for nonnegative inputs
-            _require_nonnegative(f, "young at m=n=r=1")
-            _require_nonnegative(g, "young at m=n=r=1")
-        certify = certify_young if ineq == "young" else certify_leindler
-        return certify(f, g, m, n, r, tol)
-    if ineq == "lieb_forward":
-        if g is None:
-            raise DomainError("certify lieb_forward requires --input2")
-        return certify_lieb_forward(f, g, need("r"), need("p"), tol)
-    if ineq in ("lieb_reverse_xw", "lieb_reverse_wx"):
-        if g is None:
-            raise DomainError("certify lieb_reverse requires --input2")
-        order = "x" if ineq == "lieb_reverse_xw" else "omega"
-        return certify_lieb_reverse(f, g, need("r"), need("s"), need("u"), need("v"), order, tol)
-    if ineq == "heisenberg":
-        return certify_heisenberg(f, tol)
-    if ineq == "modulation_bound":
-        window = g if g is not None else default_window(f.grid)
-        return certify_modulation_bound(
-            f, window, need("r"), need("s"), need("u"), need("v"), args.side, tol
-        )
-    if ineq == "cowling_price_functional":
-        return certify_cowling_functional(f, need("p"), need("q"), need("a"), need("b"), tol=tol)
-    raise DomainError(f"unknown inequality id {ineq!r}")
+        point[key] = as_exponent(flag, key)
+    if entry.check_input is not None:
+        entry.check_input(inputs, point)
+    return inputs, point
 
 
 def cmd_certify(args, out: _Emitter) -> int:
     ineq = args.inequality
     if ineq == "lieb_reverse":
         ineq = "lieb_reverse_xw" if args.order == "x" else "lieb_reverse_wx"
-    if ineq not in INEQUALITY_IDS:
-        raise DomainError(f"unknown inequality id {ineq!r}; known: {INEQUALITY_IDS}")
+    entry = _inequality(ineq)
     grid = _parse_grid(args.grid, _PRESET_GRIDS["certify"])
     tol = args.tol
-    if args.extremal is not None:
-        kv = _parse_kv(args.extremal, "--extremal")
-        report = _extremal_report(ineq, kv, args, grid, tol)
-        out.emit(report.to_json_line())
-        return EXIT_PASS if report.passed else EXIT_FAIL
-    if args.input:
-        report = _single_input_report(ineq, args, grid, tol)
+    if args.extremal is not None or args.input:
+        if args.extremal is not None:
+            inputs, point = _extremal_inputs(ineq, entry, args, grid)
+        else:
+            inputs, point = _stored_inputs(ineq, entry, args)
+        report = _certify(ineq, inputs, {**point, "side": args.side}, tol)
         out.emit(report.to_json_line())
         return EXIT_PASS if report.passed else EXIT_FAIL
     lattice = None
@@ -478,12 +371,10 @@ def cmd_minimize(args, out: _Emitter) -> int:
     else:
         raise DomainError("minimize needs --preset or --exponents")
     grid = _parse_grid(args.grid, _PRESET_GRIDS["minimize"])
-    window = default_window(grid)
     options = MinimizeOptions(tol=args.tol, max_iter=args.max_iter, probe_seed=args.seed)
-    solutions = []
-    for k in range(args.starts):
-        init = random_smooth(RandomFunctionSpec(seed=args.seed + 1000 * k), grid)
-        solutions.append(minimize_banach(exponents, window, grid, init, options))
+    solutions = minimize_multistart(
+        exponents, default_window(grid), grid, args.starts, options, args.seed
+    )
     records = [
         {
             "start": k,

@@ -23,6 +23,7 @@ from tfuncert.certifier import (
     run_battery,
     verdict,
     INEQUALITY_IDS,
+    _INEQUALITIES,
 )
 from tfuncert.constants import (
     DomainError,
@@ -226,6 +227,20 @@ def test_default_lattices_are_valid():
         default_lattice("bogus")
 
 
+def test_inequality_table_drives_lattices_and_batteries():
+    grid = make_grid(128, 12.0)
+    for ineq in INEQUALITY_IDS:
+        entry = _INEQUALITIES[ineq]
+        lattice = default_lattice(ineq)
+        for point in lattice:
+            # keyword extras (side, K) aside, a point names exactly the exponents
+            assert set(point) - set(entry.keywords) == set(entry.exponents)
+        bat = run_battery(ineq, seeds=1, grid=grid)
+        assert not bat.errors
+        assert len(bat.reports) == len(lattice)
+        assert {rep.inequality for rep in bat.reports} == {ineq}
+
+
 def test_run_battery_smoke():
     # extent 12 keeps the seeded inputs clear of the convolution decay guard
     bat = run_battery("young", seeds=3, grid=make_grid(128, 12.0))
@@ -244,6 +259,10 @@ def test_run_battery_collects_point_errors(grid128):
     assert len(bat.errors) == 2
     assert not bat.all_passed
     assert "young" in bat.errors[0]["error"]
+    # a point without every exponent of the id is a per-point domain error too
+    bat = run_battery("young", lattice=[{"m": 1.5}], seeds=1, grid=grid128)
+    assert not bat.reports
+    assert bat.errors == [{"point": {"m": 1.5}, "seed": 0, "error": "young point lacks exponent 'n'"}]
 
 
 def test_run_battery_thread_determinism(grid128):

@@ -157,6 +157,33 @@ def test_certify_single_input(tmp_path):
     )[0] == 2
 
 
+# a value for every exponent flag of each id that takes exponents
+INPUT_FLAGS = {
+    "hausdorff_young": {"r": "1.5"},
+    "young": {"m": "4/3", "n": "4/3", "r": "2"},
+    "leindler": {"m": "0.8", "n": "0.8", "r": "2/3"},
+    "lieb_forward": {"r": "4", "p": "2"},
+    "lieb_reverse_xw": {"r": "2", "s": "2", "u": "2", "v": "2"},
+    "lieb_reverse_wx": {"r": "2", "s": "2", "u": "2", "v": "2"},
+    "cowling_price_functional": {"p": "2", "q": "2", "a": "1", "b": "1"},
+    "modulation_bound": {"r": "2", "s": "2", "u": "2", "v": "2"},
+}
+
+
+@pytest.mark.parametrize("ineq", sorted(INPUT_FLAGS))
+def test_certify_input_requires_every_exponent_flag(tmp_path, capsys, ineq):
+    path = tmp_path / "f.json"
+    path.write_text(gaussian(make_grid(128, 10.0)).to_json())
+    flags = INPUT_FLAGS[ineq]
+    base = ["certify", ineq, "--input", str(path), "--input2", str(path)]
+    code, out = run_cli([*base, *(tok for k, v in flags.items() for tok in (f"--{k}", v))])
+    assert code == 0 and lines_of(out)[0]["inequality"] == ineq
+    for missing in flags:
+        given = [tok for k, v in flags.items() if k != missing for tok in (f"--{k}", v)]
+        assert run_cli([*base, *given]) == (2, "")
+        assert f"certify {ineq} with --input requires --{missing}\n" in capsys.readouterr().err
+
+
 def test_certify_refuses_non_decaying_modulation_input(tmp_path):
     grid = make_grid(128, 12.0)
     flat = tmp_path / "flat.json"
@@ -197,6 +224,15 @@ def test_certify_lattice_file(tmp_path):
     )
     assert code == 0
     assert len(lines_of(out)) == 1
+    # a point missing an exponent is reported on its own line and exits 2
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps([{"m": 1.5}]))
+    code, out = run_cli(
+        ["certify", "young", "--lattice", str(partial), "--seeds", "1", "--grid", "128,12"]
+    )
+    assert code == 2
+    (rec,) = lines_of(out)
+    assert rec["point"] == {"m": 1.5} and "'n'" in rec["error"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 1.5}))
     assert run_cli(["certify", "young", "--lattice", str(bad), "--seeds", "1"])[0] == 2
@@ -291,5 +327,7 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path):
     assert recs[1]["best"]["converged"] is False
 
 
-def test_minimize_requires_exponent_source():
+def test_minimize_requires_exponent_source(capsys):
     assert run_cli(["minimize", "--starts", "1"])[0] == 2
+    assert run_cli(["minimize", "--preset", "heisenberg", "--starts", "0"]) == (2, "")
+    assert "starts must be >= 1" in capsys.readouterr().err
