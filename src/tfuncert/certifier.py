@@ -764,13 +764,23 @@ def run_battery(
     tasks = [(pi, point, seed) for pi, point in enumerate(lattice) for seed in range(seeds)]
     result = BatteryResult(inequality)
 
+    # the inputs depend on the seed only: build each seed's once, before dispatch
+    built = []
+    for seed in range(seeds):
+        try:
+            built.append((_battery_inputs(entry.second, seed, grid), None))
+        except (DomainError, ValueError) as exc:
+            built.append((None, str(exc)))
+
     def job(task):
         _, point, seed = task
+        inputs, error = built[seed]
         try:
-            inputs = _battery_inputs(entry.second, seed, grid)
-            return _certify(inequality, inputs, point, tol, seed)
+            if error is None:
+                return _certify(inequality, inputs, point, tol, seed)
         except (DomainError, ValueError) as exc:
-            return {"point": dict(point), "seed": seed, "error": str(exc)}
+            error = str(exc)
+        return {"point": dict(point), "seed": seed, "error": error}
 
     workers = _thread_count()
     if workers > 1:

@@ -210,9 +210,6 @@ class AdmissibleTriple(WeightSpec):
             return TabulatedWeight(self._m0_squared() ** 0.5)
         return TabulatedWeight(np.asarray(self.m0))
 
-    def composite_weight(self) -> "TabulatedWeight":
-        return TabulatedWeight(np.sqrt(self._m_squared()))
-
     @property
     def separable(self) -> bool:
         return False

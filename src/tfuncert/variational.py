@@ -1,6 +1,7 @@
 """Variational problems: a generalized Hermitian eigenproblem for the
-quadratic (Hilbert) uncertainty functional, and projected-gradient descent
-for the Banach moment functional on the modulation-norm unit sphere.
+quadratic (Hilbert) uncertainty functional, and the Banach moment functional
+minimized on the modulation-norm unit sphere by L-BFGS on the scale-invariant
+ratio of the two.
 
 The quadratic forms live in the sample basis: a coefficient vector u holds
 node values, and u^H Q u approximates the continuous sesquilinear form via
@@ -9,6 +10,7 @@ cell-weighted quadrature.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -72,8 +74,9 @@ __all__ = [
 
 EIGEN_RESIDUAL_TOL = 1e-8
 _WINDOW_NORM_TOL = 1e-6
-_ARMIJO_FACTOR = 0.5
 _ARMIJO_SLOPE = 1e-4
+_LBFGS_PAIRS = 10  # (s, y) pairs the descent keeps
+_MIN_STEP = 1e-12  # the line search gives up below this step
 _D2_FORM_CAP = 64  # per-axis cap for dense two-dimensional form assembly
 
 
@@ -514,11 +517,9 @@ class MinimizeOptions:
     tol: float = 1e-4
     max_iter: int = 400
     probe_seed: int = 0
-    step0: float = 1.0
-    min_step: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1 or self.step0 <= 0 or self.min_step <= 0:
+        if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("options out of range")
 
 
@@ -550,6 +551,19 @@ def _banach_exponents(e: ExponentSet) -> tuple[float, float, float, float, float
     return e.p, e.q, e.a, e.b, e.r, e.s, e.alpha, e.beta
 
 
+def _stationarity_defect(
+    gf: np.ndarray, gm: np.ndarray, lam: float, vectors: Sequence[np.ndarray], cell: float
+) -> float:
+    """Worst |<gf, u> - lam <gm, u>| / ||u||_2 over the vectors u; zero vectors are skipped."""
+    worst = 0.0
+    for vec in vectors:
+        nrm = math.sqrt(_pairing(vec, vec, cell))
+        if nrm:
+            defect = abs(_pairing(gf, vec, cell) - lam * _pairing(gm, vec, cell))
+            worst = max(worst, defect / nrm)
+    return worst
+
+
 def el_residual_banach(
     f: SampledFunction,
     lam: float,
@@ -559,23 +573,18 @@ def el_residual_banach(
 ) -> float:
     """Worst stationarity defect |dF[u] - lam dM[u]| / ||u||_2 over directions."""
     p, q, a, b, r, s, alpha, beta = _banach_exponents(e)
-    constraint = modulation_norm(f, g, r, s, alpha, beta)
+    constraint, gm = _modulation_grad(f, g, r, s, alpha, beta)
     if abs(constraint - 1.0) > 1e-8:
         raise ValueError(f"constraint norm is {constraint!r}, expected 1")
     if not directions:
         raise ValueError("at least one test direction is required")
-    x_term = XMomentTerm(p, a)
-    w_term = OmegaMomentTerm(q, b)
-    m_term = ModulationTerm(r, s, alpha, beta, g)
-    worst = 0.0
     for u in directions:
-        scale_ = lp_weighted(u, 2.0)
-        if scale_ == 0.0:
+        _require_same_grid(f, u, "el_residual_banach")
+        if not np.any(u.values):
             raise ValueError("test direction with zero norm")
-        lhs = frechet_directional(f, u, x_term) + frechet_directional(f, u, w_term)
-        rhs = frechet_directional(f, u, m_term)
-        worst = max(worst, abs(lhs - lam * rhs) / scale_)
-    return worst
+    _, gx = _x_moment_grad(f, p, a)
+    _, gw = _omega_moment_grad(f, q, b)
+    return _stationarity_defect(gx + gw, gm, lam, [u.values for u in directions], f.grid.cell)
 
 
 def minimize_banach(
@@ -585,15 +594,18 @@ def minimize_banach(
     init: Optional[SampledFunction] = None,
     options: Optional[MinimizeOptions] = None,
 ) -> BanachSolution:
-    """Projected gradient descent for the two-moment functional on the
-    modulation-norm unit sphere.
+    """Minimize the two-moment functional on the modulation-norm unit sphere.
 
-    Each step removes the constraint-gradient component from the objective
-    gradient, backtracks with Armijo halving from unit step, and renormalizes.
-    Convergence is declared when the stationarity defect over the projected
-    direction, f itself, and three seeded probes drops below options.tol.
-    If the admissibility check fails the run proceeds but is flagged
-    exploratory (the infimum may be zero).
+    F (the sum of the two moment norms) and M (the modulation norm) are both
+    1-homogeneous, so the ratio R(u) = F(Tu)/M(Tu) is constant on rays and
+    its infimum is the infimum of F on M = 1, attained at f = Tu/M(Tu); T is
+    a fixed super-Gaussian taper.  R is minimized without constraint by
+    L-BFGS: the two-loop recursion over at most ``_LBFGS_PAIRS`` (s, y) pairs
+    in the real pairing Re<u, v> h^d, then a monotone Armijo search halving
+    from the unit step.  Convergence is declared when the stationarity defect
+    over the ratio gradient, f itself, and three seeded probes drops below
+    options.tol.  If the admissibility check fails the run proceeds but is
+    flagged exploratory (the infimum may be zero).
     """
     opts = options or MinimizeOptions()
     p, q, a, b, r, s, alpha, beta = _banach_exponents(e)
@@ -613,87 +625,66 @@ def minimize_banach(
     # faster than steps regrow it, without touching a decaying minimizer
     taper = np.exp(-40.0 * np.sum(np.abs(2.0 * grid.coords() / grid.extent) ** 32, axis=-1))
 
-    def normalized(fn: SampledFunction) -> SampledFunction:
-        fn = fn.with_values(fn.values * taper)
-        nm = modulation_norm(fn, g, r, s, alpha, beta)
-        if nm == 0.0:
-            raise ValueError("cannot normalize a function with zero modulation norm")
-        return scale(fn, 1.0 / nm)
-
-    def objective(fn: SampledFunction) -> float:
-        return moment_seminorm(fn, p, a, "x") + moment_seminorm(fn, q, b, "omega")
-
     probes = [
-        random_smooth(RandomFunctionSpec(seed=opts.probe_seed + 17 * k + 1), grid)
+        random_smooth(RandomFunctionSpec(seed=opts.probe_seed + 17 * k + 1), grid).values
         for k in range(3)
     ]
-    probe_norms = [lp_weighted(u, 2.0) for u in probes]
 
-    def state(fn: SampledFunction):
+    def evaluate(u: np.ndarray):
+        """f = Tu/M(Tu), lam = F(f) = R(u), the gradient of R at u, the defect."""
+        tu = SampledFunction(grid, u * taper)
+        nm = modulation_norm(tu, g, r, s, alpha, beta)
+        if nm == 0.0:
+            raise ValueError("cannot normalize a function with zero modulation norm")
+        fn = scale(tu, 1.0 / nm)
         xval, gx = _x_moment_grad(fn, p, a)
         wval, gw = _omega_moment_grad(fn, q, b)
         # iterates mid-descent transiently cancel bulk mass, which inflates
         # relative boundary content; skip the decay guard here and rely on
-        # the envelope in normalized() to keep the returned minimizer clean
+        # the taper to keep the returned minimizer clean
         _, gm = _modulation_grad(fn, g, r, s, alpha, beta, check=False)
         lam = xval + wval
         gf = gx + gw
-        coef = _pairing(gm, gf, cell) / _pairing(gm, gm, cell)
-        direction = gf - coef * gm
-        dir_norm = math.sqrt(_pairing(direction, direction, cell))
-        # stationarity defect over the projected direction, f, and the probes
-        tests = [
-            (direction, dir_norm if dir_norm > 0 else None),
-            (fn.values, lp_weighted(fn, 2.0)),
-        ] + [(u.values, nu) for u, nu in zip(probes, probe_norms)]
-        resid = 0.0
-        for vec, nrm in tests:
-            if not nrm:
-                continue
-            defect = abs(_pairing(gf, vec, cell) - lam * _pairing(gm, vec, cell))
-            resid = max(resid, defect / nrm)
-        return lam, direction, resid
+        # F and M have 0-homogeneous gradients, so those at Tu are those at f
+        grad = taper * (gf - lam * gm) / nm
+        return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad, fn.values, *probes], cell)
 
-    f = normalized(init)
-    lam, direction, resid = state(f)
+    u = init.values
+    f, lam, grad, resid = evaluate(u)
+    pairs: deque = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1/<y, s>), oldest first
+    gamma = 1.0  # initial inverse Hessian over the identity: <s, y>/<y, y> of the newest pair
     iterations = 0
     converged = resid <= opts.tol
-    # Barzilai-Borwein step seeding with a non-monotone Armijo safeguard:
-    # the moment weights make the Hessian stiff (curvatures spread over two
-    # to three decades here), where fixed-step descent crawls and BB's
-    # alternating step lengths converge at conjugate-gradient-like rates.
-    t_bb = opts.step0
-    prev_vals: Optional[tuple[np.ndarray, np.ndarray]] = None
-    recent = [lam]
     while not converged and iterations < opts.max_iter:
         iterations += 1
-        descent = _pairing(direction, direction, cell)
-        if descent <= 0.0:
+        # two-loop recursion: direction = -H grad
+        direction = -grad
+        coefs = []
+        for sv, yv, rho in reversed(pairs):
+            coefs.append(rho * _pairing(sv, direction, cell))
+            direction -= coefs[-1] * yv
+        direction *= gamma
+        for (sv, yv, rho), coef in zip(pairs, reversed(coefs)):
+            direction += (coef - rho * _pairing(yv, direction, cell)) * sv
+        slope = _pairing(grad, direction, cell)
+        if slope >= 0.0:
             break
-        if prev_vals is not None:
-            sv = f.values - prev_vals[0]
-            yv = direction - prev_vals[1]
-            sy = _pairing(yv, sv, cell)
-            yy = _pairing(yv, yv, cell)
-            if sy > 0.0 and yy > 0.0:
-                t_bb = min(max(sy / yy, opts.min_step), 10.0 * opts.step0)
-        prev_vals = (f.values.copy(), direction.copy())
-        t = t_bb
-        ref = max(recent)
-        accepted = False
-        while t >= opts.min_step:
-            cand = normalized(f.with_values(f.values - t * direction))
-            if objective(cand) <= ref - _ARMIJO_SLOPE * t * descent:
-                f = cand
-                accepted = True
+        t = 1.0
+        while t >= _MIN_STEP:
+            cand = u + t * direction
+            f_t, lam_t, grad_t, resid_t = evaluate(cand)
+            if lam_t <= lam + _ARMIJO_SLOPE * t * slope:
                 break
-            t *= _ARMIJO_FACTOR
-        if not accepted:
-            break
-        lam, direction, resid = state(f)
-        recent.append(lam)
-        if len(recent) > 8:
-            recent.pop(0)
+            t *= 0.5
+        else:
+            break  # no step down to _MIN_STEP decreased R
+        sv, yv = cand - u, grad_t - grad
+        sy = _pairing(yv, sv, cell)
+        # a pair without positive curvature would make the inverse Hessian indefinite
+        if sy > 0.0:
+            pairs.append((sv, yv, 1.0 / sy))
+            gamma = sy / _pairing(yv, yv, cell)
+        u, f, lam, grad, resid = cand, f_t, lam_t, grad_t, resid_t
         converged = resid <= opts.tol
     return BanachSolution(f, lam, resid, iterations, converged, exploratory)
 

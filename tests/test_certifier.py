@@ -25,6 +25,7 @@ from tfuncert.certifier import (
     INEQUALITY_IDS,
     _INEQUALITIES,
 )
+import tfuncert.certifier as certifier
 from tfuncert.constants import (
     DomainError,
     babenko_beckner,
@@ -263,6 +264,25 @@ def test_run_battery_collects_point_errors(grid128):
     bat = run_battery("young", lattice=[{"m": 1.5}], seeds=1, grid=grid128)
     assert not bat.reports
     assert bat.errors == [{"point": {"m": 1.5}, "seed": 0, "error": "young point lacks exponent 'n'"}]
+
+
+def test_run_battery_builds_each_seed_once(monkeypatch):
+    calls = []
+    real = certifier.random_smooth
+
+    def counted(spec, grid):
+        calls.append(spec.seed)
+        if spec.seed == 1:
+            raise ValueError("degenerate seed")
+        return real(spec, grid)
+
+    monkeypatch.setattr(certifier, "random_smooth", counted)
+    lattice = default_lattice("young")
+    bat = run_battery("young", lattice, seeds=3, grid=make_grid(128, 12.0))
+    assert calls == [0, 500_000, 1, 2, 500_002]
+    # a seed whose inputs raise still gives one error per point, in (point, seed) order
+    assert bat.errors == [{"point": p, "seed": 1, "error": "degenerate seed"} for p in lattice]
+    assert [rep.seed for rep in bat.reports] == [0, 2] * len(lattice)
 
 
 def test_run_battery_thread_determinism(grid128):

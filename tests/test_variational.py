@@ -1,5 +1,6 @@
 """Eigenproblem assembly against brute-force matrices, gradients against
-finite differences, and the constrained descent against the Gaussian minimizer."""
+finite differences, and the Banach minimizer against the Gaussian minimizer
+and the Hilbert-Banach bridge."""
 
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import minimize_scalar
 
 import tfuncert
 
@@ -369,6 +371,24 @@ def test_el_residual_gaussian_stationary(grid128):
         el_residual_banach(f, lam, HEISENBERG, win, [])
 
 
+def test_el_residual_matches_per_direction_derivatives(grid128):
+    # the former formulation, three directional derivatives per direction
+    win = default_window(grid128)
+    e = ExponentSet(d=1, p=2.5, q=2.2, a=0.7, b=0.9, r=1.5, s=1.8, alpha=0.3, beta=0.2)
+    f = random_smooth(RandomFunctionSpec(seed=33), grid128)
+    f = scale(f, 1.0 / modulation_norm(f, win, e.r, e.s, e.alpha, e.beta))
+    dirs = [random_smooth(RandomFunctionSpec(seed=70 + k), grid128) for k in range(4)]
+    lam = 0.8
+    x_term, w_term = XMomentTerm(e.p, e.a), OmegaMomentTerm(e.q, e.b)
+    m_term = ModulationTerm(e.r, e.s, e.alpha, e.beta, win)
+    expected = 0.0
+    for u in dirs:
+        lhs = frechet_directional(f, u, x_term) + frechet_directional(f, u, w_term)
+        rhs = frechet_directional(f, u, m_term)
+        expected = max(expected, abs(lhs - lam * rhs) / lp_weighted(u, 2.0))
+    assert el_residual_banach(f, lam, e, win, dirs) == pytest.approx(expected, rel=1e-12)
+
+
 def test_minimize_gaussian_init_is_fixed_point(grid128):
     win = default_window(grid128)
     sol = minimize_banach(HEISENBERG, win, grid128, init=gaussian(grid128))
@@ -387,6 +407,41 @@ def test_minimize_random_start_reaches_gaussian_value(grid128):
     # the minimizer stays clean enough for the guarded certificate route
     dirs = [random_smooth(RandomFunctionSpec(seed=60 + k), grid128) for k in range(3)]
     assert el_residual_banach(sol.minimizer, sol.lam, HEISENBERG, win, dirs) <= 1e-4
+
+
+@pytest.mark.parametrize("seed, probe_seed", [(3001, 1), (2042, 42)])
+def test_minimize_converges_from_hard_starts(seed, probe_seed):
+    # the starts that `minimize --preset heisenberg --seed 1` and `--seed 42`
+    # once left unconverged at the 400-iteration cap
+    grid = make_grid(256, 12.0)
+    init = random_smooth(RandomFunctionSpec(seed=seed), grid)
+    sol = minimize_banach(HEISENBERG, default_window(grid), grid, init, MinimizeOptions(probe_seed=probe_seed))
+    assert sol.converged
+    assert sol.el_residual <= 1e-4
+    assert sol.lam == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.0, 0.25)])
+def test_minimize_matches_hilbert_banach_bridge(alpha, beta):
+    # For p = q = r = s = 2, Cauchy-Schwarz gives A + B = min_c (A^2/c + B^2/(1-c))^(1/2),
+    # so the Banach minimum is sqrt(min_c lam_H(c)), lam_H(c) the smallest
+    # eigenvalue of the pencil with psi = |x|/sqrt(c), phi = |w|/sqrt(1-c) and
+    # m0 the bracket weight of the modulation norm.
+    grid = make_grid(256, 12.0)
+    win = default_window(grid)
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.outer((1.0 + x) ** alpha, (1.0 + w) ** beta)
+
+    def lam_h(c):
+        triple = AdmissibleTriple(x / math.sqrt(c), w / math.sqrt(1.0 - c), m0)
+        return smallest_eigen(build_forms(triple, win, grid))[0].lam
+
+    best = minimize_scalar(lam_h, bounds=(0.05, 0.95), method="bounded", options={"xatol": 1e-6})
+    oracle = math.sqrt(best.fun)
+    e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=alpha, beta=beta)
+    for sol in minimize_multistart(e, win, grid, starts=2):
+        assert sol.converged
+        assert sol.lam == pytest.approx(oracle, abs=1e-6)
 
 
 def test_minimize_validation(grid128):
