@@ -321,13 +321,8 @@ def certify_lieb_reverse(
     r, s, u, v = (as_exponent(x, nm) for x, nm in ((r, "r"), (s, "s"), (u, "u"), (v, "v")))
     if order not in ("x", "omega"):
         raise DomainError(f"order must be 'x' or 'omega', got {order!r}")
-    if not check_lieb_domain(r, s, u, v):
-        raise DomainError(
-            f"(r={r}, s={s}, u={u}, v={v}) violates the reverse-bound exponent domain"
-        )
+    const = sharp_B(r, s, u, v, f.grid.dim)
     _require_same_grid(f, g, "certify_lieb_reverse")
-    d = f.grid.dim
-    const = sharp_B(r, s, u, v, d)
     if order == "x":
         f, nf = _unit(f, lp_weighted(fourier(f), u))
         g, ng = _unit(g, lp_weighted(fourier(g), v))
@@ -383,12 +378,8 @@ def certify_modulation_bound(
     r, s, u, v = (as_exponent(x, nm) for x, nm in ((r, "r"), (s, "s"), (u, "u"), (v, "v")))
     if side not in ("frequency", "time"):
         raise DomainError(f"side must be 'frequency' or 'time', got {side!r}")
-    if not check_lieb_domain(r, s, u, v):
-        raise DomainError(
-            f"(r={r}, s={s}, u={u}, v={v}) violates the reverse-bound exponent domain"
-        )
-    _require_same_grid(f, g, "certify_modulation_bound")
     const = sharp_B(r, s, u, v, f.grid.dim)
+    _require_same_grid(f, g, "certify_modulation_bound")
     f, mod = _unit(f, modulation_norm(f, g, r, s))
     if side == "frequency":
         gn = lp_weighted(fourier(g), v)

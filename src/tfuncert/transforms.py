@@ -10,7 +10,6 @@ windowed transforms guard that their inputs decay at the grid boundary.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -149,31 +148,6 @@ class PhaseSpaceFunction:
     def freq_grid(self) -> Grid:
         return self.grid.conjugate()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": {"n": self.grid.n, "extent": self.grid.extent, "dim": self.grid.dim},
-            "values": [[float(v.real), float(v.imag)] for v in self.values.ravel()],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self, path) -> None:
-        """One row per phase-space node: x coords, w coords, re, im."""
-        d = self.grid.dim
-        size = self.grid.size
-        xc = self.grid.coords()
-        wc = self.grid.freq_coords()
-        xi, ki = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        cols = [xc[xi.ravel(), ax] for ax in range(d)]
-        cols += [wc[ki.ravel(), ax] for ax in range(d)]
-        flat = self.values.ravel()
-        cols += [flat.real, flat.imag]
-        header = ",".join(
-            [f"x{ax + 1}" for ax in range(d)] + [f"w{ax + 1}" for ax in range(d)] + ["re", "im"]
-        )
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
-
 
 # ---------------------------------------------------------------------------
 # STFT engine
@@ -307,9 +281,7 @@ def stft(f: SampledFunction, g: SampledFunction, *, check: bool = True) -> Phase
 
     V_g f(x, w) = \\int f(t) conj(g(t - x)) e^{-2 pi i t.w} dt; the window
     shift is realized by circular shift, guarded by boundary decay of both
-    inputs.  ``check=False`` skips the decay guard; callers that manage
-    their own iterates (descent loops evaluating transient candidates whose
-    bulk nearly cancels) use it, everything user-facing keeps the default.
+    inputs.  ``check=False`` skips the decay guard.
     """
     _require_same_grid(f, g, "stft")
     _check_stft_inputs(f, g, decay=check)

@@ -213,8 +213,9 @@ def build_forms(
     The window must be L2-normalized; with m0 constant the assembly reduces
     exactly to the tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is
     what the general path produces up to rounding.  Conjugation-symmetric
-    input gives real symmetric forms, which the Cholesky check and the
-    eigensolver then handle in real arithmetic.
+    input gives real symmetric forms, which the eigensolver then handles in
+    real arithmetic.  Definiteness of form0 is not checked here: the
+    eigensolver's factorization of form0 checks it (see :func:`smallest_eigen`).
     """
     if triple.psi.shape[0] != grid.size:
         raise ValueError("triple tabulation does not match grid size")
@@ -246,12 +247,6 @@ def build_forms(
     form_phi = _assemble_form_phi(phisq, grid, tables, real)
     form0, defect0 = _hermitize(form0_raw)
     form_full, defect_full = _hermitize(form0_raw + form_psi + form_phi)
-    try:
-        np.linalg.cholesky(form0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "form0 is not positive definite; the weight/grid combination is degenerate"
-        ) from exc
     return QuadraticFormPair(grid, form0, form_full, defect0, defect_full, window)
 
 
@@ -274,16 +269,23 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
     """The ``count`` smallest generalized eigenpairs, ascending.
 
     Eigenvectors come back form0-orthonormal, i.e. normalized in the weighted
-    phase-space norm the pencil encodes.
+    phase-space norm the pencil encodes.  A form0 that is not positive
+    definite raises ``ValueError``.
     """
     import scipy.linalg
 
     size = pair.grid.size
     if not (1 <= count <= size):
         raise ValueError(f"count must be in 1..{size}, got {count}")
-    vals, vecs = scipy.linalg.eigh(
-        pair.form_full, pair.form0, subset_by_index=[0, count - 1]
-    )
+    try:
+        vals, vecs = scipy.linalg.eigh(
+            pair.form_full, pair.form0, subset_by_index=[0, count - 1]
+        )
+    except np.linalg.LinAlgError as exc:
+        # the solver's Cholesky factorization of form0 is the definiteness check
+        raise ValueError(
+            "form0 is not positive definite; the weight/grid combination is degenerate"
+        ) from exc
     lead = pair.form_full @ vecs
     residuals = np.linalg.norm(lead - vals * (pair.form0 @ vecs), axis=0)
     residuals /= np.linalg.norm(lead, axis=0)
@@ -380,6 +382,9 @@ class XMomentTerm:
         if self.a < 0:
             raise DomainError(f"moment order must be nonnegative, got {self.a}")
 
+    def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
+        return _moment_grad(f, self.p, self.a, "x-moment")
+
 
 @dataclass(frozen=True)
 class OmegaMomentTerm:
@@ -393,6 +398,13 @@ class OmegaMomentTerm:
             raise DomainError(f"differentiable moment term needs finite q > 1, got {self.q}")
         if self.b < 0:
             raise DomainError(f"moment order must be nonnegative, got {self.b}")
+
+    def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
+        # the x moment of Ff on the conjugate grid is the w moment of f; the
+        # transform is unitary, so the gradient pulls back through its inverse
+        F = fourier(f)
+        value, ghat = _moment_grad(F, self.q, self.b, "frequency-moment")
+        return value, inverse_fourier(F.with_values(ghat)).values
 
 
 @dataclass(frozen=True)
@@ -415,35 +427,26 @@ class ModulationTerm:
         if self.window is None:
             raise DomainError("modulation term requires a window")
 
+    def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
+        return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta)
+
 
 FrechetTerm = Union[XMomentTerm, OmegaMomentTerm, ModulationTerm]
 
 
-def _signed_power(values: np.ndarray, expo: float) -> np.ndarray:
-    """|f|^expo * f with the f = 0 nodes set to 0 (the pairing's limit value)."""
-    mags = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(mags > 0, mags**expo, 0.0)
-    return p * values
+def _moment_grad(f: SampledFunction, p: float, a: float, what: str) -> tuple[float, np.ndarray]:
+    """|| |x|^a f ||_p and its gradient value^(1-p) |x|^(ap) |f|^(p-2) f.
 
-
-def _x_moment_grad(f: SampledFunction, p: float, a: float) -> tuple[float, np.ndarray]:
+    The f = 0 nodes of |f|^(p-2) f are set to 0 (the pairing's limit value);
+    ``what`` names the moment in the zero-norm error.
+    """
     value = moment_seminorm(f, p, a, "x")
     if value == 0.0:
-        raise ValueError("zero x-moment norm; the derivative is undefined")
-    wts = f.grid.radii() ** (a * p)
-    grad = value ** (1.0 - p) * wts * _signed_power(f.values, p - 2.0)
-    return value, grad
-
-
-def _omega_moment_grad(f: SampledFunction, q: float, b: float) -> tuple[float, np.ndarray]:
-    value = moment_seminorm(f, q, b, "omega")
-    if value == 0.0:
-        raise ValueError("zero frequency-moment norm; the derivative is undefined")
-    F = fourier(f)
-    wts = F.grid.radii() ** (b * q)
-    ghat = value ** (1.0 - q) * wts * _signed_power(F.values, q - 2.0)
-    return value, inverse_fourier(F.with_values(ghat)).values
+        raise ValueError(f"zero {what} norm; the derivative is undefined")
+    mags = np.abs(f.values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(mags > 0, mags ** (p - 2.0), 0.0)
+    return value, value ** (1.0 - p) * f.grid.radii() ** (a * p) * (power * f.values)
 
 
 def _modulation_grad(
@@ -453,17 +456,15 @@ def _modulation_grad(
     s: float,
     alpha: float,
     beta: float,
-    check: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Modulation norm of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell.
 
-    ``check=False`` skips the decay guard, as in :func:`stft`.  V is
-    materialized once and overwritten by the adjoint's input; |V| is taken
-    once, for the power and the reducer.
+    V is materialized once and overwritten by the adjoint's input; |V| is
+    taken once, for the power and the reducer.
     """
     grid = f.grid
     _require_same_grid(f, g, "stft")
-    _check_stft_inputs(f, g, decay=check)
+    _check_stft_inputs(f, g)
     V = _materialize(f, g)
     mags = np.abs(V)
     # |V|^(r-2) V with the V = 0 nodes set to 0 (the pairing's limit value)
@@ -496,16 +497,9 @@ def frechet_directional(f: SampledFunction, u: SampledFunction, term: FrechetTer
     so sub-quadratic exponents stay evaluable.
     """
     _require_same_grid(f, u, "frechet_directional")
-    if isinstance(term, XMomentTerm):
-        _, grad = _x_moment_grad(f, term.p, term.a)
-    elif isinstance(term, OmegaMomentTerm):
-        _, grad = _omega_moment_grad(f, term.q, term.b)
-    elif isinstance(term, ModulationTerm):
-        _require_same_grid(f, term.window, "frechet_directional")
-        _, grad = _modulation_grad(f, term.window, term.r, term.s, term.alpha, term.beta)
-    else:
+    if not isinstance(term, FrechetTerm):
         raise TypeError(f"unknown term {term!r}")
-    return _pairing(grad, u.values, f.grid.cell)
+    return _pairing(term._value_and_grad(f)[1], u.values, f.grid.cell)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +529,10 @@ class BanachSolution:
     exploratory: bool = False
 
 
-def _banach_exponents(e: ExponentSet) -> tuple[float, float, float, float, float, float, float, float]:
+def _banach_terms(
+    e: ExponentSet, g: SampledFunction
+) -> tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm]:
+    """The x-moment, w-moment and modulation terms of the Banach problem for e."""
     needed = {"p": e.p, "q": e.q, "a": e.a, "b": e.b, "r": e.r, "s": e.s}
     for name, value in needed.items():
         if value is None:
@@ -548,7 +545,22 @@ def _banach_exponents(e: ExponentSet) -> tuple[float, float, float, float, float
             )
     if e.a <= 0 or e.b <= 0:
         raise DomainError("moment orders a, b must be positive")
-    return e.p, e.q, e.a, e.b, e.r, e.s, e.alpha, e.beta
+    return (
+        XMomentTerm(e.p, e.a),
+        OmegaMomentTerm(e.q, e.b),
+        ModulationTerm(e.r, e.s, e.alpha, e.beta, g),
+    )
+
+
+def _banach_value_and_grads(
+    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient."""
+    x_term, w_term, m_term = terms
+    m, gm = m_term._value_and_grad(f)
+    xval, gx = x_term._value_and_grad(f)
+    wval, gw = w_term._value_and_grad(f)
+    return xval + wval, gx + gw, m, gm
 
 
 def _stationarity_defect(
@@ -572,8 +584,7 @@ def el_residual_banach(
     directions: Sequence[SampledFunction],
 ) -> float:
     """Worst stationarity defect |dF[u] - lam dM[u]| / ||u||_2 over directions."""
-    p, q, a, b, r, s, alpha, beta = _banach_exponents(e)
-    constraint, gm = _modulation_grad(f, g, r, s, alpha, beta)
+    _, gf, constraint, gm = _banach_value_and_grads(_banach_terms(e, g), f)
     if abs(constraint - 1.0) > 1e-8:
         raise ValueError(f"constraint norm is {constraint!r}, expected 1")
     if not directions:
@@ -582,9 +593,7 @@ def el_residual_banach(
         _require_same_grid(f, u, "el_residual_banach")
         if not np.any(u.values):
             raise ValueError("test direction with zero norm")
-    _, gx = _x_moment_grad(f, p, a)
-    _, gw = _omega_moment_grad(f, q, b)
-    return _stationarity_defect(gx + gw, gm, lam, [u.values for u in directions], f.grid.cell)
+    return _stationarity_defect(gf, gm, lam, [u.values for u in directions], f.grid.cell)
 
 
 def minimize_banach(
@@ -608,7 +617,7 @@ def minimize_banach(
     flagged exploratory (the infimum may be zero).
     """
     opts = options or MinimizeOptions()
-    p, q, a, b, r, s, alpha, beta = _banach_exponents(e)
+    terms = _banach_terms(e, g)
     if e.d != grid.dim:
         raise DomainError(f"exponent set is for d={e.d} but the grid is d={grid.dim}")
     exploratory = not bool(check_galperin_grochenig(e))
@@ -633,18 +642,11 @@ def minimize_banach(
     def evaluate(u: np.ndarray):
         """f = Tu/M(Tu), lam = F(f) = R(u), the gradient of R at u, the defect."""
         tu = SampledFunction(grid, u * taper)
-        nm = modulation_norm(tu, g, r, s, alpha, beta)
+        nm = modulation_norm(tu, g, e.r, e.s, e.alpha, e.beta)
         if nm == 0.0:
             raise ValueError("cannot normalize a function with zero modulation norm")
         fn = scale(tu, 1.0 / nm)
-        xval, gx = _x_moment_grad(fn, p, a)
-        wval, gw = _omega_moment_grad(fn, q, b)
-        # iterates mid-descent transiently cancel bulk mass, which inflates
-        # relative boundary content; skip the decay guard here and rely on
-        # the taper to keep the returned minimizer clean
-        _, gm = _modulation_grad(fn, g, r, s, alpha, beta, check=False)
-        lam = xval + wval
-        gf = gx + gw
+        lam, gf, _, gm = _banach_value_and_grads(terms, fn)
         # F and M have 0-homogeneous gradients, so those at Tu are those at f
         grad = taper * (gf - lam * gm) / nm
         return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad, fn.values, *probes], cell)

@@ -292,6 +292,14 @@ def test_spectrum_errors():
     assert run_cli(["spectrum", "--oscillator", "--count", "11"])[0] == 2
 
 
+def test_spectrum_degenerate_pencil_exits_2(capsys):
+    code, out = run_cli(["spectrum", "--psi", "1", "--phi", "1", "--m0", "0", "--grid", "64,8"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "tfuncert: form0 is not positive definite; the weight/grid combination is degenerate\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # minimize
 

@@ -208,6 +208,35 @@ def test_smallest_eigen_oscillator_triple():
         smallest_eigen(pair, 0)
 
 
+@pytest.mark.parametrize(
+    "n, extent, dim, a, count",
+    [(128, 12.0, 1, 1.0, 6), (128, 12.0, 1, 2.0, 6), (256, 16.0, 1, 0.5, 6), (32, 6.5, 2, 1.0, 10)],
+)
+def test_smallest_eigen_matches_gaussian_localization_spectrum(n, extent, dim, a, count):
+    # Daubechies (1988): with the Gaussian window the localization operator of
+    # the symbol e^{-pi a (|x|^2 + |w|^2)} has the Hermite functions of total
+    # degree k as eigenfunctions, eigenvalue (1 + a)^{-(k + d)} with
+    # multiplicity k + 1 in d = 2.  With m0^2 = 1 + that symbol, psi = 0 and
+    # phi = 1, form_full = form0 + h^d I, so lam_k = 1 / (1 + (1 + a)^{-(k + d)}).
+    grid = make_grid(n, extent, dim=dim)
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.sqrt(1.0 + np.exp(-math.pi * a * np.add.outer(x**2, w**2)))
+    triple = AdmissibleTriple(np.zeros(grid.size, complex), np.ones(grid.size, complex), m0)
+    sols = smallest_eigen(build_forms(triple, default_window(grid), grid), count)
+    degrees = [k for k in range(count) for _ in range(k + 1 if dim == 2 else 1)][:count]
+    want = [1.0 / (1.0 + (1.0 + a) ** -(k + dim)) for k in degrees]
+    np.testing.assert_allclose([sol.lam for sol in sols], want, rtol=0, atol=1e-12)
+
+
+def test_smallest_eigen_refuses_degenerate_pencil():
+    # m0 = 0 leaves form0 = 0; the eigensolver's factorization refuses it
+    grid = make_grid(64, 8.0)
+    ones = np.ones(grid.size, complex)
+    pair = build_forms(AdmissibleTriple(ones, ones, 0.0), _unit_window(grid), grid)
+    with pytest.raises(ValueError, match="form0 is not positive definite"):
+        smallest_eigen(pair)
+
+
 def test_operator_apply_and_functional():
     grid = make_grid(128, 10.0)
     win = _unit_window(grid)
