@@ -30,7 +30,6 @@ from .sampling import (
 # ambiguity and stft are no longer called here; they stay importable from this
 # module for code that binds them by module (the benchmark's span tracer does)
 from .transforms import (  # noqa: F401
-    _check_stft_inputs,
     ambiguity,
     convolve,
     fourier,
@@ -39,11 +38,11 @@ from .transforms import (  # noqa: F401
 )
 from .norms import (
     MixedOrder,
+    _guarded_stft_norm,
     default_window,
     lp_weighted,
     modulation_norm,
     moment_seminorm,
-    stft_mixed_norm,
 )
 from .constants import (
     DomainError,
@@ -283,23 +282,12 @@ def certify_lieb_forward(
     f, nf = _unit(f, lp_weighted(f, p))
     g, ng = _unit(g, lp_weighted(g, pp))
     lhs = const * nf * ng
-    rhs = _ambiguity_mixed_norm(f, g, MixedOrder(r, r, inner="x"))
+    # |A(f,g)(x,w)| = |V_g f(-x,w)| and the periodic flip x -> -x permutes the
+    # nodes, so unweighted mixed norms of A(f,g) and V_g f coincide
+    rhs = _guarded_stft_norm(f, g, MixedOrder(r, r, inner="x"))
     return CertificateReport(
         "lieb_forward", _expdict(r=r, p=p), lhs, rhs, const, tol, _grid_meta(f.grid), seed
     )
-
-
-def _ambiguity_mixed_norm(
-    f: SampledFunction, g: SampledFunction, order: MixedOrder
-) -> float:
-    """Unweighted mixed norm of A(f,g), streamed, with the guards of :func:`stft`.
-
-    |A(f,g)(x,w)| = |V_g f(-x,w)| and the periodic flip x -> -x permutes the
-    node set, so unweighted mixed norms of the ambiguity function and of the
-    STFT coincide, and the field is never materialized.
-    """
-    _check_stft_inputs(f, g)
-    return stft_mixed_norm(f, g, order)
 
 
 def certify_lieb_reverse(
@@ -330,7 +318,7 @@ def certify_lieb_reverse(
         f, nf = _unit(f, lp_weighted(f, u))
         g, ng = _unit(g, lp_weighted(g, v))
     rhs = const * nf * ng
-    lhs = _ambiguity_mixed_norm(f, g, MixedOrder(r, s, inner=order))
+    lhs = _guarded_stft_norm(f, g, MixedOrder(r, s, inner=order))  # as in lieb_forward
     ineq_id = "lieb_reverse_xw" if order == "x" else "lieb_reverse_wx"
     return CertificateReport(
         ineq_id,
@@ -748,6 +736,8 @@ def run_battery(
     independent evaluations without changing their order in the result.
     """
     entry = _inequality(inequality)
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     if lattice is None:
         lattice = entry.lattice()
     if grid is None:

@@ -156,6 +156,9 @@ def cmd_constants(args, out: _Emitter) -> int:
     if args.check_cp is not None:
         requested = True
         kv = _parse_kv(args.check_cp, "--check-cp")
+        missing = [k for k in ("p", "q", "a", "b") if k not in kv]
+        if missing:
+            raise DomainError(f"--check-cp is missing {', '.join(missing)}")
         witness = check_cowling_price(kv["p"], kv["q"], kv["a"], kv["b"])
         out.emit(
             {

@@ -54,7 +54,10 @@ def as_exponent(x: ExponentLike, name: str = "exponent") -> float:
             raise DomainError(f"cannot parse {name} from {x!r}") from exc
     if isinstance(x, Fraction):
         return x.numerator / x.denominator
-    value = float(x)
+    try:
+        value = float(x)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be a number, got {x!r}") from exc
     if math.isnan(value):
         raise DomainError(f"{name} must not be NaN")
     return value
@@ -309,13 +312,18 @@ class ExponentSet:
 
     @staticmethod
     def from_dict(data: dict) -> "ExponentSet":
+        if not isinstance(data, dict):
+            raise DomainError(f"exponent set must be a JSON object, got {type(data).__name__}")
         allowed = {"d", "p", "q", "a", "b", "r", "s", "alpha", "beta", "u", "v"}
         unknown = set(data) - allowed
         if unknown:
             raise DomainError(f"unknown exponent keys: {sorted(unknown)}")
         kwargs = dict(data)
         if "d" in kwargs:
-            kwargs["d"] = int(kwargs["d"])
+            d = as_exponent(kwargs["d"], "d")
+            if not d.is_integer():
+                raise DomainError(f"dimension must be an integer, got {kwargs['d']!r}")
+            kwargs["d"] = int(d)
         return ExponentSet(**kwargs)
 
 

@@ -14,8 +14,9 @@ from typing import Iterable, Union
 import numpy as np
 
 from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _require_same_grid
-from .transforms import (
-    _MAX_MATERIALIZED,
+# stft is no longer called here; it stays importable from this module for
+# code that binds it by module (the benchmark's span tracer does)
+from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
     fourier,
@@ -373,33 +374,27 @@ def stft_mixed_norm(
     weight: WeightSpec = _UNIT_WEIGHT,
     chunk: int = 256,
 ) -> float:
-    """Mixed norm of V_g f computed row by row without materializing it.
+    """Mixed norm of m V_g f computed row by row without materializing V_g f.
 
-    Only separable weights are supported here; the inner='x' order
-    accumulates power sums over x per frequency node, the inner='omega'
-    order reduces each x row as it is produced.  Like
+    Any weight is accepted: a separable one is split into its x and w
+    profiles, a tabulated one multiplies each chunk by its rows.  The
+    inner='x' order accumulates power sums over x per frequency node, the
+    inner='omega' order reduces each x row as it is produced.  Like
     :func:`~tfuncert.transforms.stft_row_chunks` it does not check its inputs;
     :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
-    if not weight.separable:
-        raise ValueError("streaming mixed norm requires a separable weight")
     reduction = _MixedReduction(f.grid, order, weight)
     for idx, rows in stft_row_chunks(f, g, chunk):
         reduction.add(idx, rows)
     return reduction.value()
 
 
-def _stft_norm_dispatch(
-    f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: WeightSpec
+def _guarded_stft_norm(
+    f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: WeightSpec = _UNIT_WEIGHT
 ) -> float:
-    """Mixed norm of V_g f behind the guards of :func:`stft`, whichever route it takes."""
-    _require_same_grid(f, g, "modulation norm")
+    """Streamed mixed norm of m V_g f behind the guards of :func:`stft`."""
     _check_stft_inputs(f, g)
-    if weight.separable:
-        return stft_mixed_norm(f, g, order, weight)
-    if f.grid.size**2 <= _MAX_MATERIALIZED:
-        return mixed_norm(stft(f, g), order, weight)
-    raise ValueError("field too large for a tabulated weight; supply a separable weight")
+    return stft_mixed_norm(f, g, order, weight)
 
 
 def modulation_norm(
@@ -413,12 +408,16 @@ def modulation_norm(
     """Weighted modulation norm: mixed (r, s) norm of V_g f, inner over x,
     with bracket weight (1+|x|)^alpha (1+|w|)^beta."""
     order = MixedOrder(r, s, inner="x")
-    return _stft_norm_dispatch(f, g, order, BracketWeight(alpha, beta))
+    return _guarded_stft_norm(f, g, order, BracketWeight(alpha, beta))
 
 
 def modulation_norm_m(f: SampledFunction, g: SampledFunction, m: WeightSpec) -> float:
-    """Hilbertian modulation norm (integral of m^2 |V_g f|^2 over phase space)^(1/2)."""
-    return _stft_norm_dispatch(f, g, MixedOrder(2.0, 2.0, inner="x"), m)
+    """Hilbertian modulation norm (integral of m^2 |V_g f|^2 over phase space)^(1/2).
+
+    Streamed like :func:`modulation_norm` whatever the weight: a tabulated m
+    is applied to each chunk of rows, so V_g f is never materialized.
+    """
+    return _guarded_stft_norm(f, g, MixedOrder(2.0, 2.0, inner="x"), m)
 
 
 def psi_phi_norm(f: SampledFunction, g: SampledFunction, w: AdmissibleTriple) -> float:

@@ -207,9 +207,20 @@ class SampledFunction:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SampledFunction":
+        """Inverse of :meth:`to_json_dict`; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"function JSON must be an object, got {type(data).__name__}")
+        for key in ("grid", "values"):
+            if key not in data:
+                raise ValueError(f"function JSON lacks {key!r}")
         g = data["grid"]
-        grid = make_grid(g["n"], g["extent"], g.get("dim", 1))
-        pairs = np.asarray(data["values"], dtype=float)
+        if not isinstance(g, dict) or "n" not in g or "extent" not in g:
+            raise ValueError("function JSON 'grid' must be an object with 'n' and 'extent'")
+        try:
+            grid = make_grid(g["n"], g["extent"], g.get("dim", 1))
+            pairs = np.asarray(data["values"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"function JSON has a mistyped entry: {exc}") from exc
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("values must be a list of [re, im] pairs")
         return SampledFunction(grid, pairs[:, 0] + 1j * pairs[:, 1])

@@ -37,8 +37,8 @@ __all__ = [
 # enough that genuinely non-decaying inputs are still rejected
 ALIASING_THRESHOLD = 1e-8
 
-# Largest phase-space field held in memory: size**2 complex entries.  Beyond
-# it phase-space norms are reduced from streamed row chunks only.
+# Largest phase-space field held in memory (by stft, ambiguity and the descent
+# gradient): size**2 complex entries.  Norms reduce streamed row chunks instead.
 _MAX_MATERIALIZED = 1 << 24
 
 # Threads for the STFT row transforms: every CPU this process may run on.
@@ -92,13 +92,13 @@ def _check_decay(f: SampledFunction, what: str) -> None:
         )
 
 
-def _check_stft_inputs(f: SampledFunction, g: SampledFunction, decay: bool = True) -> None:
-    """Guards of the STFT: a nonzero window and, unless ``decay`` is off, decaying inputs."""
+def _check_stft_inputs(f: SampledFunction, g: SampledFunction) -> None:
+    """Guards of every STFT route: one grid, a nonzero window and decaying inputs."""
+    _require_same_grid(f, g, "stft")
     if not np.any(g.values):
         raise ValueError("stft window is identically zero")
-    if decay:
-        _check_decay(f, "stft: function")
-        _check_decay(g, "stft: window")
+    _check_decay(f, "stft: function")
+    _check_decay(g, "stft: window")
 
 
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -248,9 +248,8 @@ def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int = _CHUNK)
     Rows arrive in increasing x-node order, at most ``chunk`` per step; each
     row holds V_g f(x_i, .) over the full frequency lattice, bit-identical
     to the same row of :func:`stft` whatever the chunk size.  Each step
-    allocates only its own chunk, so this is the memory-bounded route to
-    mixed norms of fields too large to materialize.  Inputs are not
-    decay-checked here.
+    allocates only its own chunk, so this is the memory-bounded route that
+    every mixed norm of V_g f takes.  Inputs are not checked here.
     """
     size = f.grid.size
     fill = _engine_rows(f, g)
@@ -276,15 +275,15 @@ def _materialize(f: SampledFunction, g: SampledFunction, flip: bool = False) -> 
     return out
 
 
-def stft(f: SampledFunction, g: SampledFunction, *, check: bool = True) -> PhaseSpaceFunction:
-    """Short-time Fourier transform V_g f(x, w) with window g.
+def stft(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
+    """Short-time Fourier transform V_g f(x, w) with window g, materialized.
 
     V_g f(x, w) = \\int f(t) conj(g(t - x)) e^{-2 pi i t.w} dt; the window
     shift is realized by circular shift, guarded by boundary decay of both
-    inputs.  ``check=False`` skips the decay guard.
+    inputs.  Norms of V_g f need not materialize it: they stream its rows
+    through :func:`~tfuncert.norms.stft_mixed_norm`.
     """
-    _require_same_grid(f, g, "stft")
-    _check_stft_inputs(f, g, decay=check)
+    _check_stft_inputs(f, g)
     return PhaseSpaceFunction._adopt(f.grid, _materialize(f, g))
 
 
@@ -294,7 +293,6 @@ def ambiguity(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
     Computed from the STFT through A(f,g)(x,w) = e^{-i pi w.x} V_g f(-x, w),
     which avoids half-node shifts; the flip x -> -x is a flipped window bank.
     """
-    _require_same_grid(f, g, "ambiguity")
     _check_stft_inputs(f, g)
     grid = f.grid
     dots = grid.coords() @ grid.freq_coords().T

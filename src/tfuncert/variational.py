@@ -463,7 +463,6 @@ def _modulation_grad(
     taken once, for the power and the reducer.
     """
     grid = f.grid
-    _require_same_grid(f, g, "stft")
     _check_stft_inputs(f, g)
     V = _materialize(f, g)
     mags = np.abs(V)

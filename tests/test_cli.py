@@ -64,6 +64,11 @@ def test_constants_condition_checks():
     assert recs["galperin_grochenig"]["left_factor_x"] == pytest.approx(1.0)
 
 
+def test_constants_check_cp_missing_keys_exit_2(capsys):
+    assert run_cli(["constants", "--check-cp", "p=2"]) == (2, "")
+    assert capsys.readouterr().err == "tfuncert: --check-cp is missing q, a, b\n"
+
+
 def test_constants_json_file_mirrors_stdout(tmp_path):
     path = tmp_path / "out.jsonl"
     code, out = run_cli(["constants", "--Cp", "4/3", "--json", str(path)])
@@ -157,6 +162,19 @@ def test_certify_single_input(tmp_path):
     )[0] == 2
 
 
+def test_certify_malformed_input_json_exits_2(tmp_path, capsys):
+    for name, data in (
+        ("empty", {}),
+        ("no_values", {"grid": {"n": 64, "extent": 8.0}}),
+        ("list", [1, 2]),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["certify", "heisenberg", "--input", str(path)]) == (2, ""), name
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tfuncert: "), (name, err)
+
+
 # a value for every exponent flag of each id that takes exponents
 INPUT_FLAGS = {
     "hausdorff_young": {"r": "1.5"},
@@ -216,6 +234,12 @@ def test_certify_battery_cli_deterministic():
     assert run_cli(argv)[1] == out
 
 
+def test_certify_battery_needs_a_seed(capsys):
+    for seeds in ("0", "-1"):
+        assert run_cli(["certify", "young", "--seeds", seeds, "--grid", "128,12"]) == (2, "")
+        assert capsys.readouterr().err == "tfuncert: seeds must be >= 1\n"
+
+
 def test_certify_lattice_file(tmp_path):
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps([{"m": 1.5, "n": 1.5, "r": 3.0}]))
@@ -233,6 +257,17 @@ def test_certify_lattice_file(tmp_path):
     assert code == 2
     (rec,) = lines_of(out)
     assert rec["point"] == {"m": 1.5} and "'n'" in rec["error"]
+    # a non-numeric exponent is reported the same way
+    for value in (None, [1]):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps([{"r": value}]))
+        code, out = run_cli(
+            ["certify", "hausdorff_young", "--lattice", str(typed), "--seeds", "1",
+             "--grid", "64,8"]
+        )
+        assert code == 2
+        (rec,) = lines_of(out)
+        assert rec["point"] == {"r": value} and rec["error"] == f"r must be a number, got {value!r}"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 1.5}))
     assert run_cli(["certify", "young", "--lattice", str(bad), "--seeds", "1"])[0] == 2
@@ -333,6 +368,12 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path):
     recs = lines_of(out)
     assert recs[0]["converged"] is False
     assert recs[1]["best"]["converged"] is False
+    # a non-numeric exponent and a fractional dimension are domain errors
+    for key, value in (("p", [1]), ("d", 1.5)):
+        spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
+        assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+    spec.write_text("[1]")
+    assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
 
 
 def test_minimize_requires_exponent_source(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from tfuncert import transforms
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
@@ -169,8 +170,11 @@ def test_streaming_matches_dense(grid128):
         dense = mixed_norm(V2, order, weight)
         streamed = stft_mixed_norm(f2, g2, order, weight, chunk=37)
         assert streamed == pytest.approx(dense, rel=1e-12)
-    with pytest.raises(ValueError):
-        stft_mixed_norm(f, g, MixedOrder(2.0, 2.0), TabulatedWeight(np.abs(V.values)))
+    tab = TabulatedWeight(weight.field(grid128))
+    for order in (MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")):
+        dense = mixed_norm(V, order, tab)
+        streamed = stft_mixed_norm(f, g, order, tab, chunk=29)
+        assert streamed == pytest.approx(dense, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +232,27 @@ def test_modulation_norm_guards_every_route():
 def test_modulation_norm_m_routes(grid128):
     f = random_smooth(RandomFunctionSpec(seed=5), grid128)
     g = default_window(grid128)
-    # separable weight goes through the streaming path, tabulated through dense
+    # separable and tabulated weights both stream; they must agree
     sep = modulation_norm_m(f, g, BracketWeight(0.5, 0.5))
     tab = modulation_norm_m(
         f, g, TabulatedWeight(BracketWeight(0.5, 0.5).field(grid128))
     )
     assert tab == pytest.approx(sep, rel=1e-12)
+
+
+def test_tabulated_modulation_norm_streams(monkeypatch):
+    grid = make_grid(32, 9.0, dim=2)
+    f = random_smooth(RandomFunctionSpec(seed=5, envelope_sigma=1.2), grid)
+    g = default_window(grid)
+    x, w = grid.radii(), grid.freq_radii()
+    m = TabulatedWeight(np.sqrt(1.0 + np.exp(-math.pi * np.add.outer(x**2, w**2))))
+    dense = mixed_norm(stft(f, g), MixedOrder(2.0, 2.0, "x"), m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a norm materialized the phase-space field")
+
+    monkeypatch.setattr(transforms, "_materialize", refuse)
+    assert modulation_norm_m(f, g, m) == pytest.approx(dense, rel=1e-12)
 
 
 def test_psi_phi_norm_components(grid128):

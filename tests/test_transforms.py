@@ -6,7 +6,18 @@ import numpy as np
 import pytest
 
 from tfuncert import transforms
-from tfuncert.norms import MixedOrder, default_window, lp_weighted, stft_mixed_norm
+from tfuncert.certifier import certify_lieb_forward, certify_lieb_reverse
+from tfuncert.constants import solve_partner_exponent
+from tfuncert.norms import (
+    BracketWeight,
+    MixedOrder,
+    TabulatedWeight,
+    default_window,
+    lp_weighted,
+    modulation_norm,
+    modulation_norm_m,
+    stft_mixed_norm,
+)
 from tfuncert.sampling import (
     RandomFunctionSpec,
     SampledFunction,
@@ -26,6 +37,7 @@ from tfuncert.transforms import (
     stft_adjoint,
     stft_row_chunks,
 )
+from tfuncert.variational import ModulationTerm, frechet_directional
 
 from conftest import gaussian
 
@@ -244,11 +256,40 @@ def test_stft_guards(grid512):
     flat = SampledFunction(grid512, np.ones(grid512.size))
     with pytest.raises(AliasingError):
         stft(flat, g)
-    # the guard is explicit opt-out for internal iterate evaluation
-    V = stft(flat, g, check=False)
-    assert np.all(np.isfinite(V.values.view(np.float64)))
     with pytest.raises(ValueError):
         stft(g, g.with_values(np.zeros(grid512.size)))
+
+
+_LIEB_REVERSE = (1.5, 1.5, 2.0, solve_partner_exponent(1.5, 1.5, 2.0))
+
+# every public route to V_g f or to a norm of it, as (f, g) -> value
+STFT_ROUTES = {
+    "stft": stft,
+    "ambiguity": ambiguity,
+    "modulation_norm": lambda f, g: modulation_norm(f, g, 2.0, 2.0),
+    "modulation_norm_m separable": lambda f, g: modulation_norm_m(f, g, BracketWeight(0.5, 0.5)),
+    "modulation_norm_m tabulated": lambda f, g: modulation_norm_m(
+        f, g, TabulatedWeight(np.ones((f.grid.size, f.grid.size)))
+    ),
+    "certify_lieb_forward": lambda f, g: certify_lieb_forward(f, g, 4.0, 2.0),
+    "certify_lieb_reverse x": lambda f, g: certify_lieb_reverse(f, g, *_LIEB_REVERSE, "x"),
+    "certify_lieb_reverse omega": lambda f, g: certify_lieb_reverse(f, g, *_LIEB_REVERSE, "omega"),
+    "frechet_directional": lambda f, g: frechet_directional(f, f, ModulationTerm(2.0, 2.0, window=g)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(STFT_ROUTES))
+def test_every_stft_route_is_guarded(route):
+    grid = make_grid(128, 12.0)
+    call = STFT_ROUTES[route]
+    f, g = gaussian(grid), default_window(grid)
+    call(f, g)  # the guarded inputs are otherwise valid
+    with pytest.raises(AliasingError):
+        call(SampledFunction(grid, np.ones(grid.size)), g)
+    with pytest.raises(ValueError, match="identically zero"):
+        call(f, g.with_values(np.zeros(grid.size)))
+    with pytest.raises(ValueError, match="same grid"):
+        call(f, default_window(make_grid(128, 10.0)))
 
 
 # ---------------------------------------------------------------------------

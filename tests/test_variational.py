@@ -228,6 +228,21 @@ def test_smallest_eigen_matches_gaussian_localization_spectrum(n, extent, dim, a
     np.testing.assert_allclose([sol.lam for sol in sols], want, rtol=0, atol=1e-12)
 
 
+def test_smallest_eigen_vectors_match_hermite_functions():
+    # the same pencil in d = 1 (a = 1): eigenvector k is the Hermite function
+    # h_k, which oscillator_modes approximates by finite differences; their
+    # O(h^2) error, not the pencil, limits the agreement
+    grid = make_grid(512, 12.0)
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.sqrt(1.0 + np.exp(-math.pi * np.add.outer(x**2, w**2)))
+    triple = AdmissibleTriple(np.zeros(grid.size, complex), np.ones(grid.size, complex), m0)
+    sols = smallest_eigen(build_forms(triple, default_window(grid), grid), 6)
+    _, modes = oscillator_modes(grid.n, grid.extent, 6)
+    for sol, mode in zip(sols, modes):
+        v = sol.vector.values / lp_weighted(sol.vector, 2.0)
+        assert 1.0 - abs(np.vdot(v, mode.values) * grid.cell) <= 1e-5
+
+
 def test_smallest_eigen_refuses_degenerate_pencil():
     # m0 = 0 leaves form0 = 0; the eigensolver's factorization refuses it
     grid = make_grid(64, 8.0)
