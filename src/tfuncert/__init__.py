@@ -4,107 +4,17 @@ Sampled functions on centered grids, unitary Fourier / STFT / ambiguity
 transforms, weighted and modulation norms, sharp constants with their
 domain checks, inequality certification batteries, and the two variational
 problems (weighted-form eigenproblem and two-moment ratio minimization).
+
+The public surface is each layer module's ``__all__``, re-exported here.
 """
 
-from .constants import (
-    RELATION_TOL,
-    CowlingPriceWitness,
-    DomainError,
-    ExponentSet,
-    GalperinGrochenigWitness,
-    as_exponent,
-    babenko_beckner,
-    check_cowling_price,
-    check_galperin_grochenig,
-    check_lieb_domain,
-    general_dual,
-    holder_dual,
-    leindler_duals,
-    lieb_H,
-    sharp_B,
-    solve_partner_exponent,
-)
-from .sampling import (
-    GaussianSpec,
-    Grid,
-    RandomFunctionSpec,
-    SampledFunction,
-    make_grid,
-    random_smooth,
-    sample_closure,
-    sample_gaussian,
-    scale,
-)
-from .transforms import (
-    AliasingError,
-    PhaseSpaceFunction,
-    ambiguity,
-    ambiguity_direct,
-    convolve,
-    fourier,
-    inverse_fourier,
-    stft,
-    stft_adjoint,
-    stft_row_chunks,
-)
-from .norms import (
-    AdmissibleTriple,
-    BracketWeight,
-    MixedOrder,
-    PowerOmegaWeight,
-    PowerXWeight,
-    TabulatedWeight,
-    WeightSpec,
-    default_window,
-    fourier_weighted,
-    lp_weighted,
-    mixed_norm,
-    modulation_norm,
-    modulation_norm_m,
-    moment_seminorm,
-    psi_phi_norm,
-    stft_mixed_norm,
-)
-from .certifier import (
-    DEFAULT_TOL,
-    HEISENBERG_SHARP_K,
-    INEQUALITY_IDS,
-    BatteryResult,
-    CertificateReport,
-    build_lieb_extremals,
-    certify_cowling_functional,
-    certify_hausdorff_young,
-    certify_heisenberg,
-    certify_leindler,
-    certify_lieb_forward,
-    certify_lieb_reverse,
-    certify_modulation_bound,
-    certify_young,
-    default_lattice,
-    evaluate_banach_functional,
-    run_battery,
-    verdict,
-)
-from .variational import (
-    EIGEN_RESIDUAL_TOL,
-    BanachSolution,
-    EigenSolution,
-    MinimizeOptions,
-    ModulationTerm,
-    OmegaMomentTerm,
-    QuadraticFormPair,
-    XMomentTerm,
-    build_forms,
-    el_residual_banach,
-    frechet_directional,
-    hilbert_functional,
-    minimize_banach,
-    minimize_multistart,
-    operator_A_apply,
-    oscillator_modes,
-    oscillator_spectrum,
-    smallest_eigen,
-)
+from . import certifier, constants, norms, sampling, transforms, variational
+from .constants import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .transforms import *  # noqa: F401,F403
+from .norms import *  # noqa: F401,F403
+from .certifier import *  # noqa: F401,F403
+from .variational import *  # noqa: F401,F403
 from .cli import main
 
 __version__ = "0.1.0"
@@ -112,97 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "main",
-    # constants
-    "RELATION_TOL",
-    "CowlingPriceWitness",
-    "DomainError",
-    "ExponentSet",
-    "GalperinGrochenigWitness",
-    "as_exponent",
-    "babenko_beckner",
-    "check_cowling_price",
-    "check_galperin_grochenig",
-    "check_lieb_domain",
-    "general_dual",
-    "holder_dual",
-    "leindler_duals",
-    "lieb_H",
-    "sharp_B",
-    "solve_partner_exponent",
-    # sampling
-    "GaussianSpec",
-    "Grid",
-    "RandomFunctionSpec",
-    "SampledFunction",
-    "make_grid",
-    "random_smooth",
-    "sample_closure",
-    "sample_gaussian",
-    "scale",
-    # transforms
-    "AliasingError",
-    "PhaseSpaceFunction",
-    "ambiguity",
-    "ambiguity_direct",
-    "convolve",
-    "fourier",
-    "inverse_fourier",
-    "stft",
-    "stft_adjoint",
-    "stft_row_chunks",
-    # norms
-    "AdmissibleTriple",
-    "BracketWeight",
-    "MixedOrder",
-    "PowerOmegaWeight",
-    "PowerXWeight",
-    "TabulatedWeight",
-    "WeightSpec",
-    "default_window",
-    "fourier_weighted",
-    "lp_weighted",
-    "mixed_norm",
-    "modulation_norm",
-    "modulation_norm_m",
-    "moment_seminorm",
-    "psi_phi_norm",
-    "stft_mixed_norm",
-    # certifier
-    "DEFAULT_TOL",
-    "HEISENBERG_SHARP_K",
-    "INEQUALITY_IDS",
-    "BatteryResult",
-    "CertificateReport",
-    "build_lieb_extremals",
-    "certify_cowling_functional",
-    "certify_hausdorff_young",
-    "certify_heisenberg",
-    "certify_leindler",
-    "certify_lieb_forward",
-    "certify_lieb_reverse",
-    "certify_modulation_bound",
-    "certify_young",
-    "default_lattice",
-    "evaluate_banach_functional",
-    "run_battery",
-    "verdict",
-    # variational
-    "EIGEN_RESIDUAL_TOL",
-    "BanachSolution",
-    "EigenSolution",
-    "MinimizeOptions",
-    "ModulationTerm",
-    "OmegaMomentTerm",
-    "QuadraticFormPair",
-    "XMomentTerm",
-    "build_forms",
-    "el_residual_banach",
-    "frechet_directional",
-    "hilbert_functional",
-    "minimize_banach",
-    "minimize_multistart",
-    "operator_A_apply",
-    "oscillator_modes",
-    "oscillator_spectrum",
-    "smallest_eigen",
+    *constants.__all__,
+    *sampling.__all__,
+    *transforms.__all__,
+    *norms.__all__,
+    *certifier.__all__,
+    *variational.__all__,
 ]

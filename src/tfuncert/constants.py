@@ -54,6 +54,9 @@ def as_exponent(x: ExponentLike, name: str = "exponent") -> float:
             raise DomainError(f"cannot parse {name} from {x!r}") from exc
     if isinstance(x, Fraction):
         return x.numerator / x.denominator
+    # a JSON true/false is no exponent, although float(True) is 1.0
+    if isinstance(x, bool):
+        raise DomainError(f"{name} must be a number, got {x!r}")
     try:
         value = float(x)
     except TypeError as exc:

@@ -162,7 +162,8 @@ class AdmissibleTriple(WeightSpec):
     """Localization triple (psi on the x grid, phi on the w grid, m0 on phase space).
 
     The composite weight m = sqrt(m0^2 + |psi|^2 + |phi|^2) must be finite and
-    strictly positive everywhere; m0 may be a scalar or a full tabulation.
+    strictly positive everywhere.  ``m0`` is one read-only float array: 0-d
+    for a constant m0, which is never tabulated, or a (size, size) table.
     """
 
     def __init__(self, psi: np.ndarray, phi: np.ndarray, m0: Union[float, np.ndarray]):
@@ -170,34 +171,29 @@ class AdmissibleTriple(WeightSpec):
         phi = np.asarray(phi, dtype=np.complex128).copy()
         if psi.ndim != 1 or phi.ndim != 1 or psi.shape != phi.shape:
             raise ValueError("psi and phi must be flat arrays of equal length")
-        if np.isscalar(m0) or np.ndim(m0) == 0:
-            m0_arr = float(m0)
-            if not (math.isfinite(m0_arr) and m0_arr >= 0):
-                raise ValueError("m0 must be finite and nonnegative")
-        else:
-            m0_arr = np.asarray(m0, dtype=float).copy()
-            size = psi.shape[0]
-            if m0_arr.shape != (size, size):
-                raise ValueError("tabulated m0 must have shape (size, size)")
-            if not np.all(np.isfinite(m0_arr)) or np.any(m0_arr < 0):
-                raise ValueError("m0 values must be finite and nonnegative")
-            m0_arr.setflags(write=False)
+        size = psi.shape[0]
+        m0 = np.array(m0, dtype=float)
+        if m0.ndim != 0 and m0.shape != (size, size):
+            raise ValueError("tabulated m0 must have shape (size, size)")
+        if not np.all(np.isfinite(m0)) or np.any(m0 < 0):
+            raise ValueError("m0 must be finite and nonnegative")
         for arr in (psi, phi):
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError("psi and phi must be finite")
+        for arr in (psi, phi, m0):
             arr.setflags(write=False)
-        self.psi = psi
-        self.phi = phi
-        self.m0 = m0_arr
-        msq = self._m_squared()
-        if float(np.min(msq)) <= 0.0:
+        self.psi, self.phi, self.m0 = psi, phi, m0
+        # m^2 is a sum of nonnegative terms, so it vanishes exactly where m0^2,
+        # |psi|^2 and |phi|^2 all do; a constant m0 is read once, not tabulated
+        zero_x, zero_w = np.abs(psi) ** 2 == 0, np.abs(phi) ** 2 == 0
+        m0sq = m0**2 if m0.ndim == 0 else m0[np.ix_(zero_x, zero_w)] ** 2
+        if np.any(zero_x) and np.any(zero_w) and not np.all(m0sq > 0):
             raise ValueError("composite weight m vanishes somewhere; the triple is not admissible")
 
     def _m0_squared(self) -> np.ndarray:
+        """m0^2 on phase space; a read-only broadcast view for a constant m0."""
         size = self.psi.shape[0]
-        if np.ndim(self.m0) == 0:
-            return np.full((size, size), float(self.m0) ** 2)
-        return np.asarray(self.m0) ** 2
+        return np.broadcast_to(self.m0**2, (size, size))
 
     def _m_squared(self) -> np.ndarray:
         return (
@@ -207,9 +203,7 @@ class AdmissibleTriple(WeightSpec):
         )
 
     def m0_weight(self) -> WeightSpec:
-        if np.ndim(self.m0) == 0:
-            return TabulatedWeight(self._m0_squared() ** 0.5)
-        return TabulatedWeight(np.asarray(self.m0))
+        return TabulatedWeight(np.broadcast_to(self.m0, (self.psi.shape[0],) * 2))
 
     @property
     def separable(self) -> bool:
@@ -219,12 +213,6 @@ class AdmissibleTriple(WeightSpec):
         if self.psi.shape[0] != grid.size:
             raise ValueError("triple tabulation does not match grid size")
         return np.sqrt(self._m_squared())
-
-    @staticmethod
-    def from_callables(psi_fn, phi_fn, m0, grid: Grid) -> "AdmissibleTriple":
-        psi = np.asarray(psi_fn(grid.coords()), dtype=complex).reshape(grid.size)
-        phi = np.asarray(phi_fn(grid.freq_coords()), dtype=complex).reshape(grid.size)
-        return AdmissibleTriple(psi, phi, m0)
 
 
 _UNIT_WEIGHT = BracketWeight(0.0, 0.0)

@@ -37,8 +37,9 @@ __all__ = [
 # enough that genuinely non-decaying inputs are still rejected
 ALIASING_THRESHOLD = 1e-8
 
-# Largest phase-space field held in memory (by stft, ambiguity and the descent
-# gradient): size**2 complex entries.  Norms reduce streamed row chunks instead.
+# Largest dense size x size array the library builds: the phase-space field
+# held by stft, ambiguity and the descent gradient, and the quadratic forms of
+# variational.build_forms.  Norms reduce streamed row chunks instead.
 _MAX_MATERIALIZED = 1 << 24
 
 # Threads for the STFT row transforms: every CPU this process may run on.
@@ -292,12 +293,14 @@ def ambiguity(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
 
     Computed from the STFT through A(f,g)(x,w) = e^{-i pi w.x} V_g f(-x, w),
     which avoids half-node shifts; the flip x -> -x is a flipped window bank.
+    The field is materialized first, so an oversized grid is refused before
+    the phase table is built; the phase then multiplies it in place.
     """
     _check_stft_inputs(f, g)
     grid = f.grid
-    dots = grid.coords() @ grid.freq_coords().T
-    phase = np.exp(-1j * math.pi * dots)
-    return PhaseSpaceFunction._adopt(grid, phase * _materialize(f, g, flip=True))
+    out = _materialize(f, g, flip=True)
+    out *= np.exp(-1j * math.pi * (grid.coords() @ grid.freq_coords().T))
+    return PhaseSpaceFunction._adopt(grid, out)
 
 
 def ambiguity_direct(f: SampledFunction, g: SampledFunction, steps: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .sampling import (
 # stft and stft_adjoint are no longer called here; they stay importable from
 # this module for code that binds them by module (the benchmark's span tracer does)
 from .transforms import (  # noqa: F401
+    _MAX_MATERIALIZED,
     _adjoint_in_place,
     _check_stft_inputs,
     _materialize,
@@ -77,7 +78,6 @@ _WINDOW_NORM_TOL = 1e-6
 _ARMIJO_SLOPE = 1e-4
 _LBFGS_PAIRS = 10  # (s, y) pairs the descent keeps
 _MIN_STEP = 1e-12  # the line search gives up below this step
-_D2_FORM_CAP = 64  # per-axis cap for dense two-dimensional form assembly
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +179,18 @@ def _assemble_form_phi(phisq: np.ndarray, grid: Grid, tables: tuple, real: bool)
 
 
 def _conjugation_symmetric(
-    gp: np.ndarray, m0sq: Optional[np.ndarray], phisq: np.ndarray, mirror: np.ndarray
+    gp: np.ndarray, m0sq: np.ndarray, phisq: np.ndarray, mirror: np.ndarray
 ) -> bool:
     """Whether both forms are real: g real, m0^2 and |phi|^2 even in w.
 
     For real g, conj(V_g u(x, w)) = V_g conj(u)(x, -w), so an m0^2 weight even
     in w makes form0 real; likewise for the |phi|^2 term.  ``mirror`` maps each
     node to the node of its negative; on the centered grid the mirrored tables
-    are bit-equal, so the comparison is exact.  ``m0sq=None`` is a constant m0.
+    are bit-equal, so the comparison is exact.  A 0-d ``m0sq`` is a constant m0.
     """
     return (
         not np.any(gp.imag)
-        and (m0sq is None or np.array_equal(m0sq, np.take(m0sq, mirror, axis=1)))
+        and (m0sq.ndim == 0 or np.array_equal(m0sq, np.take(m0sq, mirror, axis=1)))
         and np.array_equal(phisq, phisq[mirror])
     )
 
@@ -210,14 +210,23 @@ def build_forms(
 ) -> QuadraticFormPair:
     """Assemble the weighted-STFT form and its moment-augmented companion.
 
-    The window must be L2-normalized; with m0 constant the assembly reduces
-    exactly to the tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is
-    what the general path produces up to rounding.  Conjugation-symmetric
-    input gives real symmetric forms, which the eigensolver then handles in
-    real arithmetic.  Definiteness of form0 is not checked here: the
-    eigensolver's factorization of form0 checks it (see :func:`smallest_eigen`).
+    Both forms are dense size x size matrices, so a grid with more than
+    ``_MAX_MATERIALIZED`` such entries (a 64^2 or 4096-node grid at most) is
+    refused before any of them is allocated, whatever m0.  The window must be
+    L2-normalized; with m0 constant the assembly reduces exactly to the
+    tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is what the general
+    path produces up to rounding.  Conjugation-symmetric input gives real
+    symmetric forms, which the eigensolver then handles in real arithmetic.
+    Definiteness of form0 is not checked here: the eigensolver's factorization
+    of form0 checks it (see :func:`smallest_eigen`).
     """
-    if triple.psi.shape[0] != grid.size:
+    size = grid.size
+    if size * size > _MAX_MATERIALIZED:
+        raise ValueError(
+            f"dense forms on {size} nodes have {size}x{size} entries, "
+            f"above the cap of {_MAX_MATERIALIZED}"
+        )
+    if triple.psi.shape[0] != size:
         raise ValueError("triple tabulation does not match grid size")
     if not grid.compatible(window.grid):
         raise ValueError("window sampled on a different grid")
@@ -225,22 +234,16 @@ def build_forms(
     if abs(gnorm - 1.0) > _WINDOW_NORM_TOL:
         raise ValueError(f"window must be L2-normalized, got norm {gnorm!r}")
     gp = window.values
-    constant = np.ndim(triple.m0) == 0
-    if not constant and grid.dim == 2 and grid.n > _D2_FORM_CAP:
-        raise ValueError(
-            f"dense two-dimensional assembly with tabulated m0 is capped at "
-            f"n = {_D2_FORM_CAP} per axis, got n = {grid.n}"
-        )
     tables = _lag_tables(grid)
-    m0sq = None if constant else triple._m0_squared()
+    m0sq = triple.m0**2  # 0-d for a constant m0
     phisq = np.abs(triple.phi) ** 2
     # flat[:, 0] is the node of (0 - l) mod n: the node of -w on every axis
     real = _conjugation_symmetric(gp, m0sq, phisq, tables[0][:, 0])
     dtype = np.float64 if real else np.complex128
-    if constant:
+    if m0sq.ndim == 0:
         # constant-table specialization of the lag path: only lag zero survives
-        base = float(triple.m0) ** 2 * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
-        form0_raw = base * np.eye(grid.size, dtype=dtype)
+        base = float(m0sq) * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
+        form0_raw = base * np.eye(size, dtype=dtype)
     else:
         form0_raw = _assemble_form0_general(m0sq, gp, grid, tables, real)
     form_psi = np.diag(np.abs(triple.psi) ** 2 * grid.cell).astype(dtype, copy=False)
@@ -536,12 +539,7 @@ def _banach_terms(
     for name, value in needed.items():
         if value is None:
             raise DomainError(f"exponent {name} is required for the Banach problem")
-    for name in ("p", "q", "r", "s"):
-        value = needed[name]
-        if not (math.isfinite(value) and value > 1.0):
-            raise DomainError(
-                f"gradient formulas need finite {name} > 1, got {value}"
-            )
+    # the terms' constructors check finite p, q, r, s > 1
     if e.a <= 0 or e.b <= 0:
         raise DomainError("moment orders a, b must be positive")
     return (

@@ -258,7 +258,7 @@ def test_certify_lattice_file(tmp_path):
     (rec,) = lines_of(out)
     assert rec["point"] == {"m": 1.5} and "'n'" in rec["error"]
     # a non-numeric exponent is reported the same way
-    for value in (None, [1]):
+    for value in (None, [1], True):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps([{"r": value}]))
         code, out = run_cli(
@@ -335,6 +335,17 @@ def test_spectrum_degenerate_pencil_exits_2(capsys):
     )
 
 
+def test_spectrum_oversized_dense_forms_exit_2(capsys):
+    # 128^2 nodes would need 2 GiB per dense form; a constant m0 is refused
+    # before any size^2 array is built, like a tabulated one
+    code, out = run_cli(
+        ["spectrum", "--psi", "coord", "--phi", "coord", "--m0", "1", "--grid", "128,12,2"]
+    )
+    assert code == 2 and out == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("tfuncert: dense forms on 16384 nodes")
+
+
 # ---------------------------------------------------------------------------
 # minimize
 
@@ -357,7 +368,7 @@ def test_minimize_preset_cli(tmp_path):
     assert table.shape == (128,)
 
 
-def test_minimize_exponents_file_and_failure_exit(tmp_path):
+def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
     spec = tmp_path / "exponents.json"
     spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2}))
     code, out = run_cli(
@@ -368,10 +379,18 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path):
     recs = lines_of(out)
     assert recs[0]["converged"] is False
     assert recs[1]["best"]["converged"] is False
-    # a non-numeric exponent and a fractional dimension are domain errors
-    for key, value in (("p", [1]), ("d", 1.5)):
+    # a non-numeric exponent (a JSON boolean too) and a fractional dimension
+    # are domain errors
+    for key, value in (("p", [1]), ("d", 1.5), ("d", True)):
         spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
         assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+    capsys.readouterr()
+    # p = 1 is refused by the x-moment term, which has no gradient there
+    spec.write_text(json.dumps({"d": 1, "p": 1, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2}))
+    assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "tfuncert: differentiable moment term needs finite p > 1, got 1.0\n"
+    )
     spec.write_text("[1]")
     assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
 

@@ -54,6 +54,10 @@ def test_as_exponent_parses_inf_and_rejects_garbage():
         as_exponent("spam")
     with pytest.raises(DomainError):
         as_exponent(float("nan"))
+    # a JSON boolean is not a number, although float(True) is 1.0
+    for flag in (True, False):
+        with pytest.raises(DomainError, match=f"p must be a number, got {flag}"):
+            as_exponent(flag, "p")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Weighted, mixed, and modulation norms against quadrature and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,31 @@ def test_admissible_triple_validation(grid128):
         AdmissibleTriple(x, w[:-1], 1.0)
     with pytest.raises(ValueError):
         AdmissibleTriple(x, w, np.ones(grid128.size))  # m0 tabulation must be square
+    # a tabulated m0 may vanish only where psi or phi does not
+    center = grid128.n // 2
+    m0 = np.ones((grid128.size, grid128.size))
+    m0[center, center] = 0.0
+    with pytest.raises(ValueError, match="not admissible"):
+        AdmissibleTriple(x, w, m0)
+    m0 = np.ones((grid128.size, grid128.size))
+    m0[0] = 0.0  # x_0 = -extent/2, so psi = x is nonzero on this row
+    field = AdmissibleTriple(x, w, m0).field(grid128)
+    np.testing.assert_array_equal(field[0], np.sqrt(np.abs(x[0]) ** 2 + np.abs(w) ** 2))
+
+
+def test_admissible_triple_keeps_constant_m0_untabulated():
+    # a scalar m0 stays 0-d: the triple holds psi, phi and O(size) temporaries,
+    # not the size^2 tables (8 MiB each on 32^2) it once built
+    grid = make_grid(32, 8.0, dim=2)
+    psi, phi = grid.radii().astype(complex), grid.freq_radii().astype(complex)
+    tracemalloc.start()
+    try:
+        triple = AdmissibleTriple(psi, phi, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triple.m0.ndim == 0
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

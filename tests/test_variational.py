@@ -177,6 +177,16 @@ def test_build_forms_constant_weight_tight_frame():
     )
 
 
+@pytest.mark.parametrize("n, extent, dim", [(128, 12.0, 2), (8192, 24.0, 1)])
+def test_build_forms_refuses_oversized_dense_forms(n, extent, dim):
+    # 128^2 and 8192 nodes exceed 2^24 form entries; a constant m0 is refused
+    # like a tabulated one, before any size^2 array is built
+    grid = make_grid(n, extent, dim=dim)
+    triple = AdmissibleTriple(grid.radii().astype(complex), grid.freq_radii().astype(complex), 1.0)
+    with pytest.raises(ValueError, match="dense forms"):
+        build_forms(triple, default_window(grid), grid)
+
+
 def test_build_forms_requires_normalized_window():
     grid = make_grid(16, 8.0)
     win = default_window(grid)
@@ -206,6 +216,20 @@ def test_smallest_eigen_oscillator_triple():
         assert np.vdot(v, pair.form0 @ v).real == pytest.approx(1.0, rel=1e-10)
     with pytest.raises(ValueError):
         smallest_eigen(pair, 0)
+
+
+def _hermite_functions(x, count):
+    """h_0 .. h_{count-1}, L2-normalized for the e^{-pi x^2} convention, sampled at x.
+
+    Three-term recurrence in t = sqrt(2 pi) x:
+    h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}, h_0 = 2^{1/4} e^{-pi x^2}.
+    """
+    t = math.sqrt(2.0 * math.pi) * x
+    h0 = 2.0**0.25 * np.exp(-math.pi * x**2)
+    h = [h0, math.sqrt(2.0) * t * h0]
+    for k in range(1, count - 1):
+        h.append(math.sqrt(2.0 / (k + 1)) * t * h[k] - math.sqrt(k / (k + 1)) * h[k - 1])
+    return h[:count]
 
 
 @pytest.mark.parametrize(
@@ -241,6 +265,24 @@ def test_smallest_eigen_vectors_match_hermite_functions():
     for sol, mode in zip(sols, modes):
         v = sol.vector.values / lp_weighted(sol.vector, 2.0)
         assert 1.0 - abs(np.vdot(v, mode.values) * grid.cell) <= 1e-5
+
+
+def test_smallest_eigen_vectors_span_2d_hermite_products():
+    # the same pencil in d = 2 (32^2, a = 1): the k + 1 eigenvectors of degree
+    # k span the products h_j(x_1) h_{k-j}(x_2), sampled exactly
+    grid = make_grid(32, 6.5, dim=2)
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.sqrt(1.0 + np.exp(-math.pi * np.add.outer(x**2, w**2)))
+    triple = AdmissibleTriple(np.zeros(grid.size, complex), np.ones(grid.size, complex), m0)
+    sols = smallest_eigen(build_forms(triple, default_window(grid), grid), 10)
+    coords = grid.coords()
+    h1, h2 = _hermite_functions(coords[:, 0], 4), _hermite_functions(coords[:, 1], 4)
+    start = 0
+    for k in range(4):
+        vecs = np.column_stack([sol.vector.values for sol in sols[start : start + k + 1]])
+        products = np.column_stack([h1[j] * h2[k - j] for j in range(k + 1)])
+        assert np.max(scipy.linalg.subspace_angles(vecs, products)) <= 1e-8
+        start += k + 1
 
 
 def test_smallest_eigen_refuses_degenerate_pencil():
