@@ -413,7 +413,11 @@ def psi_phi_norm(f: SampledFunction, g: SampledFunction, w: AdmissibleTriple) ->
     _require_same_grid(f, g, "psi_phi_norm")
     if w.psi.shape[0] != f.grid.size:
         raise ValueError("triple tabulation does not match the grid")
-    base = modulation_norm_m(f, g, w.m0_weight())
+    if w.m0.ndim == 0:
+        # a constant m0 is never tabulated: ||m0 V_g f||_2 = m0 ||V_g f||_2
+        base = float(w.m0) * modulation_norm_m(f, g, _UNIT_WEIGHT)
+    else:
+        base = modulation_norm_m(f, g, w.m0_weight())
     loc_x = float(np.sum(np.abs(w.psi * f.values) ** 2) * f.grid.cell)
     F = fourier(f)
     loc_w = float(np.sum(np.abs(w.phi * F.values) ** 2) * F.grid.cell)

@@ -3,10 +3,15 @@ extremal and battery certification, spectra, and the minimization driver."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfuncert
 from tfuncert.constants import babenko_beckner, lieb_H
 from tfuncert.sampling import SampledFunction, make_grid
 
@@ -67,6 +72,18 @@ def test_constants_condition_checks():
 def test_constants_check_cp_missing_keys_exit_2(capsys):
     assert run_cli(["constants", "--check-cp", "p=2"]) == (2, "")
     assert capsys.readouterr().err == "tfuncert: --check-cp is missing q, a, b\n"
+
+
+def test_python_m_tfuncert_runs_the_cli():
+    # the checkout entry point: no warning (-W error), the in-process output
+    src = str(Path(tfuncert.__file__).resolve().parents[1])
+    argv = ["constants", "--Cp", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tfuncert", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(argv)[1]
 
 
 def test_constants_json_file_mirrors_stdout(tmp_path):

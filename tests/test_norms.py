@@ -296,3 +296,20 @@ def test_psi_phi_norm_components(grid128):
     )
     # with m0 = 1 the base norm is the plain L2 norm by the Moyal identity
     assert base == pytest.approx(lp_weighted(f, 2.0), rel=1e-12)
+
+
+def test_psi_phi_norm_keeps_constant_m0_untabulated():
+    # a scalar m0 scales the unweighted norm: the streamed chunks are all
+    # psi_phi_norm holds, not a size^2 m0 table (8 MiB on 32^2)
+    grid = make_grid(32, 12.0, dim=2)
+    f = random_smooth(RandomFunctionSpec(seed=21, band_fraction=0.5, envelope_sigma=1.2), grid)
+    g = default_window(grid)
+    triple = AdmissibleTriple(grid.radii().astype(complex), grid.freq_radii().astype(complex), 1.0)
+    psi_phi_norm(f, g, triple)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        psi_phi_norm(f, g, triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20

@@ -117,8 +117,12 @@ def test_build_forms_matches_brute_force_2d():
 
 
 def _asymmetric_triple(case, grid):
-    """(triple, window) with one of the three conjugation symmetries broken."""
-    x, w = grid.axis, grid.freq_axis
+    """(triple, window) with one of the three conjugation symmetries broken.
+
+    Built from the first coordinate columns, so in d = 2 the window is
+    modulated, m0 odd and phi shifted along x_1 and w_1.
+    """
+    x, w = grid.coords()[:, 0], grid.freq_coords()[:, 0]
     win = _unit_window(grid)
     m0 = 1.0 + np.exp(-np.add.outer(x**2, w**2))
     phi = w
@@ -131,20 +135,32 @@ def _asymmetric_triple(case, grid):
     return AdmissibleTriple(x.astype(complex), phi.astype(complex), m0), win
 
 
-@pytest.mark.parametrize("case", ["modulated_window", "odd_m0", "shifted_phi"])
-def test_build_forms_asymmetric_input_stays_complex(case):
-    grid = make_grid(16, 8.0)
+def _check_asymmetric_forms(case, grid, floor):
     triple, win = _asymmetric_triple(case, grid)
     pair = build_forms(triple, win, grid)
     Q0, Qfull = _brute_forms(triple, win, grid)
     assert pair.form0.dtype == np.complex128 and pair.form_full.dtype == np.complex128
     # the imaginary part is what a real route would drop
-    assert np.max(np.abs(Qfull.imag)) > 1e-3 * np.max(np.abs(Qfull))
+    assert np.max(np.abs(Qfull.imag)) > floor * np.max(np.abs(Qfull))
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
     nus = [sol.nu for sol in smallest_eigen(pair, 3)]
     expected = scipy.linalg.eigh(Qfull, Q0, eigvals_only=True, subset_by_index=[0, 2])
     np.testing.assert_allclose(nus, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["modulated_window", "odd_m0", "shifted_phi"])
+def test_build_forms_asymmetric_input_stays_complex(case):
+    _check_asymmetric_forms(case, make_grid(16, 8.0), 1e-3)
+
+
+@pytest.mark.parametrize("case", ["modulated_window", "odd_m0", "shifted_phi"])
+def test_build_forms_asymmetric_input_stays_complex_2d(case):
+    # the lag blocks cross first-index boundaries of the window bank.  On the
+    # 8^2 grid (node spacing 9/8) neighbouring windows barely overlap and the
+    # off-diagonal entries, which carry the imaginary part, are small, so its
+    # floor is lower here
+    _check_asymmetric_forms(case, make_grid(8, 9.0, dim=2), 1e-4)
 
 
 def test_real_route_eigenvalues_match_complex_brute_force():
@@ -175,6 +191,26 @@ def test_build_forms_constant_weight_tight_frame():
     np.testing.assert_allclose(
         pair.form0, 4.0 * grid.cell * np.eye(grid.size), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("tabulated, budget_mib", [(True, 64), (False, 48)])
+def test_build_forms_allocation_budget(tabulated, budget_mib):
+    # 1024 nodes: each dense form is 8 MiB.  The lag products, the circulant
+    # and the scatter nodes are views of the window bank, and form_full is
+    # summed in place, so no size^2 index table or dense psi form is built
+    grid = make_grid(1024, 12.0)
+    win = _unit_window(grid)
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.sqrt(np.outer(1.0 + x, 1.0 + w)) if tabulated else 1.0
+    triple = AdmissibleTriple(x.astype(complex), w.astype(complex), m0)
+    build_forms(triple, win, grid)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        build_forms(triple, win, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget_mib << 20
 
 
 @pytest.mark.parametrize("n, extent, dim", [(128, 12.0, 2), (8192, 24.0, 1)])
