@@ -19,6 +19,8 @@ from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _req
 from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
+    _chunk_rows,
+    _ordered_map,
     fourier,
     stft,
     stft_row_chunks,
@@ -310,6 +312,14 @@ class _MixedReduction:
 
     def add_magnitudes(self, idx, mags: np.ndarray) -> None:
         """Fold in ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten."""
+        self.fold(idx, self.reduce(idx, mags))
+
+    def reduce(self, idx, mags: np.ndarray) -> np.ndarray:
+        """This chunk's part of the reduction from ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten.
+
+        Reads no state that :meth:`fold` writes, so chunks may be reduced on
+        any thread.
+        """
         if self.field is not None:
             mags *= self.field[idx]
         elif self.over_x:
@@ -317,13 +327,22 @@ class _MixedReduction:
         else:
             mags *= self.inner_weight[None, :]
         r = self.order.r
+        axis = 0 if self.over_x else 1
+        if r == math.inf:
+            return np.max(mags, axis=axis)
+        mags **= r
+        part = np.sum(mags, axis=axis)
+        # the inner omega norm is complete per x row: (sum |.|^r cell)^(1/r)
+        return part if self.over_x else (part * self.grid.freq_cell) ** (1.0 / r)
+
+    def fold(self, idx, part: np.ndarray) -> None:
+        """Fold in the :meth:`reduce` result of x nodes ``idx``; call in chunk order."""
         if not self.over_x:
-            self.acc[idx] = _power_sum(mags, r, self.grid.freq_cell, axis=1)
-        elif r == math.inf:
-            np.maximum(self.acc, np.max(mags, axis=0), out=self.acc)
+            self.acc[idx] = part
+        elif self.order.r == math.inf:
+            np.maximum(self.acc, part, out=self.acc)
         else:
-            mags **= r
-            self.acc += np.sum(mags, axis=0)
+            self.acc += part
 
     def inner(self) -> np.ndarray:
         """Inner norms along the outer variable, before the outer weight."""
@@ -360,20 +379,33 @@ def stft_mixed_norm(
     g: SampledFunction,
     order: MixedOrder,
     weight: WeightSpec = _UNIT_WEIGHT,
-    chunk: int = 256,
+    chunk: int | None = None,
 ) -> float:
     """Mixed norm of m V_g f computed row by row without materializing V_g f.
 
     Any weight is accepted: a separable one is split into its x and w
     profiles, a tabulated one multiplies each chunk by its rows.  The
     inner='x' order accumulates power sums over x per frequency node, the
-    inner='omega' order reduces each x row as it is produced.  Like
+    inner='omega' order reduces each x row.  ``chunk`` rows are taken per
+    step, by default the engine's 2^17-entry rule.  On a field of several
+    chunks each chunk is reduced on the engine's pool while later chunks may
+    already be computing; the parts are folded in chunk order, so the result
+    does not depend on the worker count.  Like
     :func:`~tfuncert.transforms.stft_row_chunks` it does not check its inputs;
     :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
+    size = f.grid.size
     reduction = _MixedReduction(f.grid, order, weight)
-    for idx, rows in stft_row_chunks(f, g, chunk):
-        reduction.add(idx, rows)
+
+    def reduce_chunk(idx: np.ndarray, rows: np.ndarray):
+        return idx, reduction.reduce(idx, np.abs(rows))
+
+    # one reduction outstanding: with the two chunks the row source computes
+    # ahead, three chunks are alive and both pool threads stay busy
+    chunks = stft_row_chunks(f, g, chunk)
+    threaded = _chunk_rows(size, chunk) < size
+    for idx, part in _ordered_map(reduce_chunk, chunks, threaded, ahead=1):
+        reduction.fold(idx, part)
     return reduction.value()
 
 

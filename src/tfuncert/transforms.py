@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, starmap
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,20 +46,21 @@ ALIASING_THRESHOLD = 1e-8
 # variational.build_forms.  Norms reduce streamed row chunks instead.
 _MAX_MATERIALIZED = 1 << 24
 
-# Threads for the STFT row transforms: every CPU this process may run on.
-# Each row is transformed on its own, so results do not depend on the count.
+# CPUs this process may run on.  The pool that makes and reduces row chunks
+# has min(_FFT_WORKERS, 2) threads; with one CPU every chunk runs inline.
 _FFT_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-# Smallest row block (in complex entries) transformed on _FFT_WORKERS threads;
-# smaller blocks run on one.  On a 2-vCPU Xeon a 256x256 block took 0.4-0.9 ms
-# on one thread and 1.0-1.9 ms on two, while 256 rows of 64^2 ran 12-25 %
-# faster threaded.
-_THREADED_MIN_ENTRIES = 1 << 19
+# Complex entries per row chunk (2 MiB), i.e. max(1, 2^17 // size) rows: 256
+# rows up to 512 nodes, 128 rows of 32^2, 32 rows of 64^2.  Chunk bounds
+# depend on the grid size alone, so results do not depend on worker counts.
+# Up to four chunks are alive in a streamed norm: with 2^19-entry chunks a
+# 32^2 psi_phi_norm peaked at 20 MiB of tracemalloc'd memory, with 2^17 at 7.
+_CHUNK_ENTRIES = 1 << 17
 
-# Rows of the phase-space field produced per step.
-_CHUNK = 256
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 class AliasingError(ValueError):
@@ -162,22 +167,73 @@ class PhaseSpaceFunction:
 # quadrature cell folded in; no output factor is left.  The second is a
 # contiguous slice of conj(g) tiled twice, so the whole window bank is one
 # strided view: no index arrays, no gathered copies.  Both hold per axis in
-# d = 2, and every row is transformed on its own.
+# d = 2.
+#
+# Every pass over the field (making rows, filling the materialized field,
+# the adjoint, the streamed reductions) works in row chunks of
+# _CHUNK_ENTRIES entries.  A field of several chunks is processed on a
+# shared two-thread pool, each chunk's FFT on one thread, and the results are
+# folded in chunk order by the calling thread, so the bits do not depend on
+# the worker count.  A one-chunk field, or _FFT_WORKERS == 1, runs inline.
+
+
+def _chunk_rows(size: int, chunk: int | None = None) -> int:
+    """Rows per chunk of a field with ``size`` x nodes: ``chunk``, or ``_CHUNK_ENTRIES`` entries."""
+    return max(1, _CHUNK_ENTRIES // size) if chunk is None else chunk
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The shared pool, built on first use so that importing starts no thread."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(min(_FFT_WORKERS, 2), thread_name_prefix="tfuncert-rows")
+        return _POOL
+
+
+def _ordered_map(task, items, threaded: bool, ahead: int = 2):
+    """Yield ``task(*item)`` for each of ``items``, in order.
+
+    Threaded, the tasks run on the shared pool with at most ``ahead``
+    outstanding: the next item is drawn (on the calling thread) and submitted
+    as each result is taken, so at most ``ahead + 1`` results are alive at
+    once.  Tasks must not wait on the pool.  Inline when not ``threaded`` or
+    ``_FFT_WORKERS`` is 1.
+    """
+    if not threaded or _FFT_WORKERS == 1:
+        yield from starmap(task, items)
+        return
+    pool = _pool()
+    items = iter(items)
+    pending = deque(pool.submit(task, *item) for item in islice(items, ahead))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(task, *item) for item in islice(items, 1))
+            yield result
+            del result  # the consumer may free it while the next one is awaited
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _chunk_map(task, size: int, chunk: int | None = None):
+    """:func:`_ordered_map` of ``task(start, stop)`` over the row chunks of [0, size)."""
+    rows = _chunk_rows(size, chunk)
+    bounds = ((start, min(start + rows, size)) for start in range(0, size, rows))
+    return _ordered_map(task, bounds, threaded=rows < size)
 
 
 def _row_fftn(block: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
-    """DFT (or inverse DFT) of each row of ``block``, overwriting ``block`` where it can.
+    """DFT (or inverse DFT) of each row of ``block`` on the calling thread, overwriting ``block`` where it can.
 
-    Blocks of at least ``_THREADED_MIN_ENTRIES`` entries run on
-    ``_FFT_WORKERS`` threads, smaller ones on one.  scipy.fft is imported on
-    first use: it adds about 0.1 s to process start, which commands that never
-    take an STFT should not pay.
+    scipy.fft is imported on first use: it adds about 0.1 s to process start,
+    which commands that never take an STFT should not pay.
     """
     import scipy.fft
 
-    workers = _FFT_WORKERS if block.size >= _THREADED_MIN_ENTRIES else 1
     transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return transform(block, axes=axes, overwrite_x=True, workers=workers)
+    return transform(block, axes=axes, overwrite_x=True, workers=1)
 
 
 def _parity(grid: Grid) -> np.ndarray:
@@ -243,36 +299,48 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
     return fill
 
 
-def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int = _CHUNK):
+def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int | None = None):
     """Yield ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
 
-    Rows arrive in increasing x-node order, at most ``chunk`` per step; each
-    row holds V_g f(x_i, .) over the full frequency lattice, bit-identical
-    to the same row of :func:`stft` whatever the chunk size.  Each step
-    allocates only its own chunk, so this is the memory-bounded route that
-    every mixed norm of V_g f takes.  Inputs are not checked here.
+    Rows arrive in increasing x-node order, ``chunk`` per step, by default
+    ``max(1, 2^17 // size)`` (2 MiB of rows); each row holds V_g f(x_i, .)
+    over the full frequency lattice, bit-identical to the same row of
+    :func:`stft` whatever the chunk size.  While a chunk is handed out the
+    next two may already be computing on the engine's pool, so at most three
+    chunks are alive: this is the memory-bounded route that every mixed norm
+    of V_g f takes.  Inputs are not checked here.
     """
     size = f.grid.size
     fill = _engine_rows(f, g)
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        rows = np.empty((stop - start, size), dtype=np.complex128)
-        fill(start, stop, rows)
-        yield np.arange(start, stop), rows
+
+    def rows(start: int, stop: int):
+        out = np.empty((stop - start, size), dtype=np.complex128)
+        fill(start, stop, out)
+        return np.arange(start, stop), out
+
+    yield from _chunk_map(rows, size, chunk)
 
 
-def _materialize(f: SampledFunction, g: SampledFunction, flip: bool = False) -> np.ndarray:
-    size = f.grid.size
+def _field_buffer(size: int) -> np.ndarray:
+    """An uninitialized complex size x size field, refused above the dense size cap."""
     if size * size > _MAX_MATERIALIZED:
         raise ValueError(
             f"phase-space field with {size}x{size} entries is too large to materialize; "
             "use stft_row_chunks / the streaming mixed norm instead"
         )
-    out = np.empty((size, size), dtype=np.complex128)
+    return np.empty((size, size), dtype=np.complex128)
+
+
+def _materialize(
+    f: SampledFunction, g: SampledFunction, flip: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """V_g f (or its x-flip) as a size x size array, written into ``out`` when given."""
+    size = f.grid.size
+    if out is None:
+        out = _field_buffer(size)
     fill = _engine_rows(f, g, flip)
-    for start in range(0, size, _CHUNK):
-        stop = min(start + _CHUNK, size)
-        fill(start, stop, out[start:stop])
+    for _ in _chunk_map(lambda start, stop: fill(start, stop, out[start:stop]), size):
+        pass
     return out
 
 
@@ -344,8 +412,21 @@ def _adjoint_in_place(Y: np.ndarray, g: SampledFunction) -> np.ndarray:
     axes = tuple(range(1, grid.dim + 1))
     # The engine transposed: with U_i = ifft(Y_i) and j the node index of
     # ifftshift(u), S^H Y = cell n^d fftshift((-1)^j sum_i g[(j - i) mod n] U_i[j]).
-    U = _row_fftn(Y.reshape((size,) + grid.shape), axes, inverse=True)
-    for lo, hi, windows in _bank_segments(_window_bank(g.reshaped()), 0, size):
-        U[lo:hi] *= windows
-    acc = U.sum(axis=0) * (_parity(grid) * (grid.cell * grid.n**grid.dim))
+    rows = Y.reshape((size,) + grid.shape)
+    bank = _window_bank(g.reshaped())
+
+    def windowed(start: int, stop: int) -> np.ndarray:
+        U = _row_fftn(rows[start:stop], axes, inverse=True)
+        for lo, hi, windows in _bank_segments(bank, start, stop):
+            U[lo:hi] *= windows
+        return U
+
+    acc = None
+    for U in _chunk_map(windowed, size):
+        if acc is not None:
+            # carry the running sum into the chunk's first row: the rows are
+            # added one after another, exactly as one sum over all rows would
+            U[0] += acc
+        acc = U.sum(axis=0)
+    acc *= _parity(grid) * (grid.cell * grid.n**grid.dim)
     return np.fft.fftshift(acc).ravel()

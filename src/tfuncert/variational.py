@@ -35,6 +35,7 @@ from .transforms import (  # noqa: F401
     _adjoint_in_place,
     _bank_segments,
     _check_stft_inputs,
+    _field_buffer,
     _materialize,
     _parity,
     _window_bank,
@@ -203,13 +204,29 @@ def _conjugation_symmetric(
 
 
 def _hermitize(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    # one contiguous copy of the adjoint; strided transposed reads cost more
-    adj = np.ascontiguousarray(mat.conj().T)
-    scale_ = float(np.max(np.abs(mat)))
-    defect = float(np.max(np.abs(mat - adj))) / (scale_ or 1.0)
-    adj += mat
-    adj *= 0.5
-    return adj, defect
+    """(mat + mat^H) / 2 and the defect max|mat - mat^H| / max|mat|.
+
+    Taken one block of rows at a time: the adjoint rows are written straight
+    into the output, and the scale and the defect are maxima over blocks,
+    which are exact, so only one block of scratch is held besides the output.
+    """
+    size = mat.shape[0]
+    out = np.empty_like(mat)
+    step = min(size, max(1, (1 << 16) // size))  # 2^16 entries, 0.5 or 1 MiB
+    diff = np.empty((step, size), dtype=mat.dtype)
+    mags = np.empty((step, size))
+    scale_ = defect = 0.0
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        block, adj = mat[rows], out[rows]
+        k = block.shape[0]
+        np.conjugate(mat[:, rows].T, out=adj)
+        scale_ = max(scale_, float(np.max(np.abs(block, out=mags[:k]))))
+        np.subtract(block, adj, out=diff[:k])
+        defect = max(defect, float(np.max(np.abs(diff[:k], out=mags[:k]))))
+        adj += block
+        adj *= 0.5
+    return out, defect / (scale_ or 1.0)
 
 
 def build_forms(
@@ -230,9 +247,10 @@ def build_forms(
     Every lag index comes from the STFT engine: the lag products, the
     circulant |phi|^2 form and the scatter nodes are views of its window
     bank, and the parity is its own, so no size^2 index table is built.
-    form_full is summed in place in form0's raw buffer.  On 1024 nodes the
-    tracemalloc peak is 52 MiB with a tabulated m0, 40 MiB with a constant
-    one and 80 MiB for a complex pencil.
+    form_full is summed in place in form0's raw buffer, and each form is
+    hermitized one block of rows at a time.  On 1024 nodes the tracemalloc
+    peak is 52 MiB with a tabulated m0 (the lag assembly's), 25 MiB with a
+    constant one and 60 MiB for a complex pencil with a tabulated m0.
     """
     size = grid.size
     if size * size > _MAX_MATERIALIZED:
@@ -445,8 +463,8 @@ class ModulationTerm:
         if self.window is None:
             raise DomainError("modulation term requires a window")
 
-    def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
-        return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta)
+    def _value_and_grad(self, f: SampledFunction, work=None) -> tuple[float, np.ndarray]:
+        return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta, work)
 
 
 FrechetTerm = Union[XMomentTerm, OmegaMomentTerm, ModulationTerm]
@@ -474,18 +492,22 @@ def _modulation_grad(
     s: float,
     alpha: float,
     beta: float,
+    work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> tuple[float, np.ndarray]:
     """Modulation norm of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell.
 
     V is materialized once and overwritten by the adjoint's input; |V| is
-    taken once, for the power and the reducer.
+    taken once, for the power and the reducer.  ``work`` holds the V, |V|
+    and scratch fields (see :func:`_grad_workspace`); without it they are
+    allocated for this call.
     """
     grid = f.grid
     _check_stft_inputs(f, g)
-    V = _materialize(f, g)
-    mags = np.abs(V)
+    V, mags, scratch = work or _grad_workspace(grid)
+    _materialize(f, g, out=V)
+    np.abs(V, out=mags)
     # |V|^(r-2) V with the V = 0 nodes set to 0 (the pairing's limit value)
-    scratch = np.zeros_like(mags)
+    scratch.fill(0.0)
     np.power(mags, r - 2.0, out=scratch, where=mags > 0)
     V *= scratch
     reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
@@ -501,6 +523,16 @@ def _modulation_grad(
     V *= coeff
     grad = grid.freq_cell * _adjoint_in_place(V, g)
     return value, grad
+
+
+def _grad_workspace(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized V, |V| and scratch fields for :func:`_modulation_grad` on ``grid``.
+
+    A descent allocates them once per run instead of once per gradient, so
+    the size^2 fields are not mapped and unmapped on every step.
+    """
+    V = _field_buffer(grid.size)
+    return V, np.empty(V.shape), np.empty(V.shape)
 
 
 def _pairing(grad: np.ndarray, u: np.ndarray, cell: float) -> float:
@@ -565,11 +597,14 @@ def _banach_terms(
 
 
 def _banach_value_and_grads(
-    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction
+    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction, work=None
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient."""
+    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient.
+
+    ``work`` is the modulation gradient's workspace (see :func:`_grad_workspace`).
+    """
     x_term, w_term, m_term = terms
-    m, gm = m_term._value_and_grad(f)
+    m, gm = m_term._value_and_grad(f, work)
     xval, gx = x_term._value_and_grad(f)
     wval, gw = w_term._value_and_grad(f)
     return xval + wval, gx + gw, m, gm
@@ -650,6 +685,7 @@ def minimize_banach(
         random_smooth(RandomFunctionSpec(seed=opts.probe_seed + 17 * k + 1), grid).values
         for k in range(3)
     ]
+    work = _grad_workspace(grid)
 
     def evaluate(u: np.ndarray):
         """f = Tu/M(Tu), lam = F(f) = R(u), the gradient of R at u, the defect."""
@@ -658,7 +694,7 @@ def minimize_banach(
         if nm == 0.0:
             raise ValueError("cannot normalize a function with zero modulation norm")
         fn = scale(tu, 1.0 / nm)
-        lam, gf, _, gm = _banach_value_and_grads(terms, fn)
+        lam, gf, _, gm = _banach_value_and_grads(terms, fn, work)
         # F and M have 0-homogeneous gradients, so those at Tu are those at f
         grad = taper * (gf - lam * gm) / nm
         return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad, fn.values, *probes], cell)

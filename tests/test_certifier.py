@@ -285,6 +285,19 @@ def test_run_battery_builds_each_seed_once(monkeypatch):
     assert [rep.seed for rep in bat.reports] == [0, 2] * len(lattice)
 
 
+def test_run_battery_threads_share_the_stft_pool(monkeypatch):
+    # on 32^2 every modulation norm has eight chunks, so the battery's four
+    # threads all submit to the STFT engine's one pool
+    grid = make_grid(32, 12.0, dim=2)
+    lattice = default_lattice("modulation_bound")
+    monkeypatch.setenv("TFUNCERT_THREADS", "1")
+    single = run_battery("modulation_bound", lattice, seeds=2, grid=grid)
+    monkeypatch.setenv("TFUNCERT_THREADS", "4")
+    threaded = run_battery("modulation_bound", lattice, seeds=2, grid=grid)
+    assert not single.errors and not threaded.errors
+    assert [r.to_dict() for r in single.reports] == [r.to_dict() for r in threaded.reports]
+
+
 def test_run_battery_thread_determinism(grid128):
     lattice = default_lattice("hausdorff_young")
     single = run_battery("hausdorff_young", lattice, seeds=4, grid=grid128)

@@ -1,6 +1,8 @@
 """Weighted, mixed, and modulation norms against quadrature and closed forms."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -298,18 +300,83 @@ def test_psi_phi_norm_components(grid128):
     assert base == pytest.approx(lp_weighted(f, 2.0), rel=1e-12)
 
 
-def test_psi_phi_norm_keeps_constant_m0_untabulated():
+def test_psi_phi_norm_keeps_constant_m0_untabulated(monkeypatch):
     # a scalar m0 scales the unweighted norm: the streamed chunks are all
-    # psi_phi_norm holds, not a size^2 m0 table (8 MiB on 32^2)
+    # psi_phi_norm holds, not a size^2 m0 table (8 MiB on 32^2), also when
+    # the eight chunks of 32^2 run on the pool
     grid = make_grid(32, 12.0, dim=2)
     f = random_smooth(RandomFunctionSpec(seed=21, band_fraction=0.5, envelope_sigma=1.2), grid)
     g = default_window(grid)
     triple = AdmissibleTriple(grid.radii().astype(complex), grid.freq_radii().astype(complex), 1.0)
     psi_phi_norm(f, g, triple)  # first-call imports and caches
-    tracemalloc.start()
+    for workers in (1, 8):
+        monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            psi_phi_norm(f, g, triple)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+
+def test_streamed_norm_holds_a_few_chunks(monkeypatch):
+    # 64^2 streams 128 chunks of 2 MiB.  The row source keeps two chunks
+    # computing ahead of the one being reduced, and the reduction holds
+    # |rows| (1 MiB): a fourth chunk in flight would pass 9 MiB
+    monkeypatch.setattr(transforms, "_FFT_WORKERS", 8)
+    grid = make_grid(64, 12.0, dim=2)
+    f = random_smooth(RandomFunctionSpec(seed=5), grid)
+    g = default_window(grid)
+    chunk_bytes = transforms._CHUNK_ENTRIES * 16
+    for order in (MixedOrder(2.0, 2.0, "x"), MixedOrder(1.5, 1.5, "omega")):
+        stft_mixed_norm(f, g, order)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            stft_mixed_norm(f, g, order, BracketWeight(0.5, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * chunk_bytes + (1 << 20)
+
+
+def test_streamed_norms_share_one_pool(monkeypatch):
+    # every threaded pass submits to one lazily built pool of two threads
+    monkeypatch.setattr(transforms, "_FFT_WORKERS", 8)
+    grid = make_grid(128, 10.0)
+    f = random_smooth(RandomFunctionSpec(seed=8), grid)
+    g = default_window(grid)
+    order = MixedOrder(1.5, 2.5, "x")
+    want = stft_mixed_norm(f, g, order, chunk=37)
+    before = threading.active_count()
+    for _ in range(200):
+        assert stft_mixed_norm(f, g, order, chunk=37) == want
+    assert threading.active_count() <= before + 2
+
+
+def test_streamed_norms_from_concurrent_threads(monkeypatch):
+    # more callers than cores share the pool; a lost or misordered part of
+    # any reduction would change its bits
+    monkeypatch.setattr(transforms, "_FFT_WORKERS", 8)
+    grid = make_grid(32, 9.0, dim=2)
+    f = random_smooth(RandomFunctionSpec(seed=2, envelope_sigma=1.2), grid)
+    g = default_window(grid)
+    orders = [MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")]
+    want = [stft_mixed_norm(f, g, order, chunk=37) for order in orders]
+    got = {}
+
+    def caller(k):
+        got[k] = [stft_mixed_norm(f, g, order, chunk=37) for order in orders * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        psi_phi_norm(f, g, triple)
-        peak = tracemalloc.get_traced_memory()[1]
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
     finally:
-        tracemalloc.stop()
-    assert peak < 10 << 20
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {k: want * 3 for k in range(4)}

@@ -1,6 +1,7 @@
 """Fourier machinery against closed forms and brute-force summation oracles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_stft_row_chunks_agree(grid128):
 
 
 def _record_fft_calls(monkeypatch) -> list:
-    """Log ``(entries, workers)`` of every scipy.fft fftn/ifftn call from now on."""
+    """Log ``(entries, workers, thread id)`` of every scipy.fft fftn/ifftn call from now on."""
     import scipy.fft
 
     calls = []
@@ -206,49 +207,57 @@ def _record_fft_calls(monkeypatch) -> list:
         real = getattr(scipy.fft, name)
 
         def spy(x, *args, _real=real, **kwargs):
-            calls.append((x.size, kwargs["workers"]))
+            calls.append((x.size, kwargs["workers"], threading.get_ident()))
             return _real(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, spy)
     return calls
 
 
-def test_stft_results_independent_of_fft_workers(monkeypatch, grid128):
-    # these blocks are below the size that is threaded by default; lower it so
-    # that two workers really run
-    monkeypatch.setattr(transforms, "_THREADED_MIN_ENTRIES", 1)
+def test_stft_results_independent_of_fft_workers(monkeypatch):
+    # 1024 nodes and 32^2 both have eight 128-row chunks, so with more than
+    # one worker the chunks really run on the pool
     calls = _record_fft_calls(monkeypatch)
     rng = np.random.default_rng(12)
-    for grid in (grid128, make_grid(16, 9.0, dim=2)):
+    for grid in (make_grid(1024, 12.0), make_grid(32, 9.0, dim=2)):
         f = random_smooth(SMALL_SPEC, grid)
         g = default_window(grid)
         size = grid.size
         Y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        results = []
-        for workers in (1, 2):
+        first = None
+        for workers in (1, 2, 8):
             monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
-            results.append(
-                (
-                    stft(f, g).values,
-                    stft_adjoint(Y, g),
-                    stft_mixed_norm(f, g, MixedOrder(1.5, 2.5, "x")),
-                    stft_mixed_norm(f, g, MixedOrder(2.5, 1.5, "omega"), chunk=37),
-                )
-            )
-        (V1, a1, x1, w1), (V2, a2, x2, w2) = results
-        np.testing.assert_array_equal(V1, V2)
-        np.testing.assert_array_equal(a1, a2)
-        assert x1 == x2 and w1 == w2
-    assert {workers for _, workers in calls} == {1, 2}
+            results = [
+                stft(f, g).values,
+                ambiguity(f, g).values,
+                stft_adjoint(Y, g),
+                *(
+                    stft_mixed_norm(f, g, MixedOrder(r, s, inner), chunk=chunk)
+                    for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
+                    for chunk in (None, 37)
+                ),
+            ]
+            if first is None:
+                first = results
+            for want, got in zip(first, results):
+                np.testing.assert_array_equal(got, want)
+    assert {workers for _, workers, _ in calls} == {1}
+    assert {thread for _, _, thread in calls} - {threading.get_ident()}
 
 
-def test_small_row_blocks_run_on_one_worker(monkeypatch, grid128):
+def test_row_ffts_run_on_one_thread_per_chunk(monkeypatch, grid128):
+    # every FFT call transforms one chunk of at most 2^17 entries on one
+    # thread: a 128-node field is one chunk, run inline on the calling
+    # thread, and a 64^2 field is 128 chunks of 32 rows
     monkeypatch.setattr(transforms, "_FFT_WORKERS", 2)
     calls = _record_fft_calls(monkeypatch)
     stft(gaussian(grid128), default_window(grid128))
+    assert calls == [(128 * 128, 1, threading.get_ident())]
     grid = make_grid(64, 10.0, dim=2)
-    list(stft_row_chunks(gaussian(grid), default_window(grid)))
-    assert calls == [(128 * 128, 1)] + [(256 * 64**2, 2)] * 16
+    chunks = [len(idx) for idx, _ in stft_row_chunks(gaussian(grid), default_window(grid))]
+    assert chunks == [32] * 128
+    assert [(entries, workers) for entries, workers, _ in calls[1:]] == [(32 * 64**2, 1)] * 128
+    assert max(entries for entries, _, _ in calls) <= transforms._CHUNK_ENTRIES
 
 
 def test_stft_guards(grid512):

@@ -34,6 +34,8 @@ from tfuncert.variational import (
     ModulationTerm,
     OmegaMomentTerm,
     XMomentTerm,
+    _grad_workspace,
+    _hermitize,
     _modulation_grad,
     build_forms,
     el_residual_banach,
@@ -211,6 +213,30 @@ def test_build_forms_allocation_budget(tabulated, budget_mib):
     finally:
         tracemalloc.stop()
     assert peak <= budget_mib << 20
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitize_in_row_blocks(dtype):
+    # the blocked symmetrization equals the whole-matrix formula bit for bit
+    # and holds the output plus one 2^16-entry block of rows' scratch (the
+    # difference and its magnitudes), not size^2 temporaries
+    rng = np.random.default_rng(3)
+    size = 1024
+    mat = rng.standard_normal((size, size)).astype(dtype)
+    if dtype is np.complex128:
+        mat += 1j * rng.standard_normal((size, size))
+    adj = np.conj(mat).T
+    want = (adj + mat) * 0.5
+    want_defect = float(np.max(np.abs(mat - adj))) / float(np.max(np.abs(mat)))
+    tracemalloc.start()
+    try:
+        got, defect = _hermitize(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert defect == want_defect
+    assert peak <= got.nbytes + (1 << 16) * (mat.itemsize + 8) + (256 << 10)
 
 
 @pytest.mark.parametrize("n, extent, dim", [(128, 12.0, 2), (8192, 24.0, 1)])
@@ -454,6 +480,20 @@ def test_modulation_grad_matches_oracle_bitwise(grid128, r, s, alpha, beta):
     want_value, want_grad = _modulation_grad_oracle(f, g, r, s, alpha, beta)
     assert value == want_value
     np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_modulation_grad_reuses_a_workspace(grid128):
+    # a workspace left dirty by earlier calls gives the fresh fields' bits
+    g = default_window(grid128)
+    work = _grad_workspace(grid128)
+    for arr in work:
+        arr.fill(np.nan)
+    for seed in (1, 2):
+        f = random_smooth(RandomFunctionSpec(seed=seed), grid128)
+        value, grad = _modulation_grad(f, g, 1.5, 1.8, 0.3, 0.2, work)
+        want_value, want_grad = _modulation_grad(f, g, 1.5, 1.8, 0.3, 0.2)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
 
 
 def test_modulation_grad_allocation_budget():
