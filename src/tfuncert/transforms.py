@@ -362,12 +362,18 @@ def ambiguity(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
     Computed from the STFT through A(f,g)(x,w) = e^{-i pi w.x} V_g f(-x, w),
     which avoids half-node shifts; the flip x -> -x is a flipped window bank.
     The field is materialized first, so an oversized grid is refused before
-    the phase table is built; the phase then multiplies it in place.
+    any phase is computed; the phase then multiplies it in place, half a row
+    chunk at a time, so no size x size phase table is built.
     """
     _check_stft_inputs(f, g)
     grid = f.grid
     out = _materialize(f, g, flip=True)
-    out *= np.exp(-1j * math.pi * (grid.coords() @ grid.freq_coords().T))
+    coords, freqs = grid.coords(), grid.freq_coords().T
+    # half a chunk of rows: its angles and their complex phase take 1.5 MiB
+    rows = max(1, _CHUNK_ENTRIES // (2 * grid.size))
+    for start in range(0, grid.size, rows):
+        phase = -1j * math.pi * (coords[start : start + rows] @ freqs)
+        out[start : start + rows] *= np.exp(phase, out=phase)
     return PhaseSpaceFunction._adopt(grid, out)
 
 

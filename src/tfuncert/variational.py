@@ -34,6 +34,8 @@ from .transforms import (  # noqa: F401
     _MAX_MATERIALIZED,
     _adjoint_in_place,
     _bank_segments,
+    _centered_fftn,
+    _centered_ifftn,
     _check_stft_inputs,
     _field_buffer,
     _materialize,
@@ -539,6 +541,28 @@ def _pairing(grad: np.ndarray, u: np.ndarray, cell: float) -> float:
     return float(np.real(np.vdot(grad, u)) * cell)
 
 
+def _moment_preconditioner(grid: Grid, a: float, b: float):
+    """u -> W X W u, the inverse-Hessian model of the quadratic moment terms.
+
+    X = diag(1/(1 + |x|^(2a))) on the nodes and W = F^-1 diag((1 +
+    |w|^(2b))^(-1/2)) F on the centered unitary transform: the moment
+    Hessians |x|^(2a) and |w|^(2b) split symmetrically.  Both factors are
+    Hermitian and positive, so the map is self-adjoint and positive definite
+    in :func:`_pairing`.  One apply costs four centered FFTs.
+    """
+    shape = grid.shape
+    xdiag = (1.0 / (1.0 + grid.radii() ** (2.0 * a))).reshape(shape)
+    wdiag = ((1.0 + grid.freq_radii() ** (2.0 * b)) ** -0.5).reshape(shape)
+
+    def half(v: np.ndarray) -> np.ndarray:
+        return _centered_ifftn(wdiag * _centered_fftn(v))
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        return half(xdiag * half(u.reshape(shape))).ravel()
+
+    return apply
+
+
 def frechet_directional(f: SampledFunction, u: SampledFunction, term: FrechetTerm) -> float:
     """First-order coefficient of t in the term evaluated at f + t u.
 
@@ -658,10 +682,20 @@ def minimize_banach(
     a fixed super-Gaussian taper.  R is minimized without constraint by
     L-BFGS: the two-loop recursion over at most ``_LBFGS_PAIRS`` (s, y) pairs
     in the real pairing Re<u, v> h^d, then a monotone Armijo search halving
-    from the unit step.  Convergence is declared when the stationarity defect
-    over the ratio gradient, f itself, and three seeded probes drops below
-    options.tol.  If the admissibility check fails the run proceeds but is
-    flagged exploratory (the infimum may be zero).
+    from the unit step.  The recursion starts from H0 = gamma P, with
+    gamma = <s, y>/<y, P y> of the newest stored pair (1 before the first).
+    When both moment terms are quadratic (p = q = 2), P is
+    :func:`_moment_preconditioner`: there the moment Hessians are the
+    symbols |x|^(2a) and |w|^(2b), and P removes their conditioning (the
+    heisenberg preset converges in about 15 instead of about 110 iterations
+    per start).  Otherwise P is the identity: for p, q != 2 the moment
+    Hessians scale with |f|^(p-2), which the fixed symbols do not model, and
+    there P slows the descent down (p = q = 3 and 4 fail to converge in 400
+    iterations where the identity converges).  Convergence is declared when
+    the unpreconditioned stationarity defect over the ratio gradient, f
+    itself, and three seeded probes drops below options.tol.  If the
+    admissibility check fails the run proceeds but is flagged exploratory
+    (the infimum may be zero).
     """
     opts = options or MinimizeOptions()
     terms = _banach_terms(e, g)
@@ -686,6 +720,8 @@ def minimize_banach(
         for k in range(3)
     ]
     work = _grad_workspace(grid)
+    quadratic = e.p == 2 and e.q == 2
+    precondition = _moment_preconditioner(grid, e.a, e.b) if quadratic else (lambda v: v)
 
     def evaluate(u: np.ndarray):
         """f = Tu/M(Tu), lam = F(f) = R(u), the gradient of R at u, the defect."""
@@ -702,7 +738,7 @@ def minimize_banach(
     u = init.values
     f, lam, grad, resid = evaluate(u)
     pairs: deque = deque(maxlen=_LBFGS_PAIRS)  # (s, y, 1/<y, s>), oldest first
-    gamma = 1.0  # initial inverse Hessian over the identity: <s, y>/<y, y> of the newest pair
+    gamma = 1.0  # H0 = gamma P: <s, y>/<y, P y> of the newest pair
     iterations = 0
     converged = resid <= opts.tol
     while not converged and iterations < opts.max_iter:
@@ -713,7 +749,7 @@ def minimize_banach(
         for sv, yv, rho in reversed(pairs):
             coefs.append(rho * _pairing(sv, direction, cell))
             direction -= coefs[-1] * yv
-        direction *= gamma
+        direction = precondition(gamma * direction)
         for (sv, yv, rho), coef in zip(pairs, reversed(coefs)):
             direction += (coef - rho * _pairing(yv, direction, cell)) * sv
         slope = _pairing(grad, direction, cell)
@@ -733,7 +769,7 @@ def minimize_banach(
         # a pair without positive curvature would make the inverse Hessian indefinite
         if sy > 0.0:
             pairs.append((sv, yv, 1.0 / sy))
-            gamma = sy / _pairing(yv, yv, cell)
+            gamma = sy / _pairing(yv, precondition(yv), cell)
         u, f, lam, grad, resid = cand, f_t, lam_t, grad_t, resid_t
         converged = resid <= opts.tol
     return BanachSolution(f, lam, resid, iterations, converged, exploratory)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,23 @@ def test_ambiguity_2d_runs():
     c = grid.size // 2 + grid.n // 2  # flat index of the origin node
     norm_sq = float(np.sum(np.abs(g.values) ** 2)) * grid.cell
     assert abs(A.values[c, c] - norm_sq) < 1e-12
+
+
+def test_ambiguity_allocation_budget():
+    # the phase multiplies the field half a chunk of rows at a time, so no
+    # size^2 phase table exists: the peak is stft's plus at most one chunk
+    grid = make_grid(1024, 12.0)
+    f, g = random_smooth(SMALL_SPEC, grid), default_window(grid)
+    peaks = []
+    for transform in (stft, ambiguity):
+        transform(f, g)  # the shared lattice tables are built outside the trace
+        tracemalloc.start()
+        try:
+            transform(f, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + transforms._CHUNK_ENTRIES * 16
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from tfuncert.norms import (
     moment_seminorm,
 )
 from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth, scale
+from tfuncert import transforms, variational
 from tfuncert.transforms import stft, stft_adjoint
 from tfuncert.variational import (
     MinimizeOptions,
@@ -37,6 +38,8 @@ from tfuncert.variational import (
     _grad_workspace,
     _hermitize,
     _modulation_grad,
+    _moment_preconditioner,
+    _pairing,
     build_forms,
     el_residual_banach,
     frechet_directional,
@@ -594,16 +597,73 @@ def test_minimize_matches_hilbert_banach_bridge(alpha, beta):
     x, w = grid.radii(), grid.freq_radii()
     m0 = np.outer((1.0 + x) ** alpha, (1.0 + w) ** beta)
 
-    def lam_h(c):
+    def ground(c):
         triple = AdmissibleTriple(x / math.sqrt(c), w / math.sqrt(1.0 - c), m0)
-        return smallest_eigen(build_forms(triple, win, grid))[0].lam
+        return smallest_eigen(build_forms(triple, win, grid))[0]
 
-    best = minimize_scalar(lam_h, bounds=(0.05, 0.95), method="bounded", options={"xatol": 1e-6})
+    best = minimize_scalar(
+        lambda c: ground(c).lam, bounds=(0.05, 0.95), method="bounded", options={"xatol": 1e-6}
+    )
     oracle = math.sqrt(best.fun)
+    # the Euler-Lagrange equations make the minimizer the ground eigenvector at c*
+    v = ground(best.x).vector.values
     e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=alpha, beta=beta)
     for sol in minimize_multistart(e, win, grid, starts=2):
         assert sol.converged
         assert sol.lam == pytest.approx(oracle, abs=1e-6)
+        f = sol.minimizer.values
+        cos = abs(np.vdot(f, v)) / (np.linalg.norm(f) * np.linalg.norm(v))
+        assert 1.0 - cos <= 1e-8
+
+
+@pytest.mark.parametrize("grid", [make_grid(256, 12.0), make_grid(16, 6.0, dim=2)], ids=["256", "16^2"])
+def test_moment_preconditioner_is_self_adjoint_and_positive(grid):
+    apply = _moment_preconditioner(grid, 1.0, 2.0)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        u, v = (rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size) for _ in range(2))
+        left, right = _pairing(apply(u), v, grid.cell), _pairing(u, apply(v), grid.cell)
+        assert abs(left - right) <= 1e-12 * abs(left)
+        assert _pairing(apply(u), u, grid.cell) > 0.0
+
+
+def test_preconditioned_descent_converges_on_quartic_symbols():
+    # a = b = 2: the moment Hessians |x|^4 and |w|^4 are badly conditioned, and
+    # L-BFGS from the identity stops at 400 iterations short of the minimum
+    grid = make_grid(256, 12.0)
+    e = ExponentSet(d=1, p=2, q=2, a=2, b=2, r=2, s=2)
+    sols = minimize_multistart(e, default_window(grid), grid, starts=3)
+    assert all(sol.converged for sol in sols)
+    lams = [sol.lam for sol in sols]
+    assert max(lams) - min(lams) <= 1e-8
+
+
+def test_only_quadratic_moments_are_preconditioned(grid128, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("preconditioner built for non-quadratic moments")
+
+    monkeypatch.setattr(variational, "_moment_preconditioner", refuse)
+    e = ExponentSet(d=1, p=3, q=2, a=1, b=1, r=2, s=2)
+    sol = minimize_banach(e, default_window(grid128), grid128, options=MinimizeOptions(max_iter=3))
+    assert sol.iterations >= 1
+    with pytest.raises(AssertionError, match="preconditioner"):
+        minimize_banach(HEISENBERG, default_window(grid128), grid128)
+
+
+def test_minimize_results_independent_of_fft_workers(monkeypatch):
+    # a 512-node field is two 256-row chunks, so with more than one worker the
+    # gradient's STFT and adjoint really run on the pool
+    grid = make_grid(512, 12.0)
+    win = default_window(grid)
+    first = None
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+        got = [
+            (sol.lam, sol.el_residual, sol.iterations, sol.minimizer.values.tobytes())
+            for sol in minimize_multistart(HEISENBERG, win, grid, starts=3)
+        ]
+        first = first or got
+        assert got == first
 
 
 def test_minimize_validation(grid128):
