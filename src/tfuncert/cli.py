@@ -374,7 +374,7 @@ def cmd_minimize(args, out: _Emitter) -> int:
     else:
         raise DomainError("minimize needs --preset or --exponents")
     grid = _parse_grid(args.grid, _PRESET_GRIDS["minimize"])
-    options = MinimizeOptions(tol=args.tol, max_iter=args.max_iter, probe_seed=args.seed)
+    options = MinimizeOptions(tol=args.tol, max_iter=args.max_iter)
     solutions = minimize_multistart(
         exponents, default_window(grid), grid, args.starts, options, args.seed
     )

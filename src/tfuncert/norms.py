@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,10 +27,7 @@ from .transforms import (  # noqa: F401
 )
 
 __all__ = [
-    "WeightSpec",
     "BracketWeight",
-    "PowerXWeight",
-    "PowerOmegaWeight",
     "TabulatedWeight",
     "AdmissibleTriple",
     "MixedOrder",
@@ -66,25 +63,8 @@ def _power_sum(mags: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray
 # weights
 
 
-class WeightSpec:
-    """A non-negative weight on phase space, possibly separable."""
-
-    def x_profile(self, grid: Grid) -> np.ndarray:
-        raise NotImplementedError
-
-    def omega_profile(self, grid: Grid) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def separable(self) -> bool:
-        return True
-
-    def field(self, grid: Grid) -> np.ndarray:
-        return np.outer(self.x_profile(grid), self.omega_profile(grid))
-
-
 @dataclass(frozen=True)
-class BracketWeight(WeightSpec):
+class BracketWeight:
     """(1 + |x|)^alpha (1 + |w|)^beta with nonnegative exponents."""
 
     alpha: float = 0.0
@@ -101,41 +81,7 @@ class BracketWeight(WeightSpec):
         return (1.0 + grid.freq_radii()) ** self.beta
 
 
-@dataclass(frozen=True)
-class PowerXWeight(WeightSpec):
-    """|x|^a, vanishing at the origin node."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        if self.a < 0:
-            raise ValueError("moment weight exponent must be nonnegative")
-
-    def x_profile(self, grid: Grid) -> np.ndarray:
-        return grid.radii() ** self.a
-
-    def omega_profile(self, grid: Grid) -> np.ndarray:
-        return np.ones(grid.size)
-
-
-@dataclass(frozen=True)
-class PowerOmegaWeight(WeightSpec):
-    """|w|^b on the frequency side."""
-
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.b < 0:
-            raise ValueError("moment weight exponent must be nonnegative")
-
-    def x_profile(self, grid: Grid) -> np.ndarray:
-        return np.ones(grid.size)
-
-    def omega_profile(self, grid: Grid) -> np.ndarray:
-        return grid.freq_radii() ** self.b
-
-
-class TabulatedWeight(WeightSpec):
+class TabulatedWeight:
     """Arbitrary nonnegative weight tabulated on the phase-space lattice."""
 
     def __init__(self, values: np.ndarray):
@@ -148,10 +94,6 @@ class TabulatedWeight(WeightSpec):
         vals.setflags(write=False)
         self.values = vals
 
-    @property
-    def separable(self) -> bool:
-        return False
-
     def field(self, grid: Grid) -> np.ndarray:
         if self.values.shape != (grid.size, grid.size):
             raise ValueError(
@@ -160,7 +102,11 @@ class TabulatedWeight(WeightSpec):
         return self.values
 
 
-class AdmissibleTriple(WeightSpec):
+# a phase-space weight: separable bracket profiles or a full table
+Weight = Union[BracketWeight, TabulatedWeight]
+
+
+class AdmissibleTriple:
     """Localization triple (psi on the x grid, phi on the w grid, m0 on phase space).
 
     The composite weight m = sqrt(m0^2 + |psi|^2 + |phi|^2) must be finite and
@@ -192,29 +138,8 @@ class AdmissibleTriple(WeightSpec):
         if np.any(zero_x) and np.any(zero_w) and not np.all(m0sq > 0):
             raise ValueError("composite weight m vanishes somewhere; the triple is not admissible")
 
-    def _m0_squared(self) -> np.ndarray:
-        """m0^2 on phase space; a read-only broadcast view for a constant m0."""
-        size = self.psi.shape[0]
-        return np.broadcast_to(self.m0**2, (size, size))
-
-    def _m_squared(self) -> np.ndarray:
-        return (
-            self._m0_squared()
-            + np.abs(self.psi[:, None]) ** 2
-            + np.abs(self.phi[None, :]) ** 2
-        )
-
-    def m0_weight(self) -> WeightSpec:
+    def m0_weight(self) -> TabulatedWeight:
         return TabulatedWeight(np.broadcast_to(self.m0, (self.psi.shape[0],) * 2))
-
-    @property
-    def separable(self) -> bool:
-        return False
-
-    def field(self, grid: Grid) -> np.ndarray:
-        if self.psi.shape[0] != grid.size:
-            raise ValueError("triple tabulation does not match grid size")
-        return np.sqrt(self._m_squared())
 
 
 _UNIT_WEIGHT = BracketWeight(0.0, 0.0)
@@ -288,22 +213,22 @@ class _MixedReduction:
 
     With inner='x' the inner norm integrates over x at fixed w with exponent
     r and cell h^d, and the outer norm over w with exponent s and cell
-    (1/L)^d; inner='omega' swaps the roles.  A separable weight is split: the
+    (1/L)^d; inner='omega' swaps the roles.  A bracket weight is split: the
     profile of the inner variable multiplies the field, the profile of the
     outer variable multiplies the inner norms (equal, since it is constant
     along each inner sum).  A tabulated weight multiplies the field.
     """
 
-    def __init__(self, grid: Grid, order: MixedOrder, weight: WeightSpec):
+    def __init__(self, grid: Grid, order: MixedOrder, weight: Weight):
         self.grid, self.order = grid, order
         self.over_x = order.inner == "x"
-        if weight.separable:
+        if isinstance(weight, TabulatedWeight):
+            self.field = weight.field(grid)
+            self.inner_weight = self.outer_weight = None
+        else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
-        else:
-            self.field = weight.field(grid)
-            self.inner_weight = self.outer_weight = None
         self.acc = np.zeros(grid.size)
 
     def add(self, idx, rows: np.ndarray) -> None:
@@ -360,7 +285,7 @@ class _MixedReduction:
 
 
 def mixed_norm(
-    F: PhaseSpaceFunction, order: MixedOrder, weight: WeightSpec = _UNIT_WEIGHT
+    F: PhaseSpaceFunction, order: MixedOrder, weight: Weight = _UNIT_WEIGHT
 ) -> float:
     """Iterated norm of a phase-space field.
 
@@ -378,12 +303,12 @@ def stft_mixed_norm(
     f: SampledFunction,
     g: SampledFunction,
     order: MixedOrder,
-    weight: WeightSpec = _UNIT_WEIGHT,
+    weight: Weight = _UNIT_WEIGHT,
     chunk: int | None = None,
 ) -> float:
     """Mixed norm of m V_g f computed row by row without materializing V_g f.
 
-    Any weight is accepted: a separable one is split into its x and w
+    Either weight is accepted: a bracket weight is split into its x and w
     profiles, a tabulated one multiplies each chunk by its rows.  The
     inner='x' order accumulates power sums over x per frequency node, the
     inner='omega' order reduces each x row.  ``chunk`` rows are taken per
@@ -410,7 +335,7 @@ def stft_mixed_norm(
 
 
 def _guarded_stft_norm(
-    f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: WeightSpec = _UNIT_WEIGHT
+    f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: Weight = _UNIT_WEIGHT
 ) -> float:
     """Streamed mixed norm of m V_g f behind the guards of :func:`stft`."""
     _check_stft_inputs(f, g)
@@ -431,7 +356,7 @@ def modulation_norm(
     return _guarded_stft_norm(f, g, order, BracketWeight(alpha, beta))
 
 
-def modulation_norm_m(f: SampledFunction, g: SampledFunction, m: WeightSpec) -> float:
+def modulation_norm_m(f: SampledFunction, g: SampledFunction, m: Weight) -> float:
     """Hilbertian modulation norm (integral of m^2 |V_g f|^2 over phase space)^(1/2).
 
     Streamed like :func:`modulation_norm` whatever the weight: a tabulated m

@@ -583,7 +583,6 @@ def frechet_directional(f: SampledFunction, u: SampledFunction, term: FrechetTer
 class MinimizeOptions:
     tol: float = 1e-4
     max_iter: int = 400
-    probe_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tol <= 0 or self.max_iter < 1:
@@ -691,11 +690,17 @@ def minimize_banach(
     per start).  Otherwise P is the identity: for p, q != 2 the moment
     Hessians scale with |f|^(p-2), which the fixed symbols do not model, and
     there P slows the descent down (p = q = 3 and 4 fail to converge in 400
-    iterations where the identity converges).  Convergence is declared when
-    the unpreconditioned stationarity defect over the ratio gradient, f
-    itself, and three seeded probes drops below options.tol.  If the
-    admissibility check fails the run proceeds but is flagged exploratory
-    (the infimum may be zero).
+    iterations where the identity converges).
+
+    Convergence is declared when the unpreconditioned stationarity defect
+    along the ratio gradient, |<v, grad>| / ||grad||_2 with v = gf - lam gm
+    and grad = T v / M(Tu), drops below options.tol.  No other direction can
+    set a larger defect: along f it is |F(f) - lam M(f)|, which is 0 by
+    Euler's identity since F and M are 1-homogeneous, and along grad it is
+    at least ||T v||, which a decaying test direction can exceed only through
+    content where T < 1, i.e. at the box edge, where such directions are
+    negligible.  If the admissibility check fails the run proceeds but is
+    flagged exploratory (the infimum may be zero).
     """
     opts = options or MinimizeOptions()
     terms = _banach_terms(e, g)
@@ -710,15 +715,15 @@ def minimize_banach(
         raise ValueError("init must be nonzero")
     cell = grid.cell
     # super-Gaussian envelope: deviates from 1 by < 1e-8 inside half the box
-    # radius and kills the outermost nodes by e^-40 per axis; the moment
+    # radius and kills both end nodes of every axis by e^-40; the moment
     # weights amplify edge-band content every step and this shaves it back
-    # faster than steps regrow it, without touching a decaying minimizer
-    taper = np.exp(-40.0 * np.sum(np.abs(2.0 * grid.coords() / grid.extent) ** 32, axis=-1))
+    # faster than steps regrow it, without touching a decaying minimizer.  It
+    # is centered on the grid's midpoint -h/2, not on the origin node, so the
+    # last node is damped as hard as the first
+    h = grid.spacing
+    edge = (grid.coords() + 0.5 * h) / (0.5 * (grid.extent - h))
+    taper = np.exp(-40.0 * np.sum(np.abs(edge) ** 32, axis=-1))
 
-    probes = [
-        random_smooth(RandomFunctionSpec(seed=opts.probe_seed + 17 * k + 1), grid).values
-        for k in range(3)
-    ]
     work = _grad_workspace(grid)
     quadratic = e.p == 2 and e.q == 2
     precondition = _moment_preconditioner(grid, e.a, e.b) if quadratic else (lambda v: v)
@@ -733,7 +738,7 @@ def minimize_banach(
         lam, gf, _, gm = _banach_value_and_grads(terms, fn, work)
         # F and M have 0-homogeneous gradients, so those at Tu are those at f
         grad = taper * (gf - lam * gm) / nm
-        return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad, fn.values, *probes], cell)
+        return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad], cell)
 
     u = init.values
     f, lam, grad, resid = evaluate(u)

@@ -385,6 +385,19 @@ def test_minimize_preset_cli(tmp_path):
     assert table.shape == (128,)
 
 
+def test_minimize_runs_in_2d(tmp_path):
+    # the descent's taper damps both end nodes of each axis alike, so the
+    # guarded norm accepts every trial point on a coarse 32^2 grid; the
+    # d-dimensional Heisenberg minimum || |x| f ||_2 + || |w| Ff ||_2 is sqrt(d/pi)
+    spec = tmp_path / "exponents.json"
+    spec.write_text(json.dumps({"d": 2, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2}))
+    code, out = run_cli(["minimize", "--exponents", str(spec), "--grid", "32,9,2", "--starts", "1"])
+    assert code == 0
+    best = lines_of(out)[1]["best"]
+    assert best["converged"]
+    assert best["lambda"] == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-6)
+
+
 def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
     spec = tmp_path / "exponents.json"
     spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2}))

@@ -81,7 +81,7 @@ def _brute_forms(triple, window, grid):
         )
         rows = cell * np.conj(gp[shift])[None, :] * np.exp(-2j * math.pi * (w @ x.T))
         S[i * size : (i + 1) * size] = rows
-    m0sq = triple._m0_squared().reshape(size * size)
+    m0sq = np.broadcast_to(triple.m0**2, (size, size)).reshape(size * size)
     Q0 = S.conj().T @ (m0sq[:, None] * cell * fcell * S)
     W = cell * np.exp(-2j * math.pi * (w @ x.T))
     Qphi = W.conj().T @ (np.abs(triple.phi[:, None]) ** 2 * fcell * W)
@@ -574,16 +574,28 @@ def test_minimize_random_start_reaches_gaussian_value(grid128):
     assert el_residual_banach(sol.minimizer, sol.lam, HEISENBERG, win, dirs) <= 1e-4
 
 
-@pytest.mark.parametrize("seed, probe_seed", [(3001, 1), (2042, 42)])
-def test_minimize_converges_from_hard_starts(seed, probe_seed):
+@pytest.mark.parametrize("seed", [3001, 2042])
+def test_minimize_converges_from_hard_starts(seed):
     # the starts that `minimize --preset heisenberg --seed 1` and `--seed 42`
     # once left unconverged at the 400-iteration cap
     grid = make_grid(256, 12.0)
     init = random_smooth(RandomFunctionSpec(seed=seed), grid)
-    sol = minimize_banach(HEISENBERG, default_window(grid), grid, init, MinimizeOptions(probe_seed=probe_seed))
+    sol = minimize_banach(HEISENBERG, default_window(grid), grid, init)
     assert sol.converged
     assert sol.el_residual <= 1e-4
     assert sol.lam == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-6)
+
+
+def test_minimize_stops_on_the_largest_defect():
+    # the descent takes its stationarity defect along the ratio gradient
+    # alone; at every minimizer no smooth test direction sets a larger one
+    grid = make_grid(256, 12.0)
+    win = default_window(grid)
+    dirs = [random_smooth(RandomFunctionSpec(seed=80 + k), grid) for k in range(8)]
+    for sol in minimize_multistart(HEISENBERG, win, grid):
+        assert sol.converged
+        for u in dirs:
+            assert el_residual_banach(sol.minimizer, sol.lam, HEISENBERG, win, [u]) <= sol.el_residual
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.0, 0.25)])
