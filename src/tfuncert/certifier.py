@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -714,14 +712,6 @@ class BatteryResult:
         return min((rep.slack for rep in self.reports), default=math.inf)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TFUNCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_battery(
     inequality: str,
     lattice: Optional[Sequence[dict]] = None,
@@ -731,9 +721,10 @@ def run_battery(
 ) -> BatteryResult:
     """Sweep an inequality over an exponent lattice and seeded random inputs.
 
-    Evaluation order is (lattice index, seed); per-point domain errors are
-    collected instead of aborting.  TFUNCERT_THREADS > 1 parallelizes the
-    independent evaluations without changing their order in the result.
+    Evaluations run in (lattice point, seed) order on the caller's thread;
+    per-point domain errors are collected instead of aborting.  The STFT
+    engine's pool of min(CPUs, 2) threads, used for multi-chunk fields only,
+    is the only threading in the library.
     """
     entry = _inequality(inequality)
     if seeds < 1:
@@ -742,10 +733,9 @@ def run_battery(
         lattice = entry.lattice()
     if grid is None:
         grid = make_grid(512, 12.0)
-    tasks = [(pi, point, seed) for pi, point in enumerate(lattice) for seed in range(seeds)]
     result = BatteryResult(inequality)
 
-    # the inputs depend on the seed only: build each seed's once, before dispatch
+    # the inputs depend on the seed only: build each seed's once
     built = []
     for seed in range(seeds):
         try:
@@ -753,25 +743,13 @@ def run_battery(
         except (DomainError, ValueError) as exc:
             built.append((None, str(exc)))
 
-    def job(task):
-        _, point, seed = task
-        inputs, error = built[seed]
-        try:
+    for point in lattice:
+        for seed, (inputs, error) in enumerate(built):
             if error is None:
-                return _certify(inequality, inputs, point, tol, seed)
-        except (DomainError, ValueError) as exc:
-            error = str(exc)
-        return {"point": dict(point), "seed": seed, "error": error}
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, tasks))
-    else:
-        outcomes = [job(t) for t in tasks]
-    for outcome in outcomes:
-        if isinstance(outcome, CertificateReport):
-            result.reports.append(outcome)
-        else:
-            result.errors.append(outcome)
+                try:
+                    result.reports.append(_certify(inequality, inputs, point, tol, seed))
+                    continue
+                except (DomainError, ValueError) as exc:
+                    error = str(exc)
+            result.errors.append({"point": dict(point), "seed": seed, "error": error})
     return result

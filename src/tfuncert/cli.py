@@ -260,6 +260,8 @@ def cmd_certify(args, out: _Emitter) -> int:
             lattice = json.load(fh)
         if not isinstance(lattice, list) or not all(isinstance(p, dict) for p in lattice):
             raise DomainError("--lattice file must hold a JSON list of exponent objects")
+        if not lattice:
+            raise DomainError("--lattice file holds no exponent points")
     result = run_battery(ineq, lattice, seeds=args.seeds, grid=grid, tol=tol)
     for report in result.reports:
         out.emit(report.to_json_line())
@@ -315,6 +317,8 @@ def cmd_spectrum(args, out: _Emitter) -> int:
     grid = _parse_grid(args.grid, _PRESET_GRIDS["spectrum"])
     count = args.count
     if args.oscillator:
+        if grid.dim != 1:
+            raise DomainError(f"spectrum --oscillator is one-dimensional, got d={grid.dim}")
         vals, modes = oscillator_modes(grid.n, grid.extent, count)
         out.emit(
             {

@@ -284,7 +284,8 @@ class GalperinGrochenigWitness:
 
 @dataclass(frozen=True)
 class ExponentSet:
-    """All exponents a run may need; unset entries stay None.
+    """All exponents a run may need; unset entries stay None, except the
+    weight exponents alpha and beta, which default to 0 and must be numbers.
 
     ``d`` is the ambient dimension; (p, a) and (q, b) are the moment terms,
     (r, s, alpha, beta) the modulation norm, (u, v) the Lebesgue targets.
@@ -307,7 +308,7 @@ class ExponentSet:
             raise DomainError(f"dimension must be 1 or 2, got {self.d}")
         for name in ("p", "q", "a", "b", "r", "s", "alpha", "beta", "u", "v"):
             value = getattr(self, name)
-            if value is not None:
+            if value is not None or name in ("alpha", "beta"):
                 object.__setattr__(self, name, as_exponent(value, name))
 
     def to_dict(self) -> dict:

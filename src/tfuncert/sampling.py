@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -154,9 +155,21 @@ def _lattice(n: int, step: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return coords, radii
 
 
+def _integral(value, name: str) -> int:
+    """value as an int; an integral float counts, a bool does not."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_grid(n: int, extent: float, dim: int = 1) -> Grid:
     """Construct a Grid, validating node count, extent and dimension."""
-    return Grid(int(n), float(extent), int(dim))
+    if isinstance(extent, bool):
+        raise ValueError(f"extent must be a number, got {extent!r}")
+    return Grid(_integral(n, "node count"), float(extent), _integral(dim, "dimension"))
 
 
 def _require_same_grid(a: "SampledFunction", b: "SampledFunction", what: str) -> None:

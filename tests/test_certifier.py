@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from tfuncert.certifier import (
     _INEQUALITIES,
 )
 import tfuncert.certifier as certifier
+import tfuncert.transforms as transforms
 from tfuncert.constants import (
     DomainError,
     babenko_beckner,
@@ -285,25 +285,14 @@ def test_run_battery_builds_each_seed_once(monkeypatch):
     assert [rep.seed for rep in bat.reports] == [0, 2] * len(lattice)
 
 
-def test_run_battery_threads_share_the_stft_pool(monkeypatch):
-    # on 32^2 every modulation norm has eight chunks, so the battery's four
-    # threads all submit to the STFT engine's one pool
+def test_run_battery_does_not_depend_on_the_stft_worker_count(monkeypatch):
+    # on 32^2 every modulation norm has eight chunks, so two workers really
+    # run the STFT engine's pool
     grid = make_grid(32, 12.0, dim=2)
-    lattice = default_lattice("modulation_bound")
-    monkeypatch.setenv("TFUNCERT_THREADS", "1")
-    single = run_battery("modulation_bound", lattice, seeds=2, grid=grid)
-    monkeypatch.setenv("TFUNCERT_THREADS", "4")
-    threaded = run_battery("modulation_bound", lattice, seeds=2, grid=grid)
-    assert not single.errors and not threaded.errors
-    assert [r.to_dict() for r in single.reports] == [r.to_dict() for r in threaded.reports]
-
-
-def test_run_battery_thread_determinism(grid128):
-    lattice = default_lattice("hausdorff_young")
-    single = run_battery("hausdorff_young", lattice, seeds=4, grid=grid128)
-    os.environ["TFUNCERT_THREADS"] = "4"
-    try:
-        threaded = run_battery("hausdorff_young", lattice, seeds=4, grid=grid128)
-    finally:
-        del os.environ["TFUNCERT_THREADS"]
-    assert [r.to_dict() for r in single.reports] == [r.to_dict() for r in threaded.reports]
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+        bat = run_battery("modulation_bound", seeds=2, grid=grid)
+        assert not bat.errors
+        reports.append([r.to_dict() for r in bat.reports])
+    assert reports[0] == reports[1]

@@ -257,7 +257,7 @@ def test_certify_battery_needs_a_seed(capsys):
         assert capsys.readouterr().err == "tfuncert: seeds must be >= 1\n"
 
 
-def test_certify_lattice_file(tmp_path):
+def test_certify_lattice_file(tmp_path, capsys):
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps([{"m": 1.5, "n": 1.5, "r": 3.0}]))
     code, out = run_cli(
@@ -288,6 +288,11 @@ def test_certify_lattice_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 1.5}))
     assert run_cli(["certify", "young", "--lattice", str(bad), "--seeds", "1"])[0] == 2
+    # an empty lattice certifies nothing, so it cannot pass
+    bad.write_text("[]")
+    capsys.readouterr()
+    assert run_cli(["certify", "young", "--lattice", str(bad), "--seeds", "1"]) == (2, "")
+    assert capsys.readouterr().err == "tfuncert: --lattice file holds no exponent points\n"
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +342,15 @@ def test_spectrum_symmetric_triple_modes_are_real(tmp_path):
     assert np.all(table["mode_0_im"] == 0.0) and np.all(table["mode_1_im"] == 0.0)
 
 
-def test_spectrum_errors():
+def test_spectrum_errors(capsys):
     assert run_cli(["spectrum"])[0] == 2  # neither oscillator nor a triple
     assert run_cli(["spectrum", "--psi", "bogus", "--phi", "coord", "--m0", "1"])[0] == 2
     assert run_cli(["spectrum", "--psi", "coord", "--phi", "coord", "--m0", "coord"])[0] == 2
     assert run_cli(["spectrum", "--oscillator", "--count", "11"])[0] == 2
+    capsys.readouterr()
+    # the finite-difference oscillator is one-dimensional; a d = 2 grid is refused
+    assert run_cli(["spectrum", "--oscillator", "--grid", "64,8,2"]) == (2, "")
+    assert capsys.readouterr().err == "tfuncert: spectrum --oscillator is one-dimensional, got d=2\n"
 
 
 def test_spectrum_degenerate_pencil_exits_2(capsys):
@@ -409,9 +418,10 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
     recs = lines_of(out)
     assert recs[0]["converged"] is False
     assert recs[1]["best"]["converged"] is False
-    # a non-numeric exponent (a JSON boolean too) and a fractional dimension
-    # are domain errors
-    for key, value in (("p", [1]), ("d", 1.5), ("d", True)):
+    # a non-numeric exponent (a JSON boolean too, or a null weight exponent,
+    # although alpha and beta default to 0) and a fractional dimension are
+    # domain errors
+    for key, value in (("p", [1]), ("d", 1.5), ("d", True), ("alpha", None), ("beta", None)):
         spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
         assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
     capsys.readouterr()

@@ -116,6 +116,15 @@ def test_sampled_function_json_round_trip():
     assert SampledFunction.from_json_dict(data).grid.dim == 1
     with pytest.raises(ValueError):
         SampledFunction.from_json_dict({"grid": data["grid"], "values": [1.0, 2.0]})
+    # integral floats and numpy integers are node counts and dimensions ...
+    for n, dim in ((8.0, 1), (np.int64(8), np.int32(1)), (8, 1.0)):
+        data["grid"].update(n=n, dim=dim)
+        assert SampledFunction.from_json_dict(data).grid == grid
+    # ... but fractions and booleans are refused, not truncated
+    for key, value in (("n", 8.5), ("dim", 1.7), ("dim", True), ("n", True), ("extent", True)):
+        bad = {**data, "grid": {"n": 8, "extent": 4.0, "dim": 1, key: value}}
+        with pytest.raises(ValueError, match="must be"):
+            SampledFunction.from_json_dict(bad)
 
 
 def test_sampled_function_csv(tmp_path):
