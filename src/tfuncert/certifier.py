@@ -1,9 +1,11 @@
 """Certify sharp inequalities against concrete inputs and random batteries.
 
-Every certificate normalizes its inputs to unit relevant norms, evaluates
-both sides of the inequality, and reports lhs (the side that must dominate),
-rhs, their ratio, the saturation gap |ratio - 1|, and a pass flag that is a
-pure function of slack = lhs - rhs and the tolerance.
+Every certificate normalizes its inputs to unit relevant norms, so the side
+that is the constant times those norms is the constant itself, and refuses an
+identically zero input with a DomainError.  It evaluates both sides of the
+inequality and reports lhs (the side that must dominate), rhs, their ratio,
+the saturation gap |ratio - 1|, and a pass flag that is a pure function of
+slack = lhs - rhs and the tolerance.
 """
 from __future__ import annotations
 
@@ -159,12 +161,11 @@ def _grid_meta(grid: Grid) -> dict:
     return {"n": grid.n, "extent": grid.extent, "dim": grid.dim}
 
 
-def _unit(f: SampledFunction, norm: float) -> tuple[SampledFunction, float]:
-    """f scaled to unit norm, and the norm of the result: 1 by homogeneity,
-    or 0 for a zero f, which is left as it is."""
+def _unit(f: SampledFunction, norm: float, what: str) -> SampledFunction:
+    """f scaled to unit norm; the inequalities bound nonzero functions only."""
     if norm == 0.0:
-        return f, 0.0
-    return scale(f, 1.0 / norm), 1.0
+        raise DomainError(f"{what} is identically zero")
+    return scale(f, 1.0 / norm)
 
 
 def _expdict(**kw) -> dict:
@@ -183,12 +184,11 @@ def certify_hausdorff_young(
     if not (1.0 <= r <= 2.0):
         raise DomainError(f"hausdorff_young requires 1 <= r <= 2, got r={r}")
     d = f.grid.dim
-    f, nf = _unit(f, lp_weighted(f, r))
+    f = _unit(f, lp_weighted(f, r), "hausdorff_young input f")
     const = babenko_beckner(r) ** d
-    lhs = const * nf
     rhs = lp_weighted(fourier(f), holder_dual(r))
     return CertificateReport(
-        "hausdorff_young", _expdict(r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
+        "hausdorff_young", _expdict(r=r), const, rhs, const, tol, _grid_meta(f.grid), seed
     )
 
 
@@ -213,13 +213,12 @@ def certify_young(
     _young_relation(m, n, r, "young")
     _require_same_grid(f, g, "certify_young")
     d = f.grid.dim
-    f, nf = _unit(f, lp_weighted(f, m))
-    g, ng = _unit(g, lp_weighted(g, n))
+    f = _unit(f, lp_weighted(f, m), "young input f")
+    g = _unit(g, lp_weighted(g, n), "young input g")
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
-    lhs = const * nf * ng
     rhs = lp_weighted(convolve(f, g), r)
     return CertificateReport(
-        "young", _expdict(m=m, n=n, r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
+        "young", _expdict(m=m, n=n, r=r), const, rhs, const, tol, _grid_meta(f.grid), seed
     )
 
 
@@ -249,13 +248,12 @@ def certify_leindler(
     _require_nonnegative(f, "leindler")
     _require_nonnegative(g, "leindler")
     d = f.grid.dim
-    f, nf = _unit(f, lp_weighted(f, m))
-    g, ng = _unit(g, lp_weighted(g, n))
+    f = _unit(f, lp_weighted(f, m), "leindler input f")
+    g = _unit(g, lp_weighted(g, n), "leindler input g")
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
     lhs = lp_weighted(convolve(f, g), r)
-    rhs = const * nf * ng
     return CertificateReport(
-        "leindler", _expdict(m=m, n=n, r=r), lhs, rhs, const, tol, _grid_meta(f.grid), seed
+        "leindler", _expdict(m=m, n=n, r=r), lhs, const, const, tol, _grid_meta(f.grid), seed
     )
 
 
@@ -277,14 +275,13 @@ def certify_lieb_forward(
     _require_same_grid(f, g, "certify_lieb_forward")
     pp = holder_dual(p)
     const = lieb_H(r, p) ** (1.0 / r)
-    f, nf = _unit(f, lp_weighted(f, p))
-    g, ng = _unit(g, lp_weighted(g, pp))
-    lhs = const * nf * ng
+    f = _unit(f, lp_weighted(f, p), "lieb_forward input f")
+    g = _unit(g, lp_weighted(g, pp), "lieb_forward input g")
     # |A(f,g)(x,w)| = |V_g f(-x,w)| and the periodic flip x -> -x permutes the
     # nodes, so unweighted mixed norms of A(f,g) and V_g f coincide
     rhs = _guarded_stft_norm(f, g, MixedOrder(r, r, inner="x"))
     return CertificateReport(
-        "lieb_forward", _expdict(r=r, p=p), lhs, rhs, const, tol, _grid_meta(f.grid), seed
+        "lieb_forward", _expdict(r=r, p=p), const, rhs, const, tol, _grid_meta(f.grid), seed
     )
 
 
@@ -310,19 +307,18 @@ def certify_lieb_reverse(
     const = sharp_B(r, s, u, v, f.grid.dim)
     _require_same_grid(f, g, "certify_lieb_reverse")
     if order == "x":
-        f, nf = _unit(f, lp_weighted(fourier(f), u))
-        g, ng = _unit(g, lp_weighted(fourier(g), v))
+        f = _unit(f, lp_weighted(fourier(f), u), "lieb_reverse input f")
+        g = _unit(g, lp_weighted(fourier(g), v), "lieb_reverse input g")
     else:
-        f, nf = _unit(f, lp_weighted(f, u))
-        g, ng = _unit(g, lp_weighted(g, v))
-    rhs = const * nf * ng
+        f = _unit(f, lp_weighted(f, u), "lieb_reverse input f")
+        g = _unit(g, lp_weighted(g, v), "lieb_reverse input g")
     lhs = _guarded_stft_norm(f, g, MixedOrder(r, s, inner=order))  # as in lieb_forward
     ineq_id = "lieb_reverse_xw" if order == "x" else "lieb_reverse_wx"
     return CertificateReport(
         ineq_id,
         _expdict(r=r, s=s, u=u, v=v, order=order),
         lhs,
-        rhs,
+        const,
         const,
         tol,
         _grid_meta(f.grid),
@@ -336,12 +332,11 @@ def certify_heisenberg(
     """||x f||_2^2 + ||w Ff||_2^2 >= ||f||_2^2 / (2 pi) in one dimension."""
     if f.grid.dim != 1:
         raise DomainError("heisenberg certificate is one-dimensional")
-    f, nf = _unit(f, lp_weighted(f, 2.0))
+    f = _unit(f, lp_weighted(f, 2.0), "heisenberg input f")
     lhs = moment_seminorm(f, 2.0, 1.0, "x") ** 2 + moment_seminorm(f, 2.0, 1.0, "omega") ** 2
     const = 1.0 / (2.0 * math.pi)
-    rhs = const * nf**2
     return CertificateReport(
-        "heisenberg", {}, lhs, rhs, const, tol, _grid_meta(f.grid), seed
+        "heisenberg", {}, lhs, const, const, tol, _grid_meta(f.grid), seed
     )
 
 
@@ -366,7 +361,7 @@ def certify_modulation_bound(
         raise DomainError(f"side must be 'frequency' or 'time', got {side!r}")
     const = sharp_B(r, s, u, v, f.grid.dim)
     _require_same_grid(f, g, "certify_modulation_bound")
-    f, mod = _unit(f, modulation_norm(f, g, r, s))
+    f = _unit(f, modulation_norm(f, g, r, s), "modulation_bound input f")
     if side == "frequency":
         gn = lp_weighted(fourier(g), v)
         rhs = lp_weighted(fourier(f), u)
@@ -375,7 +370,7 @@ def certify_modulation_bound(
         rhs = lp_weighted(f, u)
     if gn == 0.0:
         raise DomainError("window has zero norm; the bound is vacuous")
-    lhs = mod / (const * gn)
+    lhs = 1.0 / (const * gn)
     return CertificateReport(
         "modulation_bound",
         _expdict(r=r, s=s, u=u, v=v, side=side),
@@ -417,14 +412,13 @@ def certify_cowling_functional(
     """
     if g is None:
         g = default_window(f.grid)
-    f, mod = _unit(f, modulation_norm(f, g, r, s, alpha, beta))
+    f = _unit(f, modulation_norm(f, g, r, s, alpha, beta), "cowling_price_functional input f")
     lhs = evaluate_banach_functional(f, p, q, a, b)
-    rhs = K * mod
     return CertificateReport(
         "cowling_price_functional",
         _expdict(p=p, q=q, a=a, b=b, r=r, s=s, alpha=alpha, beta=beta, K=K),
         lhs,
-        rhs,
+        K,
         K,
         tol,
         _grid_meta(f.grid),

@@ -116,45 +116,31 @@ def _load_function(path: str) -> SampledFunction:
 # constants
 
 
+# One row per exponent quantity: flag, argument names (parsed and emitted in
+# this order), "quantity" string, output fields, and the function of the
+# arguments giving them.  Lines come out in table order, whatever the argv order.
+_QUANTITIES = (
+    ("--Cp", ("p",), "Cp", ("value",), babenko_beckner),
+    ("--dual", ("p",), "holder_dual", ("value",), holder_dual),
+    ("--general-dual", ("p",), "general_dual", ("value",), general_dual),
+    ("--H", ("r", "p"), "H", ("value",), lieb_H),
+    ("--B", ("r", "s", "u", "v"), "B", ("value",), sharp_B),  # and --dim
+    ("--leindler-duals", ("u", "v", "r"), "leindler_duals", ("m_prime", "n_prime"), leindler_duals),
+    ("--solve-partner", ("s", "r", "u"), "partner_exponent", ("v",), solve_partner_exponent),
+    ("--check-lieb", ("r", "s", "u", "v"), "lieb_domain", ("ok",), check_lieb_domain),
+)
+
+
 def cmd_constants(args, out: _Emitter) -> int:
-    requested = False
-    if args.Cp is not None:
-        requested = True
-        p = as_exponent(args.Cp, "p")
-        out.emit({"quantity": "Cp", "p": p, "value": babenko_beckner(p)})
-    if args.dual is not None:
-        requested = True
-        p = as_exponent(args.dual, "p")
-        out.emit({"quantity": "holder_dual", "p": p, "value": holder_dual(p)})
-    if args.general_dual is not None:
-        requested = True
-        p = as_exponent(args.general_dual, "p")
-        out.emit({"quantity": "general_dual", "p": p, "value": general_dual(p)})
-    if args.H is not None:
-        requested = True
-        r, p = (as_exponent(v, n) for v, n in zip(args.H, ("r", "p")))
-        out.emit({"quantity": "H", "r": r, "p": p, "value": lieb_H(r, p)})
-    if args.B is not None:
-        requested = True
-        r, s, u, v = (as_exponent(x, n) for x, n in zip(args.B, ("r", "s", "u", "v")))
-        out.emit(
-            {"quantity": "B", "r": r, "s": s, "u": u, "v": v, "value": sharp_B(r, s, u, v, args.dim)}
-        )
-    if args.leindler_duals is not None:
-        requested = True
-        u, v, r = (as_exponent(x, n) for x, n in zip(args.leindler_duals, ("u", "v", "r")))
-        mp, np_ = leindler_duals(u, v, r)
-        out.emit({"quantity": "leindler_duals", "u": u, "v": v, "r": r, "m_prime": mp, "n_prime": np_})
-    if args.solve_partner is not None:
-        requested = True
-        s, r, u = (as_exponent(x, n) for x, n in zip(args.solve_partner, ("s", "r", "u")))
-        out.emit({"quantity": "partner_exponent", "s": s, "r": r, "u": u, "v": solve_partner_exponent(s, r, u)})
-    if args.check_lieb is not None:
-        requested = True
-        r, s, u, v = (as_exponent(x, n) for x, n in zip(args.check_lieb, ("r", "s", "u", "v")))
-        out.emit({"quantity": "lieb_domain", "r": r, "s": s, "u": u, "v": v, "ok": check_lieb_domain(r, s, u, v)})
+    for flag, names, quantity, fields, compute in _QUANTITIES:
+        tokens = getattr(args, flag[2:].replace("-", "_"))
+        if tokens is None:
+            continue
+        point = {name: as_exponent(token, name) for name, token in zip(names, tokens)}
+        value = compute(*point.values(), *((args.dim,) if flag == "--B" else ()))
+        values = value if len(fields) > 1 else (value,)
+        out.emit({"quantity": quantity, **point, **dict(zip(fields, values))})
     if args.check_cp is not None:
-        requested = True
         kv = _parse_kv(args.check_cp, "--check-cp")
         missing = [k for k in ("p", "q", "a", "b") if k not in kv]
         if missing:
@@ -170,7 +156,6 @@ def cmd_constants(args, out: _Emitter) -> int:
             }
         )
     if args.check_gg is not None:
-        requested = True
         kv = _parse_kv(args.check_gg, "--check-gg")
         witness = check_galperin_grochenig(ExponentSet.from_dict(kv))
         out.emit(
@@ -186,7 +171,7 @@ def cmd_constants(args, out: _Emitter) -> int:
                 "right_product": witness.right_product,
             }
         )
-    if not requested:
+    if not out.lines:
         raise DomainError("constants: nothing requested; pass at least one quantity flag")
     return EXIT_PASS
 
@@ -413,15 +398,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     c = sub.add_parser("constants", help="sharp constants, duals, and condition checks")
-    c.add_argument("--Cp", metavar="P")
-    c.add_argument("--dual", metavar="P")
-    c.add_argument("--general-dual", dest="general_dual", metavar="P")
-    c.add_argument("--H", nargs=2, metavar=("R", "P"))
-    c.add_argument("--B", nargs=4, metavar=("R", "S", "U", "V"))
+    for flag, names, *_ in _QUANTITIES:
+        c.add_argument(flag, nargs=len(names), metavar=tuple(n.upper() for n in names))
     c.add_argument("--dim", type=int, default=1, help="dimension for --B")
-    c.add_argument("--leindler-duals", dest="leindler_duals", nargs=3, metavar=("U", "V", "R"))
-    c.add_argument("--solve-partner", dest="solve_partner", nargs=3, metavar=("S", "R", "U"))
-    c.add_argument("--check-lieb", dest="check_lieb", nargs=4, metavar=("R", "S", "U", "V"))
     c.add_argument("--check-cp", dest="check_cp", nargs="+", metavar="K=V")
     c.add_argument("--check-gg", dest="check_gg", nargs="+", metavar="K=V")
     c.add_argument("--json", dest="json_out")

@@ -242,6 +242,19 @@ def test_inequality_table_drives_lattices_and_batteries():
         assert {rep.inequality for rep in bat.reports} == {ineq}
 
 
+@pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+def test_certifiers_refuse_an_identically_zero_input(ineq):
+    entry = _INEQUALITIES[ineq]
+    point = entry.lattice()[0]
+    inputs = entry.extremal(make_grid(128, 10.0), **point)
+    for k, h in enumerate(inputs):
+        zeroed = (*inputs[:k], h.with_values(np.zeros_like(h.values)), *inputs[k + 1 :])
+        # a zero window is refused by the STFT guard, whose error is a ValueError
+        error = ValueError if k and entry.second == "window" else DomainError
+        with pytest.raises(error, match="identically zero"):
+            certifier._certify(ineq, zeroed, point, 1e-8)
+
+
 def test_run_battery_smoke():
     # extent 12 keeps the seeded inputs clear of the convolution decay guard
     bat = run_battery("young", seeds=3, grid=make_grid(128, 12.0))

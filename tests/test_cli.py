@@ -192,6 +192,23 @@ def test_certify_malformed_input_json_exits_2(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("tfuncert: "), (name, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heisenberg"],
+        ["hausdorff_young", "--r", "1.5"],
+        ["cowling_price_functional", "--p", "2", "--q", "2", "--a", "1", "--b", "1"],
+    ],
+)
+def test_certify_refuses_an_identically_zero_input(tmp_path, capsys, argv):
+    grid = make_grid(128, 10.0)
+    path = tmp_path / "zero.json"
+    path.write_text(SampledFunction(grid, np.zeros(grid.size)).to_json())
+    assert run_cli(["certify", *argv, "--input", str(path)]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tfuncert: ") and "identically zero" in err[0]
+
+
 # a value for every exponent flag of each id that takes exponents
 INPUT_FLAGS = {
     "hausdorff_young": {"r": "1.5"},
