@@ -164,8 +164,10 @@ def sharp_B(r: float, s: float, u: float, v: float, d: int = 1) -> float:
     """Sharp constant of the reverse mixed-norm ambiguity bound.
 
     B = C_{r'}^d (C_{u/r'} C_{v/r'} / C_{s/r'})^{d/r'} on the admissible set
-    1 <= r, s <= 2, 0 < u, v <= r', 1/u + 1/v = 1/s + 1/r'.
+    1 <= r, s <= 2, 0 < u, v <= r', 1/u + 1/v = 1/s + 1/r', in dimension d >= 1.
     """
+    if d < 1:
+        raise DomainError(f"dimension must be at least 1, got {d}")
     r = as_exponent(r, "r")
     s = as_exponent(s, "s")
     u = as_exponent(u, "u")

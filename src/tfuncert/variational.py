@@ -34,8 +34,6 @@ from .transforms import (  # noqa: F401
     _MAX_MATERIALIZED,
     _adjoint_in_place,
     _bank_segments,
-    _centered_fftn,
-    _centered_ifftn,
     _check_stft_inputs,
     _field_buffer,
     _materialize,
@@ -465,7 +463,14 @@ class ModulationTerm:
         if self.window is None:
             raise DomainError("modulation term requires a window")
 
+    @property
+    def _tight_frame(self) -> bool:
+        """Whether the term is the unweighted M^{2,2} norm, taken by :func:`_tight_frame_grad`."""
+        return self.r == 2 and self.s == 2 and self.alpha == 0 and self.beta == 0
+
     def _value_and_grad(self, f: SampledFunction, work=None) -> tuple[float, np.ndarray]:
+        if self._tight_frame:
+            return _tight_frame_grad(f, self.window)
         return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta, work)
 
 
@@ -527,6 +532,22 @@ def _modulation_grad(
     return value, grad
 
 
+def _tight_frame_grad(f: SampledFunction, g: SampledFunction) -> tuple[float, np.ndarray]:
+    """The unweighted M^{2,2} norm of f and its gradient, by Moyal's identity.
+
+    On the periodic grid the STFT is a tight frame, S^H S = ||g||^2 I with the
+    phase-space quadrature folded in, so ||V_g f||_2 = ||f||_2 ||g||_2 and
+    :func:`_modulation_grad` at r = s = 2 without weight reduces to
+    ||g||^2 f / M = (||g||_2 / ||f||_2) f, up to rounding: no field, reducer
+    or adjoint.  The inputs pass the same guards as every STFT route.
+    """
+    _check_stft_inputs(f, g)
+    fn, gn = lp_weighted(f, 2.0), lp_weighted(g, 2.0)
+    if fn == 0.0:
+        raise ValueError("zero modulation norm; the derivative is undefined")
+    return fn * gn, (gn / fn) * f.values
+
+
 def _grad_workspace(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uninitialized V, |V| and scratch fields for :func:`_modulation_grad` on ``grid``.
 
@@ -548,17 +569,19 @@ def _moment_preconditioner(grid: Grid, a: float, b: float):
     |w|^(2b))^(-1/2)) F on the centered unitary transform: the moment
     Hessians |x|^(2a) and |w|^(2b) split symmetrically.  Both factors are
     Hermitian and positive, so the map is self-adjoint and positive definite
-    in :func:`_pairing`.  One apply costs four centered FFTs.
+    in :func:`_pairing`.  One apply costs four FFTs and two centering rolls.
     """
     shape = grid.shape
     xdiag = (1.0 / (1.0 + grid.radii() ** (2.0 * a))).reshape(shape)
     wdiag = ((1.0 + grid.freq_radii() ** (2.0 * b)) ** -0.5).reshape(shape)
-
-    def half(v: np.ndarray) -> np.ndarray:
-        return _centered_ifftn(wdiag * _centered_fftn(v))
+    # the centering shifts are permutations, which commute with the diagonal
+    # products: folded into the diagonals, the inner six cancel, and the
+    # apply is bit for bit the two centered halves with two rolls instead of eight
+    xs, ws = np.fft.ifftshift(xdiag), np.fft.ifftshift(wdiag)
 
     def apply(u: np.ndarray) -> np.ndarray:
-        return half(xdiag * half(u.reshape(shape))).ravel()
+        inner = xs * np.fft.ifftn(ws * np.fft.fftn(np.fft.ifftshift(u.reshape(shape))))
+        return np.fft.fftshift(np.fft.ifftn(ws * np.fft.fftn(inner))).ravel()
 
     return apply
 
@@ -692,6 +715,12 @@ def minimize_banach(
     there P slows the descent down (p = q = 3 and 4 fail to converge in 400
     iterations where the identity converges).
 
+    Each trial point streams M(Tu) once through :func:`modulation_norm` to
+    normalize.  At r = s = 2 without weight the modulation gradient is the
+    tight-frame identity ||g||^2 f / M(f) (see :func:`_tight_frame_grad`)
+    and takes no phase-space field; otherwise it materializes V_g f into a
+    workspace allocated once per run.
+
     Convergence is declared when the unpreconditioned stationarity defect
     along the ratio gradient, |<v, grad>| / ||grad||_2 with v = gf - lam gm
     and grad = T v / M(Tu), drops below options.tol.  No other direction can
@@ -724,7 +753,8 @@ def minimize_banach(
     edge = (grid.coords() + 0.5 * h) / (0.5 * (grid.extent - h))
     taper = np.exp(-40.0 * np.sum(np.abs(edge) ** 32, axis=-1))
 
-    work = _grad_workspace(grid)
+    # the tight-frame gradient takes no field, so only the field route gets a workspace
+    work = None if terms[2]._tight_frame else _grad_workspace(grid)
     quadratic = e.p == 2 and e.q == 2
     precondition = _moment_preconditioner(grid, e.a, e.b) if quadratic else (lambda v: v)
 

@@ -47,6 +47,8 @@ COMMANDS = {
     "constants_B": "constants --B 1.5 1.5 2 2",
     "constants_B_outside": "constants --B 1.25 1.75 2 2",
     "constants_B_dim2": "constants --B 1.5 1.5 2 2 --dim 2",
+    "constants_B_dim0": "constants --B 1.5 1.5 2 2 --dim 0",
+    "constants_B_dim_negative": "constants --B 1.5 1.5 2 2 --dim -1",
     "constants_leindler_duals": "constants --leindler-duals 2 2 1.5",
     "constants_solve_partner": "constants --solve-partner 1.5 1.5 2",
     "constants_check_lieb": "constants --check-lieb 1.5 1.5 2 2",

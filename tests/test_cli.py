@@ -74,6 +74,13 @@ def test_constants_check_cp_missing_keys_exit_2(capsys):
     assert capsys.readouterr().err == "tfuncert: --check-cp is missing q, a, b\n"
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_constants_B_refuses_a_dimension_below_one(capsys, dim):
+    assert run_cli(["constants", "--B", "1.5", "1.5", "2", "2", "--dim", dim]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tfuncert: ") and "dimension" in err[0]
+
+
 def test_python_m_tfuncert_runs_the_cli():
     # the checkout entry point: no warning (-W error), the in-process output
     src = str(Path(tfuncert.__file__).resolve().parents[1])

@@ -120,6 +120,15 @@ def test_sharp_B_dimension_power():
     assert b2 == pytest.approx(b1**2, rel=1e-13)
 
 
+@pytest.mark.parametrize("point", [(1.5, 1.5, 2.0, 2.0), (1.0, 1.5, 3.0, 3.0)])
+@pytest.mark.parametrize("d", [0, -1])
+def test_sharp_B_rejects_a_dimension_below_one(point, d):
+    # admissible exponents in d < 1: without the check B^d read 1.0 and 1/B
+    sharp_B(*point)
+    with pytest.raises(DomainError, match="dimension"):
+        sharp_B(*point, d=d)
+
+
 def test_sharp_B_r_equals_one():
     # r = 1 collapses every Babenko-Beckner factor: 1/u + 1/v = 1/s with r' = inf
     assert sharp_B(1.0, 1.5, 3.0, 3.0) == 1.0

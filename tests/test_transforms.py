@@ -26,6 +26,7 @@ from tfuncert.sampling import (
     make_grid,
     random_smooth,
     sample_closure,
+    scale,
 )
 from tfuncert.transforms import (
     AliasingError,
@@ -369,6 +370,20 @@ def test_stft_adjoint_pairing_identity(grid128):
     assert lhs == pytest.approx(rhs, rel=1e-12)
     with pytest.raises(ValueError):
         stft_adjoint(Y[:-1], g)
+
+
+@pytest.mark.parametrize("grid", [make_grid(256, 12.0), make_grid(32, 9.0, dim=2)], ids=["256", "32^2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stft_is_a_tight_frame(grid, seed):
+    # S^H S = ||g||^2 I with the phase-space quadrature folded in, for any
+    # window: the identity the M^{2,2} gradient of the descent rests on
+    u = random_smooth(RandomFunctionSpec(seed=seed, band_fraction=0.5, envelope_sigma=1.2), grid)
+    # ||g|| = 1.7, so a wrong power of ||g|| shows
+    g = random_smooth(RandomFunctionSpec(seed=seed + 100, band_fraction=0.5, envelope_sigma=1.2), grid)
+    g = scale(g, 1.7)
+    back = grid.freq_cell * stft_adjoint(stft(u, g).values, g)
+    want = lp_weighted(g, 2.0) ** 2 * u.values
+    assert np.max(np.abs(back - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_phase_space_container_validation(grid128):

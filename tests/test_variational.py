@@ -27,9 +27,9 @@ from tfuncert.norms import (
     modulation_norm,
     moment_seminorm,
 )
-from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth, scale
+from tfuncert.sampling import RandomFunctionSpec, _centered_ifftn, make_grid, random_smooth, scale
 from tfuncert import transforms, variational
-from tfuncert.transforms import stft, stft_adjoint
+from tfuncert.transforms import _centered_fftn, stft, stft_adjoint
 from tfuncert.variational import (
     MinimizeOptions,
     ModulationTerm,
@@ -515,6 +515,44 @@ def test_modulation_grad_allocation_budget():
     assert peak <= 3 * grid.size**2 * 16
 
 
+@pytest.mark.parametrize("grid", [make_grid(256, 12.0), make_grid(32, 9.0, dim=2)], ids=["256", "32^2"])
+def test_tight_frame_term_matches_the_field_gradient(grid):
+    # a non-Gaussian window with ||g|| = 1.7, so a wrong power of ||g|| shows
+    f = random_smooth(SMALL_SPEC, grid)
+    g = random_smooth(RandomFunctionSpec(seed=22, band_fraction=0.5, envelope_sigma=1.2), grid)
+    g = scale(g, 1.7)
+    value, grad = ModulationTerm(2.0, 2.0, 0.0, 0.0, g)._value_and_grad(f)
+    want_value, want_grad = _modulation_grad(f, g, 2.0, 2.0, 0.0, 0.0)
+    assert abs(value - want_value) <= 1e-12 * want_value
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("r, s, alpha, beta", [(1.5, 1.8, 0.3, 0.2), (2.0, 2.0, 0.3, 0.0)])
+def test_other_modulation_terms_take_the_field_gradient(grid128, r, s, alpha, beta):
+    f = random_smooth(SMALL_SPEC, grid128)
+    g = default_window(grid128)
+    value, grad = ModulationTerm(r, s, alpha, beta, g)._value_and_grad(f)
+    want_value, want_grad = _modulation_grad(f, g, r, s, alpha, beta)
+    assert value == want_value
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_tight_frame_descent_takes_no_field(grid128, monkeypatch):
+    # the M^{2,2} descent streams its normalization and nothing else: no
+    # workspace, no materialized field, no adjoint
+    def refuse(*args, **kwargs):
+        raise AssertionError("phase-space field taken")
+
+    for name in ("_grad_workspace", "_materialize", "_adjoint_in_place"):
+        monkeypatch.setattr(variational, name, refuse)
+    init = random_smooth(RandomFunctionSpec(seed=50), grid128)
+    sol = minimize_banach(HEISENBERG, default_window(grid128), grid128, init)
+    assert sol.converged
+    e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=0.3, beta=0)
+    with pytest.raises(AssertionError, match="phase-space field"):
+        minimize_banach(e, default_window(grid128), grid128, init, MinimizeOptions(max_iter=1))
+
+
 # ---------------------------------------------------------------------------
 # Banach minimization
 
@@ -637,6 +675,22 @@ def test_moment_preconditioner_is_self_adjoint_and_positive(grid):
         left, right = _pairing(apply(u), v, grid.cell), _pairing(u, apply(v), grid.cell)
         assert abs(left - right) <= 1e-12 * abs(left)
         assert _pairing(apply(u), u, grid.cell) > 0.0
+
+
+@pytest.mark.parametrize("grid", [make_grid(256, 12.0), make_grid(32, 9.0, dim=2)], ids=["256", "32^2"])
+def test_moment_preconditioner_is_the_centered_composition(grid):
+    # the centering rolls folded into the diagonals change no bit
+    apply = _moment_preconditioner(grid, 1.0, 2.0)
+    xdiag = (1.0 / (1.0 + grid.radii() ** 2.0)).reshape(grid.shape)
+    wdiag = ((1.0 + grid.freq_radii() ** 4.0) ** -0.5).reshape(grid.shape)
+
+    def half(v):
+        return _centered_ifftn(wdiag * _centered_fftn(v))
+
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        u = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        np.testing.assert_array_equal(apply(u), half(xdiag * half(u.reshape(grid.shape))).ravel())
 
 
 def test_preconditioned_descent_converges_on_quartic_symbols():
