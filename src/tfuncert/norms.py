@@ -52,11 +52,18 @@ def _check_exponent(p: float, name: str = "p") -> float:
     return p
 
 
-def _power_sum(mags: np.ndarray, p: float, cell: float, axis=None) -> np.ndarray:
-    """(sum |.|^p * cell)^(1/p), or the max when p = inf."""
+def _power_sum(mags: np.ndarray, p: float, cell: float, axis=None, counts=None) -> np.ndarray:
+    """(sum |.|^p * cell)^(1/p), or the max when p = inf.
+
+    With ``counts`` (broadcast against ``mags``) each term is taken that
+    many times; the max ignores it.
+    """
     if p == math.inf:
         return np.max(mags, axis=axis)
-    return (np.sum(mags**p, axis=axis) * cell) ** (1.0 / p)
+    powered = mags**p
+    if counts is not None:
+        powered *= counts
+    return (np.sum(powered, axis=axis) * cell) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +224,38 @@ class _MixedReduction:
     profile of the inner variable multiplies the field, the profile of the
     outer variable multiplies the inner norms (equal, since it is constant
     along each inner sum).  A tabulated weight multiplies the field.
+
+    With ``half`` the columns are the half-spectrum nodes of
+    :func:`~tfuncert.transforms.stft_row_chunks` (last index at most n/2) and
+    the weight must be a bracket weight, whose w profile is even.  The node
+    of each column then stands for itself and its mirror, so ``counts`` is 1
+    where the last index is 0 or n/2 (nodes that are their own mirror, or
+    whose mirror is another column) and 2 elsewhere; every power sum over w,
+    the inner one and the outer one after an x-inner pass, takes each column
+    ``counts`` times.  A maximum (r or s infinite) ignores it.  For full rows
+    ``counts`` is None.
     """
 
-    def __init__(self, grid: Grid, order: MixedOrder, weight: Weight):
+    def __init__(self, grid: Grid, order: MixedOrder, weight: Weight, half: bool = False):
         self.grid, self.order = grid, order
         self.over_x = order.inner == "x"
+        self.counts = None
+        columns = grid.size
         if isinstance(weight, TabulatedWeight):
             self.field = weight.field(grid)
             self.inner_weight = self.outer_weight = None
         else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
+            if half:
+                cut = grid.n // 2 + 1
+                ww = ww.reshape(grid.shape)[..., :cut].ravel()
+                counts = np.full(grid.shape[:-1] + (cut,), 2.0)
+                counts[..., [0, -1]] = 1.0
+                self.counts = counts.ravel()
+                columns = self.counts.size
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
-        self.acc = np.zeros(grid.size)
+        self.acc = np.zeros(columns if self.over_x else grid.size)
 
     def add(self, idx, rows: np.ndarray) -> None:
         """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
@@ -256,9 +282,12 @@ class _MixedReduction:
         if r == math.inf:
             return np.max(mags, axis=axis)
         mags **= r
-        part = np.sum(mags, axis=axis)
+        if self.over_x:
+            return np.sum(mags, axis=0)
         # the inner omega norm is complete per x row: (sum |.|^r cell)^(1/r)
-        return part if self.over_x else (part * self.grid.freq_cell) ** (1.0 / r)
+        if self.counts is not None:
+            mags *= self.counts
+        return (np.sum(mags, axis=1) * self.grid.freq_cell) ** (1.0 / r)
 
     def fold(self, idx, part: np.ndarray) -> None:
         """Fold in the :meth:`reduce` result of x nodes ``idx``; call in chunk order."""
@@ -281,7 +310,8 @@ class _MixedReduction:
         if self.outer_weight is not None:
             inner = inner * self.outer_weight
         outer_cell = self.grid.freq_cell if self.over_x else self.grid.cell
-        return float(_power_sum(inner, self.order.s, outer_cell))
+        counts = self.counts if self.over_x else None
+        return float(_power_sum(inner, self.order.s, outer_cell, counts=counts))
 
 
 def mixed_norm(
@@ -309,9 +339,13 @@ def stft_mixed_norm(
     """Mixed norm of m V_g f computed row by row without materializing V_g f.
 
     Either weight is accepted: a bracket weight is split into its x and w
-    profiles, a tabulated one multiplies each chunk by its rows.  The
-    inner='x' order accumulates power sums over x per frequency node, the
-    inner='omega' order reduces each x row.  ``chunk`` rows are taken per
+    profiles, a tabulated one multiplies each chunk by its rows.  When f and
+    g are real (zero imaginary parts, tested exactly) and the weight is a
+    bracket weight, the rows are half spectra: V_g f(x, -w) = conj V_g f(x, w)
+    and the w profile is even, so each mirrored frequency column is counted
+    twice instead of computed.  Complex inputs and tabulated weights take the
+    full rows.  The inner='x' order accumulates power sums over x per
+    frequency node, the inner='omega' order reduces each x row.  ``chunk`` rows are taken per
     step, by default the engine's 2^17-entry rule.  On a field of several
     chunks each chunk is reduced on the engine's pool while later chunks may
     already be computing; the parts are folded in chunk order, so the result
@@ -320,14 +354,19 @@ def stft_mixed_norm(
     :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
     size = f.grid.size
-    reduction = _MixedReduction(f.grid, order, weight)
+    half = (
+        isinstance(weight, BracketWeight)
+        and not np.any(f.values.imag)
+        and not np.any(g.values.imag)
+    )
+    reduction = _MixedReduction(f.grid, order, weight, half)
 
     def reduce_chunk(idx: np.ndarray, rows: np.ndarray):
         return idx, reduction.reduce(idx, np.abs(rows))
 
     # one reduction outstanding: with the two chunks the row source computes
     # ahead, three chunks are alive and both pool threads stay busy
-    chunks = stft_row_chunks(f, g, chunk)
+    chunks = stft_row_chunks(f, g, chunk, half=half)
     threaded = _chunk_rows(size, chunk) < size
     for idx, part in _ordered_map(reduce_chunk, chunks, threaded, ahead=1):
         reduction.fold(idx, part)

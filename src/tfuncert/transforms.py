@@ -167,7 +167,8 @@ class PhaseSpaceFunction:
 # quadrature cell folded in; no output factor is left.  The second is a
 # contiguous slice of conj(g) tiled twice, so the whole window bank is one
 # strided view: no index arrays, no gathered copies.  Both hold per axis in
-# d = 2.
+# d = 2.  For real f and g both factors are real, and the streamed rows may
+# be taken as half spectra (rfftn): V_g f(x, -w) = conj V_g f(x, w).
 #
 # Every pass over the field (making rows, filling the materialized field,
 # the adjoint, the streamed reductions) works in row chunks of
@@ -224,14 +225,20 @@ def _chunk_map(task, size: int, chunk: int | None = None):
     return _ordered_map(task, bounds, threaded=rows < size)
 
 
-def _row_fftn(block: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+def _row_fftn(
+    block: np.ndarray, axes: tuple[int, ...], inverse: bool = False, real: bool = False
+) -> np.ndarray:
     """DFT (or inverse DFT) of each row of ``block`` on the calling thread, overwriting ``block`` where it can.
 
-    scipy.fft is imported on first use: it adds about 0.1 s to process start,
-    which commands that never take an STFT should not pay.
+    With ``real`` the rows are real and only the half spectrum of
+    ``scipy.fft.rfftn`` is returned: last index up to n/2.  scipy.fft is
+    imported on first use: it adds about 0.1 s to process start, which
+    commands that never take an STFT should not pay.
     """
     import scipy.fft
 
+    if real:
+        return scipy.fft.rfftn(block, axes=axes, overwrite_x=True, workers=1)
     transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
     return transform(block, axes=axes, overwrite_x=True, workers=1)
 
@@ -299,8 +306,34 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
     return fill
 
 
-def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int | None = None):
-    """Yield ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
+def _real_engine_rows(f: SampledFunction, g: SampledFunction):
+    """Return ``rows(start, stop)``: the half V_g f rows of x nodes [start, stop), for real f and g.
+
+    The node product of :func:`_engine_rows` is then real, so each row is
+    the real DFT of a ``float64`` block, and only the frequency nodes whose
+    last index is at most n/2 are computed.  The row has shape
+    ``(stop - start, size // n * (n // 2 + 1))``; each remaining node is the
+    mirror (-k mod n per axis) of one of these, where V_g f(x, -w) =
+    conj V_g f(x, w).
+    """
+    grid = f.grid
+    axes = tuple(range(1, grid.dim + 1))
+    fs = np.fft.ifftshift(f.reshaped().real) * (_parity(grid) * grid.cell)
+    bank = _window_bank(g.reshaped().real)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        block = np.empty((stop - start,) + grid.shape)
+        for lo, hi, windows in _bank_segments(bank, start, stop):
+            np.multiply(fs, windows, out=block[lo:hi])
+        return _row_fftn(block, axes, real=True).reshape(stop - start, -1)
+
+    return rows
+
+
+def stft_row_chunks(
+    f: SampledFunction, g: SampledFunction, chunk: int | None = None, *, half: bool = False
+):
+    """Iterate ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
 
     Rows arrive in increasing x-node order, ``chunk`` per step, by default
     ``max(1, 2^17 // size)`` (2 MiB of rows); each row holds V_g f(x_i, .)
@@ -309,16 +342,27 @@ def stft_row_chunks(f: SampledFunction, g: SampledFunction, chunk: int | None = 
     next two may already be computing on the engine's pool, so at most three
     chunks are alive: this is the memory-bounded route that every mixed norm
     of V_g f takes.  Inputs are not checked here.
+
+    With ``half`` f and g must be real (a ``ValueError`` otherwise), and each
+    row holds only the frequency nodes whose last index is at most n/2, in
+    node order: ``size // n * (n // 2 + 1)`` entries, equal to those columns
+    of :func:`stft` to rounding.  The other nodes are their mirrors, with
+    conjugate values.  The chunk rule is unchanged.
     """
     size = f.grid.size
-    fill = _engine_rows(f, g)
+    if half:
+        if np.any(f.values.imag) or np.any(g.values.imag):
+            raise ValueError("half-spectrum STFT rows need real f and g")
+        make = _real_engine_rows(f, g)
+    else:
+        fill = _engine_rows(f, g)
 
-    def rows(start: int, stop: int):
-        out = np.empty((stop - start, size), dtype=np.complex128)
-        fill(start, stop, out)
-        return np.arange(start, stop), out
+        def make(start: int, stop: int) -> np.ndarray:
+            out = np.empty((stop - start, size), dtype=np.complex128)
+            fill(start, stop, out)
+            return out
 
-    yield from _chunk_map(rows, size, chunk)
+    return _chunk_map(lambda start, stop: (np.arange(start, stop), make(start, stop)), size, chunk)
 
 
 def _field_buffer(size: int) -> np.ndarray:

@@ -81,6 +81,11 @@ COMMANDS = {
     "edge_modulation_bound_u_dual": "certify modulation_bound --extremal r=1.5 s=1.5 u=3",
     "edge_young_m1_n1": "certify young --extremal m=1 n=1",
     "edge_leindler_m1_n1": "certify leindler --extremal m=1 n=1",
+    # real extremals: the streamed norm reduces half-spectrum rows, in d = 1 and d = 2
+    "real_lieb_reverse_wx": "certify lieb_reverse_wx --extremal r=1.5 s=1.5",
+    "real_lieb_reverse_wx_2d": (
+        "certify lieb_reverse_wx --extremal r=1.5 s=1.5 --grid 32,9,2 --tol 1e-3"
+    ),
 }
 
 

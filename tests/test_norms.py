@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tfuncert import transforms
+from tfuncert import norms, transforms
+from tfuncert.certifier import build_lieb_extremals
+from tfuncert.constants import holder_dual, leindler_duals, solve_partner_exponent
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
@@ -159,17 +161,30 @@ def test_mixed_norm_orders_and_inf(grid128):
         MixedOrder(1.5, 2.0, "t")
 
 
+_ALL_ORDERS = (
+    MixedOrder(1.5, 2.5, "x"),
+    MixedOrder(2.5, 1.5, "omega"),
+    MixedOrder(math.inf, 2.0, "x"),
+    MixedOrder(2.0, math.inf, "omega"),
+)
+
+
+def _lieb_extremals(grid):
+    """The real Gaussian pair of the reverse bound at r = s = 1.5, inner over w."""
+    r = s = 1.5
+    u = min(2.0, 0.5 * (1.0 + holder_dual(r)))
+    v = solve_partner_exponent(s, r, u)
+    mp, np_ = leindler_duals(u, v, r)
+    width = math.pi / math.sqrt(abs(mp) * abs(np_))
+    return build_lieb_extremals(r, s, u, v, width * np.eye(grid.dim), None, grid, "omega")
+
+
 def test_streaming_matches_dense(grid128):
     f = random_smooth(RandomFunctionSpec(seed=2), grid128)
     g = default_window(grid128)
     V = stft(f, g)
     weight = BracketWeight(0.7, 1.1)
-    for order in (
-        MixedOrder(1.5, 2.5, "x"),
-        MixedOrder(2.5, 1.5, "omega"),
-        MixedOrder(math.inf, 2.0, "x"),
-        MixedOrder(2.0, math.inf, "omega"),
-    ):
+    for order in _ALL_ORDERS:
         dense = mixed_norm(V, order, weight)
         streamed = stft_mixed_norm(f, g, order, weight, chunk=29)
         assert streamed == pytest.approx(dense, rel=1e-12)
@@ -187,6 +202,47 @@ def test_streaming_matches_dense(grid128):
         dense = mixed_norm(V, order, tab)
         streamed = stft_mixed_norm(f, g, order, tab, chunk=29)
         assert streamed == pytest.approx(dense, rel=1e-12)
+    # real f and g stream half-spectrum rows: the Lieb extremals and the real
+    # part of an enveloped random function, against the dense full field
+    for grid, chunk in ((grid128, 29), (grid2, 37)):
+        real = random_smooth(RandomFunctionSpec(seed=2, envelope_sigma=1.2), grid)
+        pairs = [
+            _lieb_extremals(grid),
+            (real.with_values(real.values.real), default_window(grid)),
+        ]
+        for f, g in pairs:
+            V = stft(f, g)
+            for order in _ALL_ORDERS:
+                for w in (BracketWeight(), weight):
+                    dense = mixed_norm(V, order, w)
+                    streamed = stft_mixed_norm(f, g, order, w, chunk=chunk)
+                    assert streamed == pytest.approx(dense, rel=1e-12)
+
+
+def test_real_inputs_stream_half_rows(monkeypatch, grid128):
+    # stft_mixed_norm asks for half rows exactly when f and g are real and
+    # the weight is a bracket weight
+    routes = []
+    rows = transforms.stft_row_chunks
+
+    def spy(f, g, chunk=None, *, half=False):
+        routes.append(half)
+        return rows(f, g, chunk, half=half)
+
+    monkeypatch.setattr(norms, "stft_row_chunks", spy)
+    f = random_smooth(RandomFunctionSpec(seed=4), grid128)
+    real, g = f.with_values(f.values.real), default_window(grid128)
+    tab = TabulatedWeight(np.ones((grid128.size, grid128.size)))
+    order = MixedOrder(1.5, 2.5, "x")
+    for args, half in (
+        ((real, g, order), True),
+        ((real, g, order, BracketWeight(0.5, 0.5)), True),
+        ((real, g, order, tab), False),
+        ((f, g, order), False),
+        ((real, g.with_values(g.values * 1j), order), False),
+    ):
+        stft_mixed_norm(*args)
+        assert routes.pop() is half
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +370,17 @@ def test_streamed_norm_holds_a_few_chunks(monkeypatch):
     f = random_smooth(RandomFunctionSpec(seed=5), grid)
     g = default_window(grid)
     chunk_bytes = transforms._CHUNK_ENTRIES * 16
-    for order in (MixedOrder(2.0, 2.0, "x"), MixedOrder(1.5, 1.5, "omega")):
-        stft_mixed_norm(f, g, order)  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            stft_mixed_norm(f, g, order, BracketWeight(0.5, 0.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * chunk_bytes + (1 << 20)
+    # the real part takes the half-spectrum route
+    for h in (f, f.with_values(f.values.real)):
+        for order in (MixedOrder(2.0, 2.0, "x"), MixedOrder(1.5, 1.5, "omega")):
+            stft_mixed_norm(h, g, order)  # first-call imports and caches
+            tracemalloc.start()
+            try:
+                stft_mixed_norm(h, g, order, BracketWeight(0.5, 0.5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * chunk_bytes + (1 << 20)
 
 
 def test_streamed_norms_share_one_pool(monkeypatch):

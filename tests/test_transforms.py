@@ -200,12 +200,37 @@ def test_stft_row_chunks_agree(grid128):
         assert seen == grid.size
 
 
+def test_half_spectrum_rows(grid128):
+    # real f and g: each half row is the full row's nodes with last index at
+    # most n/2, and every other node holds the conjugate of its mirror
+    for grid, spec in (
+        (grid128, RandomFunctionSpec(seed=5)),
+        (make_grid(16, 9.0, dim=2), SMALL_SPEC),
+    ):
+        f = random_smooth(spec, grid)
+        real, g = f.with_values(f.values.real), default_window(grid)
+        V = stft(real, g).values.reshape((grid.size,) + grid.shape)
+        peak = np.abs(V).max()
+        half = V[..., : grid.n // 2 + 1]
+        mirror = (slice(None),) + np.ix_(*[-np.arange(grid.n) % grid.n] * grid.dim)
+        assert np.max(np.abs(V - np.conj(V[mirror]))) <= 1e-13 * peak
+        seen = 0
+        for idx, rows in stft_row_chunks(real, g, chunk=37, half=True):
+            assert rows.shape == (len(idx), half[0].size)
+            assert np.max(np.abs(rows - half[idx].reshape(len(idx), -1))) <= 1e-13 * peak
+            seen += len(idx)
+        assert seen == grid.size
+        for args in ((f, g), (real, g.with_values(g.values * 1j))):
+            with pytest.raises(ValueError, match="real f and g"):
+                stft_row_chunks(*args, half=True)
+
+
 def _record_fft_calls(monkeypatch) -> list:
-    """Log ``(entries, workers, thread id)`` of every scipy.fft fftn/ifftn call from now on."""
+    """Log ``(entries, workers, thread id)`` of every scipy.fft fftn/ifftn/rfftn call from now on."""
     import scipy.fft
 
     calls = []
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn"):
         real = getattr(scipy.fft, name)
 
         def spy(x, *args, _real=real, **kwargs):
@@ -218,11 +243,13 @@ def _record_fft_calls(monkeypatch) -> list:
 
 def test_stft_results_independent_of_fft_workers(monkeypatch):
     # 1024 nodes and 32^2 both have eight 128-row chunks, so with more than
-    # one worker the chunks really run on the pool
+    # one worker the chunks really run on the pool; the real part of f
+    # streams half-spectrum rows (rfftn)
     calls = _record_fft_calls(monkeypatch)
     rng = np.random.default_rng(12)
     for grid in (make_grid(1024, 12.0), make_grid(32, 9.0, dim=2)):
         f = random_smooth(SMALL_SPEC, grid)
+        real = f.with_values(f.values.real)
         g = default_window(grid)
         size = grid.size
         Y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -237,6 +264,10 @@ def test_stft_results_independent_of_fft_workers(monkeypatch):
                     stft_mixed_norm(f, g, MixedOrder(r, s, inner), chunk=chunk)
                     for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
                     for chunk in (None, 37)
+                ),
+                *(
+                    stft_mixed_norm(real, g, MixedOrder(r, s, inner), BracketWeight(0.5, 0.5))
+                    for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
                 ),
             ]
             if first is None:

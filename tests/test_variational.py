@@ -718,7 +718,8 @@ def test_only_quadratic_moments_are_preconditioned(grid128, monkeypatch):
 
 def test_minimize_results_independent_of_fft_workers(monkeypatch):
     # a 512-node field is two 256-row chunks, so with more than one worker the
-    # gradient's STFT and adjoint really run on the pool
+    # streamed modulation norm runs on the pool; the M^{2,2} gradient takes
+    # no field (the tight-frame identity)
     grid = make_grid(512, 12.0)
     win = default_window(grid)
     first = None
@@ -727,6 +728,25 @@ def test_minimize_results_independent_of_fft_workers(monkeypatch):
         got = [
             (sol.lam, sol.el_residual, sol.iterations, sol.minimizer.values.tobytes())
             for sol in minimize_multistart(HEISENBERG, win, grid, starts=3)
+        ]
+        first = first or got
+        assert got == first
+
+
+def test_field_route_descent_independent_of_fft_workers(monkeypatch):
+    # at r = s = 1.5 the modulation gradient materializes V_g f and applies
+    # the adjoint, both two 256-row chunks on the 512-node grid
+    grid = make_grid(512, 12.0)
+    win = default_window(grid)
+    e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=1.5, s=1.5)
+    first = None
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+        got = [
+            (sol.lam, sol.el_residual, sol.iterations, sol.minimizer.values.tobytes())
+            for sol in minimize_multistart(
+                e, win, grid, starts=2, options=MinimizeOptions(max_iter=10)
+            )
         ]
         first = first or got
         assert got == first
