@@ -3,13 +3,17 @@ batteries, oscillator/Hilbert spectra, and Banach minimization.
 
 All machine output is JSON lines on stdout (one object per line, buffered and
 emitted in declared order); CSV export is reserved for function samples.
-Exit codes: 0 all passed, 1 certified inequality failure, 2 domain error,
-64 malformed invocation.
+A non-finite number is written as the string "inf", "-inf" or "nan", so
+every line is strict JSON.  Exit codes: 0 all passed, 1 certified inequality
+failure, 2 domain error, 64 malformed invocation, 141 stdout closed before all
+output was written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from typing import Optional
 
@@ -49,6 +53,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
+# as a shell reports a process ended by SIGPIPE (128 + 13)
+EXIT_PIPE = 141
 
 _PRESET_GRIDS = {
     "certify": (512, 12.0, 1),
@@ -65,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _strict_json(obj):
+    """``obj`` with each non-finite float replaced by the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return obj
+
+
 class _Emitter:
     """Buffer JSON lines, then emit in order to stdout and optionally a file."""
 
@@ -72,16 +89,19 @@ class _Emitter:
         self.path = path
         self.lines: list[str] = []
 
-    def emit(self, obj) -> None:
-        self.lines.append(obj if isinstance(obj, str) else json.dumps(obj))
+    def emit(self, obj: dict) -> None:
+        self.lines.append(json.dumps(_strict_json(obj), allow_nan=False))
 
     def flush(self) -> None:
+        """Print the lines, then write the file; the file is written even if stdout fails."""
         text = "\n".join(self.lines)
-        if text:
-            print(text)
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text + ("\n" if text else ""))
+        try:
+            if text:
+                print(text, flush=True)
+        finally:
+            if self.path:
+                with open(self.path, "w", encoding="utf-8") as fh:
+                    fh.write(text + ("\n" if text else ""))
 
 
 def _parse_grid(text: Optional[str], default: tuple[int, float, int]) -> Grid:
@@ -237,7 +257,7 @@ def cmd_certify(args, out: _Emitter) -> int:
         else:
             inputs, point = _stored_inputs(ineq, entry, args)
         report = _certify(ineq, inputs, {**point, "side": args.side}, tol)
-        out.emit(report.to_json_line())
+        out.emit(report.to_dict())
         return EXIT_PASS if report.passed else EXIT_FAIL
     lattice = None
     if args.lattice:
@@ -249,7 +269,7 @@ def cmd_certify(args, out: _Emitter) -> int:
             raise DomainError("--lattice file holds no exponent points")
     result = run_battery(ineq, lattice, seeds=args.seeds, grid=grid, tol=tol)
     for report in result.reports:
-        out.emit(report.to_json_line())
+        out.emit(report.to_dict())
     for err in result.errors:
         out.emit({"inequality": ineq, **err})
     if any(not report.passed for report in result.reports):
@@ -453,12 +473,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = _Emitter(getattr(args, "json_out", None))
     try:
-        status = args.handler(args, out)
-    except (DomainError, AliasingError, ValueError, OSError) as exc:
-        out.flush()
+        try:
+            status = args.handler(args, out)
+        except (DomainError, AliasingError, ValueError, OSError) as exc:
+            status = EXIT_DOMAIN
+            out.flush()
+            print(f"tfuncert: {exc}", file=sys.stderr)
+        else:
+            out.flush()
+    except BrokenPipeError:
+        # the reader has gone (e.g. `| head`): what stdout still buffers goes
+        # to devnull, so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except OSError as exc:  # the --json file cannot be written
         print(f"tfuncert: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    out.flush()
     return status
 
 

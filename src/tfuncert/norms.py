@@ -19,8 +19,6 @@ from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _req
 from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
-    _chunk_rows,
-    _ordered_map,
     fourier,
     stft,
     stft_row_chunks,
@@ -226,11 +224,11 @@ class _MixedReduction:
     along each inner sum).  A tabulated weight multiplies the field.
 
     With ``half`` the columns are the half-spectrum nodes of
-    :func:`~tfuncert.transforms.stft_row_chunks` (last index at most n/2) and
-    the weight must be a bracket weight, whose w profile is even.  The node
-    of each column then stands for itself and its mirror, so ``counts`` is 1
-    where the last index is 0 or n/2 (nodes that are their own mirror, or
-    whose mirror is another column) and 2 elsewhere; every power sum over w,
+    :func:`~tfuncert.transforms.stft_row_chunks` (first index at most n/2)
+    and the weight must be a bracket weight, whose w profile is even.  The
+    node of each column then stands for itself and its mirror, so ``counts``
+    is 1 where the first index is 0 or n/2 (nodes whose mirror is another
+    column, or themselves) and 2 elsewhere; every power sum over w,
     the inner one and the outer one after an x-inner pass, takes each column
     ``counts`` times.  A maximum (r or s infinite) ignores it.  For full rows
     ``counts`` is None.
@@ -248,9 +246,9 @@ class _MixedReduction:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
             if half:
                 cut = grid.n // 2 + 1
-                ww = ww.reshape(grid.shape)[..., :cut].ravel()
-                counts = np.full(grid.shape[:-1] + (cut,), 2.0)
-                counts[..., [0, -1]] = 1.0
+                ww = ww.reshape(grid.shape)[:cut].ravel()
+                counts = np.full((cut,) + grid.shape[1:], 2.0)
+                counts[[0, -1]] = 1.0
                 self.counts = counts.ravel()
                 columns = self.counts.size
             self.field = None
@@ -345,15 +343,16 @@ def stft_mixed_norm(
     and the w profile is even, so each mirrored frequency column is counted
     twice instead of computed.  Complex inputs and tabulated weights take the
     full rows.  The inner='x' order accumulates power sums over x per
-    frequency node, the inner='omega' order reduces each x row.  ``chunk`` rows are taken per
-    step, by default the engine's 2^17-entry rule.  On a field of several
-    chunks each chunk is reduced on the engine's pool while later chunks may
-    already be computing; the parts are folded in chunk order, so the result
-    does not depend on the worker count.  Like
-    :func:`~tfuncert.transforms.stft_row_chunks` it does not check its inputs;
-    :func:`modulation_norm` and :func:`modulation_norm_m` do.
+    frequency node, the inner='omega' order reduces each x row.  ``chunk``
+    rows are taken per step, by default the engine's 2^17-entry rule.  On a
+    field of several chunks the pool task that makes a chunk's rows also
+    reduces them (``stft_row_chunks(..., reduce=)``), while later chunks may
+    already be computing; the rows live in the engine's ring of reused
+    buffers until the next step, and the parts are folded in chunk order, so
+    the result does not depend on the worker count.  Like
+    :func:`~tfuncert.transforms.stft_row_chunks` it does not check its
+    inputs; :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
-    size = f.grid.size
     half = (
         isinstance(weight, BracketWeight)
         and not np.any(f.values.imag)
@@ -361,14 +360,10 @@ def stft_mixed_norm(
     )
     reduction = _MixedReduction(f.grid, order, weight, half)
 
-    def reduce_chunk(idx: np.ndarray, rows: np.ndarray):
-        return idx, reduction.reduce(idx, np.abs(rows))
+    def reduce_chunk(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return reduction.reduce(idx, np.abs(rows))
 
-    # one reduction outstanding: with the two chunks the row source computes
-    # ahead, three chunks are alive and both pool threads stay busy
-    chunks = stft_row_chunks(f, g, chunk, half=half)
-    threaded = _chunk_rows(size, chunk) < size
-    for idx, part in _ordered_map(reduce_chunk, chunks, threaded, ahead=1):
+    for idx, _, part in stft_row_chunks(f, g, chunk, half=half, reduce=reduce_chunk):
         reduction.fold(idx, part)
     return reduction.value()
 

@@ -163,12 +163,26 @@ class PhaseSpaceFunction:
 # fftshift . fft = fft . diag((-1)^j), and ifftshift(p_i)[j] =
 # f[(j + n/2) mod n] conj(g[(j - i) mod n]), so the row is the plain DFT of
 #     (-1)^j f[(j + n/2) mod n]  *  conj(g)[(j - i) mod n].
-# The first factor is the same for every row and is computed once, with the
-# quadrature cell folded in; no output factor is left.  The second is a
+# The first factor fs is the same for every row and is computed once, with
+# the quadrature cell folded in; no output factor is left.  The second is a
 # contiguous slice of conj(g) tiled twice, so the whole window bank is one
 # strided view: no index arrays, no gathered copies.  Both hold per axis in
-# d = 2.  For real f and g both factors are real, and the streamed rows may
-# be taken as half spectra (rfftn): V_g f(x, -w) = conj V_g f(x, w).
+# d = 2.
+#
+# Every d = 2 window the library builds is a tensor product conj(g) = a (x) b
+# (the Gaussians of default_window and of the Lieb extremals).  Each call
+# tests this once, against a residual of _RANK_ONE_ULPS ulp of the peak; there
+# is no setting.  For such a window the row of x node (i1, i2) is
+#     FFT over j2 of  Q_i1[k1, j2] b[j2 - i2],   Q_i1 = FFT over j1 of fs a[j1 - i1],
+# so a chunk takes one FFT over the first node axis per distinct i1 and one
+# FFT over the second axis per row: half the 1-D FFTs of a row's fftn.  Any
+# other window takes the node product and fftn.
+#
+# For real f and g both factors are real, and the streamed rows may be taken
+# as half spectra: V_g f(x, -w) = conj V_g f(x, w).  The halved axis is the
+# first node axis (frequency nodes whose first index is at most n/2): the
+# factored route takes an rfft over j1, the general route rfftn with its axes
+# reversed, so both d = 2 routes share one layout.
 #
 # Every pass over the field (making rows, filling the materialized field,
 # the adjoint, the streamed reductions) works in row chunks of
@@ -176,11 +190,26 @@ class PhaseSpaceFunction:
 # shared two-thread pool, each chunk's FFT on one thread, and the results are
 # folded in chunk order by the calling thread, so the bits do not depend on
 # the worker count.  A one-chunk field, or _FFT_WORKERS == 1, runs inline.
+# A streamed norm reduces each chunk in the pool task that made it, so its
+# rows never pass between threads and live in a ring of reused buffers.
+
+# Largest rank-one residual max|w - a (x) b| of a d = 2 window that takes the
+# factored route, in ulp (eps times the peak magnitude).  Sampled Gaussians
+# stay below one ulp; a rotated Gaussian is at 0.13 of the peak.
+_RANK_ONE_ULPS = 4.0
+
+# Chunks a threaded pass keeps computing ahead of the one being consumed.
+_AHEAD = 2
 
 
 def _chunk_rows(size: int, chunk: int | None = None) -> int:
     """Rows per chunk of a field with ``size`` x nodes: ``chunk``, or ``_CHUNK_ENTRIES`` entries."""
     return max(1, _CHUNK_ENTRIES // size) if chunk is None else chunk
+
+
+def _chunk_bounds(size: int, rows: int):
+    """``(start, stop)`` of each ``rows``-row chunk of [0, size), in order."""
+    return ((start, min(start + rows, size)) for start in range(0, size, rows))
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -192,12 +221,12 @@ def _pool() -> ThreadPoolExecutor:
         return _POOL
 
 
-def _ordered_map(task, items, threaded: bool, ahead: int = 2):
+def _ordered_map(task, items, threaded: bool):
     """Yield ``task(*item)`` for each of ``items``, in order.
 
-    Threaded, the tasks run on the shared pool with at most ``ahead``
+    Threaded, the tasks run on the shared pool with at most ``_AHEAD``
     outstanding: the next item is drawn (on the calling thread) and submitted
-    as each result is taken, so at most ``ahead + 1`` results are alive at
+    as each result is taken, so at most ``_AHEAD + 1`` results are alive at
     once.  Tasks must not wait on the pool.  Inline when not ``threaded`` or
     ``_FFT_WORKERS`` is 1.
     """
@@ -206,7 +235,7 @@ def _ordered_map(task, items, threaded: bool, ahead: int = 2):
         return
     pool = _pool()
     items = iter(items)
-    pending = deque(pool.submit(task, *item) for item in islice(items, ahead))
+    pending = deque(pool.submit(task, *item) for item in islice(items, _AHEAD))
     try:
         while pending:
             result = pending.popleft().result()
@@ -221,8 +250,7 @@ def _ordered_map(task, items, threaded: bool, ahead: int = 2):
 def _chunk_map(task, size: int, chunk: int | None = None):
     """:func:`_ordered_map` of ``task(start, stop)`` over the row chunks of [0, size)."""
     rows = _chunk_rows(size, chunk)
-    bounds = ((start, min(start + rows, size)) for start in range(0, size, rows))
-    return _ordered_map(task, bounds, threaded=rows < size)
+    return _ordered_map(task, _chunk_bounds(size, rows), threaded=rows < size)
 
 
 def _row_fftn(
@@ -231,9 +259,9 @@ def _row_fftn(
     """DFT (or inverse DFT) of each row of ``block`` on the calling thread, overwriting ``block`` where it can.
 
     With ``real`` the rows are real and only the half spectrum of
-    ``scipy.fft.rfftn`` is returned: last index up to n/2.  scipy.fft is
-    imported on first use: it adds about 0.1 s to process start, which
-    commands that never take an STFT should not pay.
+    ``scipy.fft.rfftn`` is returned: the last of ``axes`` is cut to n/2 + 1.
+    scipy.fft is imported on first use: it adds about 0.1 s to process
+    start, which commands that never take an STFT should not pay.
     """
     import scipy.fft
 
@@ -264,6 +292,20 @@ def _window_bank(w: np.ndarray, flip: bool = False) -> np.ndarray:
     return view[(rows,) * d]
 
 
+def _node_runs(n: int, start: int, stop: int):
+    """Yield ``(lo, hi, i1, i2)`` covering the flat d = 2 x nodes [start, stop).
+
+    Flat nodes [start + lo, start + hi) are (i1, i2), ..., (i1, i2 + hi - lo - 1):
+    the range is cut where the first node index changes.
+    """
+    p = start
+    while p < stop:
+        i1, i2 = divmod(p, n)
+        q = min(stop, (i1 + 1) * n)
+        yield p - start, q - start, i1, i2
+        p = q
+
+
 def _bank_segments(bank: np.ndarray, start: int, stop: int):
     """Yield ``(lo, hi, windows)`` covering flat x nodes [start, stop).
 
@@ -274,13 +316,57 @@ def _bank_segments(bank: np.ndarray, start: int, stop: int):
     if bank.ndim == 2:
         yield 0, stop - start, bank[start:stop]
         return
-    n = bank.shape[0]
-    p = start
-    while p < stop:
-        i1, i2 = divmod(p, n)
-        q = min(stop, (i1 + 1) * n)
-        yield p - start, q - start, bank[i1, i2 : i2 + q - p]
-        p = q
+    for lo, hi, i1, i2 in _node_runs(bank.shape[0], start, stop):
+        yield lo, hi, bank[i1, i2 : i2 + hi - lo]
+
+
+def _tensor_factors(w: np.ndarray):
+    """``(a, b)`` with ``w[j1, j2] = a[j1] b[j2]`` to rounding, or None.
+
+    Only d = 2 windows are factored.  ``a`` is the column through the peak
+    and ``b`` the row through it divided by the peak value; ``w`` counts as
+    rank one when max|w - a (x) b| is at most ``_RANK_ONE_ULPS`` ulp of the
+    peak magnitude.
+    """
+    if w.ndim != 2:
+        return None
+    mags = np.abs(w)
+    p1, p2 = np.unravel_index(np.argmax(mags), w.shape)
+    peak = mags[p1, p2]
+    if peak == 0.0:
+        return None
+    a, b = w[:, p2], w[p1] / w[p1, p2]
+    residual = np.max(np.abs(w - np.multiply.outer(a, b)))
+    if residual > _RANK_ONE_ULPS * np.finfo(np.float64).eps * peak:
+        return None
+    return a, b
+
+
+def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, real: bool):
+    """Return ``fill(start, stop, out)`` writing the d = 2 rows of the window conj(g) = a (x) b.
+
+    ``out`` is a C-contiguous complex block of shape ``(stop - start, width)``.
+    With ``real`` (real fs, a and b) the first FFT is an rfft and the rows
+    are the half spectra of :func:`_real_engine_rows`, ``width = (n // 2 + 1) n``;
+    otherwise ``width = n^2``.
+    """
+    import scipy.fft
+
+    n = fs.shape[0]
+    first = scipy.fft.rfft if real else scipy.fft.fft
+    bank_a, bank_b = _window_bank(a, flip), _window_bank(b, flip)
+
+    def fill(start: int, stop: int, out: np.ndarray) -> None:
+        block = out.reshape(stop - start, -1, n)
+        for lo, hi, i1, i2 in _node_runs(n, start, stop):
+            # shared by the rows of i1: Q[k1, j2] = FFT over j1 of fs[j1, j2] a[j1 - i1]
+            q = first(fs * bank_a[i1][:, None], axis=0, overwrite_x=True, workers=1)
+            np.multiply(q, bank_b[i2 : i2 + hi - lo, None], out=block[lo:hi])
+        res = scipy.fft.fft(block, axis=-1, overwrite_x=True, workers=1)
+        if not np.may_share_memory(res, block):
+            block[...] = res
+
+    return fill
 
 
 def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
@@ -288,12 +374,17 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
 
     With ``flip`` the row of node i is that of node -i (periodically), as the
     ambiguity function needs.  ``out`` is a C-contiguous complex block of
-    shape ``(stop - start, size)``.
+    shape ``(stop - start, size)``.  A d = 2 tensor window takes the factored
+    route.
     """
     grid = f.grid
-    axes = tuple(range(1, grid.dim + 1))
     fs = np.fft.ifftshift(f.reshaped()) * (_parity(grid) * grid.cell)
-    bank = _window_bank(np.conj(g.reshaped()), flip)
+    w = np.conj(g.reshaped())
+    factors = _tensor_factors(w)
+    if factors is not None:
+        return _factored_fill(fs, *factors, flip, real=False)
+    axes = tuple(range(1, grid.dim + 1))
+    bank = _window_bank(w, flip)
 
     def fill(start: int, stop: int, out: np.ndarray) -> None:
         block = out.reshape((stop - start,) + grid.shape)
@@ -306,22 +397,39 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
     return fill
 
 
-def _real_engine_rows(f: SampledFunction, g: SampledFunction):
-    """Return ``rows(start, stop)``: the half V_g f rows of x nodes [start, stop), for real f and g.
+def _buffered(fill):
+    """``rows(start, stop, buffer)`` writing ``fill``'s rows into ``buffer(stop - start)`` and returning it."""
 
-    The node product of :func:`_engine_rows` is then real, so each row is
-    the real DFT of a ``float64`` block, and only the frequency nodes whose
-    last index is at most n/2 are computed.  The row has shape
-    ``(stop - start, size // n * (n // 2 + 1))``; each remaining node is the
-    mirror (-k mod n per axis) of one of these, where V_g f(x, -w) =
-    conj V_g f(x, w).
+    def rows(start: int, stop: int, buffer) -> np.ndarray:
+        out = buffer(stop - start)
+        fill(start, stop, out)
+        return out
+
+    return rows
+
+
+def _real_engine_rows(f: SampledFunction, g: SampledFunction):
+    """Return ``rows(start, stop, buffer)``: the half V_g f rows of x nodes [start, stop), for real f and g.
+
+    The node product of :func:`_engine_rows` is then real, so only the
+    frequency nodes whose first index is at most n/2 are computed, in node
+    order: each row has ``size // n * (n // 2 + 1)`` entries, and each
+    remaining node is the mirror (-k mod n per axis) of one of these, where
+    V_g f(x, -w) = conj V_g f(x, w).  A d = 2 tensor window writes the rows
+    into ``buffer(stop - start)``, a complex block of that shape; any other
+    window returns the new array of a real DFT of a ``float64`` block.
     """
     grid = f.grid
-    axes = tuple(range(1, grid.dim + 1))
     fs = np.fft.ifftshift(f.reshaped().real) * (_parity(grid) * grid.cell)
-    bank = _window_bank(g.reshaped().real)
+    w = g.reshaped().real
+    factors = _tensor_factors(w)
+    if factors is not None:
+        return _buffered(_factored_fill(fs, *factors, flip=False, real=True))
+    # rfftn halves the last of its axes: the first node axis
+    axes = tuple(range(grid.dim, 0, -1))
+    bank = _window_bank(w)
 
-    def rows(start: int, stop: int) -> np.ndarray:
+    def rows(start: int, stop: int, buffer) -> np.ndarray:
         block = np.empty((stop - start,) + grid.shape)
         for lo, hi, windows in _bank_segments(bank, start, stop):
             np.multiply(fs, windows, out=block[lo:hi])
@@ -331,7 +439,12 @@ def _real_engine_rows(f: SampledFunction, g: SampledFunction):
 
 
 def stft_row_chunks(
-    f: SampledFunction, g: SampledFunction, chunk: int | None = None, *, half: bool = False
+    f: SampledFunction,
+    g: SampledFunction,
+    chunk: int | None = None,
+    *,
+    half: bool = False,
+    reduce=None,
 ):
     """Iterate ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
 
@@ -341,28 +454,63 @@ def stft_row_chunks(
     :func:`stft` whatever the chunk size.  While a chunk is handed out the
     next two may already be computing on the engine's pool, so at most three
     chunks are alive: this is the memory-bounded route that every mixed norm
-    of V_g f takes.  Inputs are not checked here.
+    of V_g f takes.  Each chunk's rows are a new array.  Inputs are not
+    checked here.
 
     With ``half`` f and g must be real (a ``ValueError`` otherwise), and each
-    row holds only the frequency nodes whose last index is at most n/2, in
+    row holds only the frequency nodes whose first index is at most n/2, in
     node order: ``size // n * (n // 2 + 1)`` entries, equal to those columns
     of :func:`stft` to rounding.  The other nodes are their mirrors, with
     conjugate values.  The chunk rule is unchanged.
+
+    With ``reduce`` each step yields ``(flat_x_indices, V rows, part)``,
+    where ``part = reduce(flat_x_indices, V rows)`` was computed in the same
+    pool task as the rows, so rows never pass between threads.  The rows then
+    live in a ring of reused buffers, one per chunk alive (allocated on first
+    use, never more than there are chunks), and stay valid only until the
+    next step: neither ``reduce`` nor the consumer may keep them.  ``reduce``
+    runs on the pool's threads and must not wait on the pool.
     """
-    size = f.grid.size
+    grid = f.grid
+    size = grid.size
     if half:
         if np.any(f.values.imag) or np.any(g.values.imag):
             raise ValueError("half-spectrum STFT rows need real f and g")
         make = _real_engine_rows(f, g)
+        width = size // grid.n * (grid.n // 2 + 1)
     else:
-        fill = _engine_rows(f, g)
+        make = _buffered(_engine_rows(f, g))
+        width = size
+    rows = _chunk_rows(size, chunk)
+    threaded = rows < size and _FFT_WORKERS > 1
+    if reduce is None:
 
-        def make(start: int, stop: int) -> np.ndarray:
-            out = np.empty((stop - start, size), dtype=np.complex128)
-            fill(start, stop, out)
-            return out
+        def fresh(count: int) -> np.ndarray:
+            return np.empty((count, width), dtype=np.complex128)
 
-    return _chunk_map(lambda start, stop: (np.arange(start, stop), make(start, stop)), size, chunk)
+        def task(start: int, stop: int):
+            return np.arange(start, stop), make(start, stop, fresh)
+
+    else:
+        # chunk k is alive from its task until the consumer's next step, and
+        # at most _AHEAD later chunks compute meanwhile: slot k mod (_AHEAD + 1)
+        # is free when chunk k starts
+        slots = min(_AHEAD + 1, -(-size // rows)) if threaded else 1
+        ring = [None] * slots
+
+        def task(start: int, stop: int):
+            slot = (start // rows) % slots
+
+            def buffer(count: int) -> np.ndarray:
+                if ring[slot] is None:
+                    ring[slot] = np.empty((min(rows, size), width), dtype=np.complex128)
+                return ring[slot][:count]
+
+            idx = np.arange(start, stop)
+            out = make(start, stop, buffer)
+            return idx, out, reduce(idx, out)
+
+    return _ordered_map(task, _chunk_bounds(size, rows), threaded)
 
 
 def _field_buffer(size: int) -> np.ndarray:

@@ -86,6 +86,9 @@ COMMANDS = {
     "real_lieb_reverse_wx_2d": (
         "certify lieb_reverse_wx --extremal r=1.5 s=1.5 --grid 32,9,2 --tol 1e-3"
     ),
+    # complex random inputs and the Gaussian window in d = 2: full rows on the
+    # engine's factored route for tensor-product windows
+    "factored_modulation_bound_2d": "certify modulation_bound --seeds 2 --grid 32,12,2",
 }
 
 

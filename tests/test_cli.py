@@ -15,7 +15,7 @@ import tfuncert
 from tfuncert.constants import babenko_beckner, lieb_H
 from tfuncert.sampling import SampledFunction, make_grid
 
-from conftest import gaussian, run_cli
+from conftest import gaussian, run_cli, strict_json
 
 
 def lines_of(text):
@@ -91,6 +91,41 @@ def test_python_m_tfuncert_runs_the_cli():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run_cli(argv)[1]
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # `certify young --seeds 100 | head -n 1`: the reader takes one line and
+    # closes the pipe while most of the 130 kB of output is unwritten, beyond
+    # what the pipe buffers.  No traceback, exit 141, and the --json file
+    # still gets every line
+    src = str(Path(tfuncert.__file__).resolve().parents[1])
+    mirror = tmp_path / "out.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tfuncert", "certify", "young", "--seeds", "100", "--json", str(mirror)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert json.loads(first)["inequality"] == "young"
+    assert len(mirror.read_text().splitlines()) == 400
+
+
+def test_unwritable_json_file_exits_2(tmp_path, capsys):
+    code, out = run_cli(["constants", "--Cp", "2", "--json", str(tmp_path / "missing" / "out.jsonl")])
+    assert code == 2 and len(lines_of(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tfuncert: ")
+
+
+def test_infinite_exponents_are_strings():
+    # strict JSON has no Infinity token
+    code, out = run_cli(["constants", "--Cp", "inf"])
+    assert code == 0
+    assert strict_json(out)["p"] == "inf"
 
 
 def test_constants_json_file_mirrors_stdout(tmp_path):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import strict_json
 from golden.regen import COMMANDS, GOLDEN, render, replay, write_inputs
 
 
@@ -61,6 +62,14 @@ def test_golden_stdout_and_exit_code(name, inputs):
     code, stdout, _ = replay(name, inputs)
     actual = render(code, stdout)
     assert actual == expected, f"{COMMANDS[name]}: {_mismatch(expected, actual)}"
+
+
+def test_golden_stdout_is_strict_json():
+    # no Infinity or NaN tokens: a non-finite number is a string
+    for name in COMMANDS:
+        lines = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").splitlines()[1:]
+        for line in lines:
+            assert isinstance(strict_json(line), dict), name
 
 
 def test_mismatch_names_the_first_differing_key():

@@ -1,5 +1,6 @@
 """Weighted, mixed, and modulation norms against quadrature and closed forms."""
 
+import itertools
 import math
 import sys
 import threading
@@ -10,8 +11,6 @@ import pytest
 from scipy import integrate
 
 from tfuncert import norms, transforms
-from tfuncert.certifier import build_lieb_extremals
-from tfuncert.constants import holder_dual, leindler_duals, solve_partner_exponent
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
@@ -30,7 +29,7 @@ from tfuncert.norms import (
 from tfuncert.sampling import RandomFunctionSpec, SampledFunction, make_grid, random_smooth
 from tfuncert.transforms import AliasingError, stft
 
-from conftest import gaussian
+from conftest import gaussian, lieb_extremals, rotated_gaussian
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +168,6 @@ _ALL_ORDERS = (
 )
 
 
-def _lieb_extremals(grid):
-    """The real Gaussian pair of the reverse bound at r = s = 1.5, inner over w."""
-    r = s = 1.5
-    u = min(2.0, 0.5 * (1.0 + holder_dual(r)))
-    v = solve_partner_exponent(s, r, u)
-    mp, np_ = leindler_duals(u, v, r)
-    width = math.pi / math.sqrt(abs(mp) * abs(np_))
-    return build_lieb_extremals(r, s, u, v, width * np.eye(grid.dim), None, grid, "omega")
-
-
 def test_streaming_matches_dense(grid128):
     f = random_smooth(RandomFunctionSpec(seed=2), grid128)
     g = default_window(grid128)
@@ -188,28 +177,30 @@ def test_streaming_matches_dense(grid128):
         dense = mixed_norm(V, order, weight)
         streamed = stft_mixed_norm(f, g, order, weight, chunk=29)
         assert streamed == pytest.approx(dense, rel=1e-12)
-    # d = 2, with chunks that straddle rows of the first node axis
+    # d = 2, with chunks that straddle rows of the first node axis; the
+    # Gaussian window takes the factored route, the rotated one the general
     grid2 = make_grid(16, 9.0, dim=2)
     f2 = random_smooth(RandomFunctionSpec(seed=2, envelope_sigma=1.2), grid2)
-    g2 = default_window(grid2)
-    V2 = stft(f2, g2)
-    for order in (MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")):
-        dense = mixed_norm(V2, order, weight)
-        streamed = stft_mixed_norm(f2, g2, order, weight, chunk=37)
-        assert streamed == pytest.approx(dense, rel=1e-12)
+    for g2 in (default_window(grid2), rotated_gaussian(grid2)):
+        V2 = stft(f2, g2)
+        for order in (MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")):
+            dense = mixed_norm(V2, order, weight)
+            streamed = stft_mixed_norm(f2, g2, order, weight, chunk=37)
+            assert streamed == pytest.approx(dense, rel=1e-12)
     tab = TabulatedWeight(np.outer(weight.x_profile(grid128), weight.omega_profile(grid128)))
     for order in (MixedOrder(1.5, 2.5, "x"), MixedOrder(2.5, 1.5, "omega")):
         dense = mixed_norm(V, order, tab)
         streamed = stft_mixed_norm(f, g, order, tab, chunk=29)
         assert streamed == pytest.approx(dense, rel=1e-12)
     # real f and g stream half-spectrum rows: the Lieb extremals and the real
-    # part of an enveloped random function, against the dense full field
+    # part of an enveloped random function, against the dense full field; in
+    # d = 2 also with the rotated window, on the general route
     for grid, chunk in ((grid128, 29), (grid2, 37)):
         real = random_smooth(RandomFunctionSpec(seed=2, envelope_sigma=1.2), grid)
-        pairs = [
-            _lieb_extremals(grid),
-            (real.with_values(real.values.real), default_window(grid)),
-        ]
+        real = real.with_values(real.values.real)
+        pairs = [lieb_extremals(grid), (real, default_window(grid))]
+        if grid.dim == 2:
+            pairs.append((real, rotated_gaussian(grid)))
         for f, g in pairs:
             V = stft(f, g)
             for order in _ALL_ORDERS:
@@ -225,9 +216,9 @@ def test_real_inputs_stream_half_rows(monkeypatch, grid128):
     routes = []
     rows = transforms.stft_row_chunks
 
-    def spy(f, g, chunk=None, *, half=False):
+    def spy(f, g, chunk=None, *, half=False, **kwargs):
         routes.append(half)
-        return rows(f, g, chunk, half=half)
+        return rows(f, g, chunk, half=half, **kwargs)
 
     monkeypatch.setattr(norms, "stft_row_chunks", spy)
     f = random_smooth(RandomFunctionSpec(seed=4), grid128)
@@ -363,15 +354,17 @@ def test_psi_phi_norm_keeps_constant_m0_untabulated(monkeypatch):
 
 def test_streamed_norm_holds_a_few_chunks(monkeypatch):
     # 64^2 streams 128 chunks of 2 MiB.  The row source keeps two chunks
-    # computing ahead of the one being reduced, and the reduction holds
+    # computing ahead of the one being reduced, and each reduction holds
     # |rows| (1 MiB): a fourth chunk in flight would pass 9 MiB
     monkeypatch.setattr(transforms, "_FFT_WORKERS", 8)
     grid = make_grid(64, 12.0, dim=2)
     f = random_smooth(RandomFunctionSpec(seed=5), grid)
-    g = default_window(grid)
     chunk_bytes = transforms._CHUNK_ENTRIES * 16
-    # the real part takes the half-spectrum route
-    for h in (f, f.with_values(f.values.real)):
+    # the real part takes the half-spectrum route; the Gaussian window the
+    # factored route, the rotated one the general route
+    for h, g in itertools.product(
+        (f, f.with_values(f.values.real)), (default_window(grid), rotated_gaussian(grid))
+    ):
         for order in (MixedOrder(2.0, 2.0, "x"), MixedOrder(1.5, 1.5, "omega")):
             stft_mixed_norm(h, g, order)  # first-call imports and caches
             tracemalloc.start()

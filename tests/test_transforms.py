@@ -2,6 +2,8 @@
 
 import math
 import threading
+import time
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -42,7 +44,7 @@ from tfuncert.transforms import (
 )
 from tfuncert.variational import ModulationTerm, frechet_directional
 
-from conftest import gaussian
+from conftest import gaussian, lieb_extremals, rotated_gaussian
 
 
 SMALL_SPEC = RandomFunctionSpec(seed=11, band_fraction=0.5, envelope_sigma=1.2)
@@ -201,7 +203,7 @@ def test_stft_row_chunks_agree(grid128):
 
 
 def test_half_spectrum_rows(grid128):
-    # real f and g: each half row is the full row's nodes with last index at
+    # real f and g: each half row is the full row's nodes with first index at
     # most n/2, and every other node holds the conjugate of its mirror
     for grid, spec in (
         (grid128, RandomFunctionSpec(seed=5)),
@@ -211,7 +213,7 @@ def test_half_spectrum_rows(grid128):
         real, g = f.with_values(f.values.real), default_window(grid)
         V = stft(real, g).values.reshape((grid.size,) + grid.shape)
         peak = np.abs(V).max()
-        half = V[..., : grid.n // 2 + 1]
+        half = V[:, : grid.n // 2 + 1]
         mirror = (slice(None),) + np.ix_(*[-np.arange(grid.n) % grid.n] * grid.dim)
         assert np.max(np.abs(V - np.conj(V[mirror]))) <= 1e-13 * peak
         seen = 0
@@ -225,12 +227,95 @@ def test_half_spectrum_rows(grid128):
                 stft_row_chunks(*args, half=True)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_factored_rows_match_the_general_route(monkeypatch, n):
+    # the rows of a tensor window (full rows, half rows and the flipped bank
+    # of ambiguity) against the node-product route's, to 1e-13 of the peak;
+    # 37-row chunks straddle rows of the first node axis
+    grid = make_grid(n, 9.0, dim=2)
+    f = random_smooth(SMALL_SPEC, grid)
+    real = f.with_values(f.values.real)
+    lieb_f, lieb_g = lieb_extremals(grid)
+    pairs = [(f, default_window(grid)), (f, lieb_g), (lieb_f, lieb_g)]
+    real_pairs = [(real, default_window(grid)), (lieb_f, lieb_g)]
+
+    def fields():
+        full = [np.concatenate([rows for _, rows in stft_row_chunks(h, g, chunk=37)]) for h, g in pairs]
+        half = [
+            np.concatenate([rows for _, rows in stft_row_chunks(h, g, chunk=37, half=True)])
+            for h, g in real_pairs
+        ]
+        return full + half + [ambiguity(h, g).values for h, g in pairs]
+
+    factored = fields()
+    monkeypatch.setattr(transforms, "_tensor_factors", lambda w: None)
+    for want, got in zip(fields(), factored):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+
+def test_reduced_rows_stay_valid_until_the_next_step(monkeypatch):
+    # with reduce, the rows live in a ring of buffers that the chunks
+    # computing ahead must not reuse: while the consumer holds a chunk, long
+    # enough for those chunks to finish, its rows and part stay its own
+    monkeypatch.setattr(transforms, "_FFT_WORKERS", 8)
+    grid = make_grid(32, 9.0, dim=2)
+    f = random_smooth(SMALL_SPEC, grid)
+    for h, g, half in (
+        (f, default_window(grid), False),
+        (f, rotated_gaussian(grid), False),
+        (f.with_values(f.values.real), default_window(grid), True),
+    ):
+        want = np.concatenate([rows for _, rows in stft_row_chunks(h, g, chunk=37, half=half)])
+        seen = 0
+        for idx, rows, part in stft_row_chunks(
+            h, g, chunk=37, half=half, reduce=lambda idx, rows: rows.sum(axis=1)
+        ):
+            time.sleep(0.005)
+            np.testing.assert_array_equal(rows, want[idx])
+            np.testing.assert_array_equal(part, want[idx].sum(axis=1))
+            seen += len(idx)
+        assert seen == grid.size
+
+
+def test_tensor_windows_take_the_factored_route(monkeypatch):
+    # the Gaussian window and both Lieb extremals are tensor products to
+    # rounding; the rotated Gaussian and a random window are not
+    grid = make_grid(32, 9.0, dim=2)
+    taken = []
+    factored_fill = transforms._factored_fill
+
+    def spy(*args, **kwargs):
+        taken.append(True)
+        return factored_fill(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_factored_fill", spy)
+    f = random_smooth(SMALL_SPEC, grid)
+    real = f.with_values(f.values.real)
+    other = random_smooth(RandomFunctionSpec(seed=12, band_fraction=0.5, envelope_sigma=1.2), grid)
+    for g, tensor in (
+        (default_window(grid), True),
+        *((g, True) for g in lieb_extremals(grid)),
+        (rotated_gaussian(grid), False),
+        (other, False),
+        (other.with_values(other.values.real), False),
+    ):
+        for make in (
+            lambda: stft(f, g),
+            lambda: ambiguity(f, g),
+            lambda: next(stft_row_chunks(real, g.with_values(g.values.real), half=True)),
+        ):
+            make()
+            assert taken == [True] * tensor
+            taken.clear()
+
+
 def _record_fft_calls(monkeypatch) -> list:
-    """Log ``(entries, workers, thread id)`` of every scipy.fft fftn/ifftn/rfftn call from now on."""
+    """Log ``(entries, workers, thread id)`` of every scipy.fft fft/fftn/ifftn/rfft/rfftn call from now on."""
     import scipy.fft
 
     calls = []
-    for name in ("fftn", "ifftn", "rfftn"):
+    for name in ("fft", "fftn", "ifftn", "rfft", "rfftn"):
         real = getattr(scipy.fft, name)
 
         def spy(x, *args, _real=real, **kwargs):
@@ -244,13 +329,15 @@ def _record_fft_calls(monkeypatch) -> list:
 def test_stft_results_independent_of_fft_workers(monkeypatch):
     # 1024 nodes and 32^2 both have eight 128-row chunks, so with more than
     # one worker the chunks really run on the pool; the real part of f
-    # streams half-spectrum rows (rfftn)
+    # streams half-spectrum rows (rfftn).  In d = 2 the Gaussian window takes
+    # the factored route, and the norms of the rotated one the general route
     calls = _record_fft_calls(monkeypatch)
     rng = np.random.default_rng(12)
     for grid in (make_grid(1024, 12.0), make_grid(32, 9.0, dim=2)):
         f = random_smooth(SMALL_SPEC, grid)
         real = f.with_values(f.values.real)
         g = default_window(grid)
+        extra_windows = [rotated_gaussian(grid)] if grid.dim == 2 else []
         size = grid.size
         Y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         first = None
@@ -266,7 +353,13 @@ def test_stft_results_independent_of_fft_workers(monkeypatch):
                     for chunk in (None, 37)
                 ),
                 *(
-                    stft_mixed_norm(real, g, MixedOrder(r, s, inner), BracketWeight(0.5, 0.5))
+                    stft_mixed_norm(real, g, MixedOrder(r, s, inner), BracketWeight(0.5, 0.5), chunk)
+                    for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
+                    for chunk in (None, 37)
+                ),
+                *(
+                    stft_mixed_norm(f, window, MixedOrder(r, s, inner), chunk=37)
+                    for window in extra_windows
                     for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
                 ),
             ]
@@ -281,7 +374,10 @@ def test_stft_results_independent_of_fft_workers(monkeypatch):
 def test_row_ffts_run_on_one_thread_per_chunk(monkeypatch, grid128):
     # every FFT call transforms one chunk of at most 2^17 entries on one
     # thread: a 128-node field is one chunk, run inline on the calling
-    # thread, and a 64^2 field is 128 chunks of 32 rows
+    # thread, and a 64^2 field is 128 chunks of 32 rows.  Its tensor window
+    # takes two FFTs per chunk: one over the first node axis of the 64^2
+    # node product, shared by the chunk's rows, and one over the second axis
+    # of its 32 rows (the two threads' calls interleave in the log)
     monkeypatch.setattr(transforms, "_FFT_WORKERS", 2)
     calls = _record_fft_calls(monkeypatch)
     stft(gaussian(grid128), default_window(grid128))
@@ -289,7 +385,10 @@ def test_row_ffts_run_on_one_thread_per_chunk(monkeypatch, grid128):
     grid = make_grid(64, 10.0, dim=2)
     chunks = [len(idx) for idx, _ in stft_row_chunks(gaussian(grid), default_window(grid))]
     assert chunks == [32] * 128
-    assert [(entries, workers) for entries, workers, _ in calls[1:]] == [(32 * 64**2, 1)] * 128
+    assert Counter((entries, workers) for entries, workers, _ in calls[1:]) == {
+        (64**2, 1): 128,
+        (32 * 64**2, 1): 128,
+    }
     assert max(entries for entries, _, _ in calls) <= transforms._CHUNK_ENTRIES
 
 
