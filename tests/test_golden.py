@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import strict_json
+from golden import engine_bits
 from golden.regen import COMMANDS, GOLDEN, render, replay, write_inputs
 
 
@@ -92,3 +93,13 @@ def test_edge_exponents_pass_or_are_refused(name, inputs):
     else:
         assert code == 2 and stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith("tfuncert: ")
+
+
+def test_engine_bits_on_every_route():
+    # streamed norms and ambiguity sums keep their float.hex on every route
+    # of the STFT engine (the cases are listed in golden/engine_bits.py)
+    expected = engine_bits.PATH.read_text(encoding="utf-8")
+    want = dict(line.rsplit(" ", 1) for line in expected.splitlines())
+    got = engine_bits.compute()
+    moved = [case for case in want if got.get(case) != want[case]]
+    assert engine_bits.render(got) == expected, f"{len(moved)} cases moved, first {moved[:3]}"
