@@ -154,7 +154,23 @@ class CertificateReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
+        return _json_line(self.to_dict())
+
+
+def _strict_json(obj):
+    """``obj`` with each non-finite float replaced by the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(value) for value in obj]
+    return obj
+
+
+def _json_line(obj: dict) -> str:
+    """``obj`` as one line of strict JSON: every line the library and the CLI print."""
+    return json.dumps(_strict_json(obj), allow_nan=False)
 
 
 def _grid_meta(grid: Grid) -> dict:

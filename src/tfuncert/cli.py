@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
@@ -37,7 +36,7 @@ from .constants import (
     sharp_B,
     solve_partner_exponent,
 )
-from .certifier import DEFAULT_TOL, _certify, _inequality, run_battery
+from .certifier import DEFAULT_TOL, _certify, _inequality, _json_line, run_battery
 # minimize_banach is no longer called here; it stays importable from this
 # module for code that binds it by module (the benchmark's span tracer does)
 from .variational import (  # noqa: F401
@@ -71,17 +70,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _strict_json(obj):
-    """``obj`` with each non-finite float replaced by the string "inf", "-inf" or "nan"."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
-    if isinstance(obj, dict):
-        return {key: _strict_json(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(value) for value in obj]
-    return obj
-
-
 class _Emitter:
     """Buffer JSON lines, then emit in order to stdout and optionally a file."""
 
@@ -90,7 +78,7 @@ class _Emitter:
         self.lines: list[str] = []
 
     def emit(self, obj: dict) -> None:
-        self.lines.append(json.dumps(_strict_json(obj), allow_nan=False))
+        self.lines.append(_json_line(obj))
 
     def flush(self) -> None:
         """Print the lines, then write the file; the file is written even if stdout fails."""

@@ -19,6 +19,7 @@ from .sampling import Grid, SampledFunction, GaussianSpec, sample_gaussian, _req
 from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
+    _half_nodes,
     fourier,
     stft,
     stft_row_chunks,
@@ -223,15 +224,12 @@ class _MixedReduction:
     outer variable multiplies the inner norms (equal, since it is constant
     along each inner sum).  A tabulated weight multiplies the field.
 
-    With ``half`` the columns are the half-spectrum nodes of
-    :func:`~tfuncert.transforms.stft_row_chunks` (first index at most n/2)
-    and the weight must be a bracket weight, whose w profile is even.  The
-    node of each column then stands for itself and its mirror, so ``counts``
-    is 1 where the first index is 0 or n/2 (nodes whose mirror is another
-    column, or themselves) and 2 elsewhere; every power sum over w,
-    the inner one and the outer one after an x-inner pass, takes each column
-    ``counts`` times.  A maximum (r or s infinite) ignores it.  For full rows
-    ``counts`` is None.
+    With ``half`` the columns are the kept nodes of the half-spectrum
+    layout (``transforms._half_nodes``) and the weight must be a bracket
+    weight, whose w profile is even, so each column stands for itself and
+    its mirror: every power sum over w, the inner one and the outer one
+    after an x-inner pass, takes each column ``counts`` times.  A maximum
+    (r or s infinite) ignores it.  For full rows ``counts`` is None.
     """
 
     def __init__(self, grid: Grid, order: MixedOrder, weight: Weight, half: bool = False):
@@ -245,11 +243,8 @@ class _MixedReduction:
         else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
             if half:
-                cut = grid.n // 2 + 1
-                ww = ww.reshape(grid.shape)[:cut].ravel()
-                counts = np.full((cut,) + grid.shape[1:], 2.0)
-                counts[[0, -1]] = 1.0
-                self.counts = counts.ravel()
+                keep, self.counts = _half_nodes(grid)
+                ww = ww[keep]
                 columns = self.counts.size
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)

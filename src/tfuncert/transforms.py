@@ -21,7 +21,7 @@ from itertools import islice, starmap
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sampling import Grid, SampledFunction, _centered_ifftn, _require_same_grid
+from .sampling import Grid, SampledFunction, _centered_ifftn, _integral, _require_same_grid
 
 __all__ = [
     "AliasingError",
@@ -179,10 +179,14 @@ class PhaseSpaceFunction:
 # other window takes the node product and fftn.
 #
 # For real f and g both factors are real, and the streamed rows may be taken
-# as half spectra: V_g f(x, -w) = conj V_g f(x, w).  The halved axis is the
-# first node axis (frequency nodes whose first index is at most n/2): the
+# as half spectra: V_g f(x, -w) = conj V_g f(x, w).  _half_nodes is the one
+# statement of their layout: the halved axis is the first node axis.  The
 # factored route takes an rfft over j1, the general route rfftn with its axes
-# reversed, so both d = 2 routes share one layout.
+# reversed, so both d = 2 routes write that layout.
+#
+# Every route, full or half, factored or general, is one
+# fill(start, stop, out) that writes a chunk's rows into the block it is
+# given: a fresh one, a slice of the materialized field, or a reused buffer.
 #
 # Every pass over the field (making rows, filling the materialized field,
 # the adjoint, the streamed reductions) works in row chunks of
@@ -203,8 +207,16 @@ _AHEAD = 2
 
 
 def _chunk_rows(size: int, chunk: int | None = None) -> int:
-    """Rows per chunk of a field with ``size`` x nodes: ``chunk``, or ``_CHUNK_ENTRIES`` entries."""
-    return max(1, _CHUNK_ENTRIES // size) if chunk is None else chunk
+    """Rows per chunk of a field with ``size`` x nodes: ``chunk``, or ``_CHUNK_ENTRIES`` entries.
+
+    A ``chunk`` that is not a positive integer raises ``ValueError``.
+    """
+    if chunk is None:
+        return max(1, _CHUNK_ENTRIES // size)
+    rows = _integral(chunk, "chunk")
+    if rows < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
+    return rows
 
 
 def _chunk_bounds(size: int, rows: int):
@@ -342,18 +354,16 @@ def _tensor_factors(w: np.ndarray):
     return a, b
 
 
-def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, real: bool):
-    """Return ``fill(start, stop, out)`` writing the d = 2 rows of the window conj(g) = a (x) b.
+def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, half: bool):
+    """The ``fill`` of :func:`_engine_rows` for a d = 2 window conj(g) = a (x) b.
 
-    ``out`` is a C-contiguous complex block of shape ``(stop - start, width)``.
-    With ``real`` (real fs, a and b) the first FFT is an rfft and the rows
-    are the half spectra of :func:`_real_engine_rows`, ``width = (n // 2 + 1) n``;
-    otherwise ``width = n^2``.
+    With ``half`` (real fs, a and b) the first FFT is an rfft, which halves
+    the first node axis.
     """
     import scipy.fft
 
     n = fs.shape[0]
-    first = scipy.fft.rfft if real else scipy.fft.fft
+    first = scipy.fft.rfft if half else scipy.fft.fft
     bank_a, bank_b = _window_bank(a, flip), _window_bank(b, flip)
 
     def fill(start: int, stop: int, out: np.ndarray) -> None:
@@ -369,73 +379,58 @@ def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, rea
     return fill
 
 
-def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False):
+def _half_nodes(grid: Grid) -> tuple[slice, np.ndarray]:
+    """``(keep, counts)``: the layout of half-spectrum rows on ``grid``.
+
+    The kept frequency nodes are those whose first index is at most n/2, in
+    node order, which is the flat prefix ``keep`` of the frequency lattice.
+    Every other node is the mirror (-k mod n per axis) of a kept one, where
+    V_g f(x, -w) = conj V_g f(x, w) for real f and g.  ``counts`` is the
+    number of lattice nodes each kept node stands for: 1 where the first
+    index is 0 or n/2 (its mirror is kept, or is itself), 2 elsewhere.
+    """
+    cut = grid.n // 2 + 1
+    counts = np.full((cut,) + grid.shape[1:], 2.0)
+    counts[[0, -1]] = 1.0
+    return slice(0, counts.size), counts.ravel()
+
+
+def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, half: bool = False):
     """Return ``fill(start, stop, out)`` writing V_g f rows of x nodes [start, stop) into out.
 
-    With ``flip`` the row of node i is that of node -i (periodically), as the
-    ambiguity function needs.  ``out`` is a C-contiguous complex block of
-    shape ``(stop - start, size)``.  A d = 2 tensor window takes the factored
-    route.
+    ``out`` is a C-contiguous complex block of shape ``(stop - start, width)``:
+    ``width = size`` for full rows.  With ``flip`` the row of node i is that
+    of node -i (periodically), as the ambiguity function needs.  With
+    ``half`` f and g must be real (a ``ValueError`` otherwise); the node
+    product is then real, and each row holds only the kept nodes of
+    :func:`_half_nodes`, ``width = keep.stop``.  A d = 2 tensor window takes
+    the factored route.
     """
     grid = f.grid
-    fs = np.fft.ifftshift(f.reshaped()) * (_parity(grid) * grid.cell)
-    w = np.conj(g.reshaped())
+    values, w = f.reshaped(), np.conj(g.reshaped())
+    if half:
+        if np.any(values.imag) or np.any(w.imag):
+            raise ValueError("half-spectrum STFT rows need real f and g")
+        values, w = values.real, w.real
+    fs = np.fft.ifftshift(values) * (_parity(grid) * grid.cell)
     factors = _tensor_factors(w)
     if factors is not None:
-        return _factored_fill(fs, *factors, flip, real=False)
-    axes = tuple(range(1, grid.dim + 1))
+        return _factored_fill(fs, *factors, flip, half)
+    # rfftn halves the last of its axes, so half rows take them reversed
+    axes = tuple(range(grid.dim, 0, -1)) if half else tuple(range(1, grid.dim + 1))
     bank = _window_bank(w, flip)
 
     def fill(start: int, stop: int, out: np.ndarray) -> None:
-        block = out.reshape((stop - start,) + grid.shape)
+        shape = (stop - start,) + grid.shape
+        # a real node product has its own block: rfftn cannot write into out
+        block = np.empty(shape) if half else out.reshape(shape)
         for lo, hi, windows in _bank_segments(bank, start, stop):
             np.multiply(fs, windows, out=block[lo:hi])
-        res = _row_fftn(block, axes)
-        if not np.may_share_memory(res, block):
-            block[...] = res
+        res = _row_fftn(block, axes, real=half)
+        if not np.may_share_memory(res, out):
+            out.reshape(res.shape)[...] = res
 
     return fill
-
-
-def _buffered(fill):
-    """``rows(start, stop, buffer)`` writing ``fill``'s rows into ``buffer(stop - start)`` and returning it."""
-
-    def rows(start: int, stop: int, buffer) -> np.ndarray:
-        out = buffer(stop - start)
-        fill(start, stop, out)
-        return out
-
-    return rows
-
-
-def _real_engine_rows(f: SampledFunction, g: SampledFunction):
-    """Return ``rows(start, stop, buffer)``: the half V_g f rows of x nodes [start, stop), for real f and g.
-
-    The node product of :func:`_engine_rows` is then real, so only the
-    frequency nodes whose first index is at most n/2 are computed, in node
-    order: each row has ``size // n * (n // 2 + 1)`` entries, and each
-    remaining node is the mirror (-k mod n per axis) of one of these, where
-    V_g f(x, -w) = conj V_g f(x, w).  A d = 2 tensor window writes the rows
-    into ``buffer(stop - start)``, a complex block of that shape; any other
-    window returns the new array of a real DFT of a ``float64`` block.
-    """
-    grid = f.grid
-    fs = np.fft.ifftshift(f.reshaped().real) * (_parity(grid) * grid.cell)
-    w = g.reshaped().real
-    factors = _tensor_factors(w)
-    if factors is not None:
-        return _buffered(_factored_fill(fs, *factors, flip=False, real=True))
-    # rfftn halves the last of its axes: the first node axis
-    axes = tuple(range(grid.dim, 0, -1))
-    bank = _window_bank(w)
-
-    def rows(start: int, stop: int, buffer) -> np.ndarray:
-        block = np.empty((stop - start,) + grid.shape)
-        for lo, hi, windows in _bank_segments(bank, start, stop):
-            np.multiply(fs, windows, out=block[lo:hi])
-        return _row_fftn(block, axes, real=True).reshape(stop - start, -1)
-
-    return rows
 
 
 def stft_row_chunks(
@@ -455,7 +450,8 @@ def stft_row_chunks(
     next two may already be computing on the engine's pool, so at most three
     chunks are alive: this is the memory-bounded route that every mixed norm
     of V_g f takes.  Each chunk's rows are a new array.  Inputs are not
-    checked here.
+    checked here; a ``chunk`` that is not a positive integer raises
+    ``ValueError``.
 
     With ``half`` f and g must be real (a ``ValueError`` otherwise), and each
     row holds only the frequency nodes whose first index is at most n/2, in
@@ -471,44 +467,28 @@ def stft_row_chunks(
     next step: neither ``reduce`` nor the consumer may keep them.  ``reduce``
     runs on the pool's threads and must not wait on the pool.
     """
-    grid = f.grid
-    size = grid.size
-    if half:
-        if np.any(f.values.imag) or np.any(g.values.imag):
-            raise ValueError("half-spectrum STFT rows need real f and g")
-        make = _real_engine_rows(f, g)
-        width = size // grid.n * (grid.n // 2 + 1)
-    else:
-        make = _buffered(_engine_rows(f, g))
-        width = size
+    size = f.grid.size
     rows = _chunk_rows(size, chunk)
+    fill = _engine_rows(f, g, half=half)
+    width = _half_nodes(f.grid)[0].stop if half else size
     threaded = rows < size and _FFT_WORKERS > 1
-    if reduce is None:
+    # with reduce, chunk k is alive from its task until the consumer's next
+    # step, and at most _AHEAD later chunks compute meanwhile: ring slot
+    # k mod (_AHEAD + 1) is free when chunk k starts
+    slots = min(_AHEAD + 1, -(-size // rows)) if threaded else 1
+    ring = [None] * slots
 
-        def fresh(count: int) -> np.ndarray:
-            return np.empty((count, width), dtype=np.complex128)
-
-        def task(start: int, stop: int):
-            return np.arange(start, stop), make(start, stop, fresh)
-
-    else:
-        # chunk k is alive from its task until the consumer's next step, and
-        # at most _AHEAD later chunks compute meanwhile: slot k mod (_AHEAD + 1)
-        # is free when chunk k starts
-        slots = min(_AHEAD + 1, -(-size // rows)) if threaded else 1
-        ring = [None] * slots
-
-        def task(start: int, stop: int):
+    def task(start: int, stop: int):
+        if reduce is None:
+            out = np.empty((stop - start, width), dtype=np.complex128)
+        else:
             slot = (start // rows) % slots
-
-            def buffer(count: int) -> np.ndarray:
-                if ring[slot] is None:
-                    ring[slot] = np.empty((min(rows, size), width), dtype=np.complex128)
-                return ring[slot][:count]
-
-            idx = np.arange(start, stop)
-            out = make(start, stop, buffer)
-            return idx, out, reduce(idx, out)
+            if ring[slot] is None:
+                ring[slot] = np.empty((min(rows, size), width), dtype=np.complex128)
+            out = ring[slot][: stop - start]
+        fill(start, stop, out)
+        idx = np.arange(start, stop)
+        return (idx, out) if reduce is None else (idx, out, reduce(idx, out))
 
     return _ordered_map(task, _chunk_bounds(size, rows), threaded)
 

@@ -38,7 +38,7 @@ from tfuncert.norms import default_window, lp_weighted
 from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth
 from tfuncert.transforms import AliasingError
 
-from conftest import gaussian
+from conftest import gaussian, strict_json
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,13 @@ def test_report_properties():
     with pytest.raises(ValueError):
         CertificateReport("heisenberg", {}, -1.0, 1.0, 0.5, 1e-8, {})
     assert verdict(1.0, 1.0 + 1e-9, 1e-8) and not verdict(1.0, 1.1, 1e-8)
+
+
+def test_report_json_lines_are_strict():
+    # the young lattice's m = n = 2 corner has r = inf, written as "inf"
+    reports = run_battery("young", None, seeds=1).reports
+    lines = [strict_json(rep.to_json_line()) for rep in reports]
+    assert any(line["exponents"].get("r") == "inf" for line in lines)
 
 
 # ---------------------------------------------------------------------------

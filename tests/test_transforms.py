@@ -227,6 +227,16 @@ def test_half_spectrum_rows(grid128):
                 stft_row_chunks(*args, half=True)
 
 
+@pytest.mark.parametrize("chunk", [-5, 0, 2.5])
+def test_chunk_must_be_a_positive_integer(grid128, chunk):
+    # an empty chunk range would stream no rows and read a norm of 0
+    f = gaussian(grid128)
+    with pytest.raises(ValueError, match="chunk must be"):
+        stft_row_chunks(f, f, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk must be"):
+        stft_mixed_norm(f, f, MixedOrder(2, 2), chunk=chunk)
+
+
 @pytest.mark.parametrize("n", [16, 32])
 def test_factored_rows_match_the_general_route(monkeypatch, n):
     # the rows of a tensor window (full rows, half rows and the flipped bank
@@ -265,6 +275,7 @@ def test_reduced_rows_stay_valid_until_the_next_step(monkeypatch):
         (f, default_window(grid), False),
         (f, rotated_gaussian(grid), False),
         (f.with_values(f.values.real), default_window(grid), True),
+        (f.with_values(f.values.real), rotated_gaussian(grid), True),
     ):
         want = np.concatenate([rows for _, rows in stft_row_chunks(h, g, chunk=37, half=half)])
         seen = 0
