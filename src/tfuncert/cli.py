@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -239,6 +240,9 @@ def cmd_certify(args, out: _Emitter) -> int:
     entry = _inequality(ineq)
     grid = _parse_grid(args.grid, _PRESET_GRIDS["certify"])
     tol = args.tol
+    # a negative tol forces a failure; nan would fail and inf pass every certificate
+    if not math.isfinite(tol):
+        raise DomainError(f"--tol must be finite, got {tol}")
     if args.extremal is not None or args.input:
         if args.extremal is not None:
             inputs, point = _extremal_inputs(ineq, entry, args, grid)

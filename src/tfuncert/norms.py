@@ -252,11 +252,7 @@ class _MixedReduction:
 
     def add(self, idx, rows: np.ndarray) -> None:
         """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
-        self.add_magnitudes(idx, np.abs(rows))
-
-    def add_magnitudes(self, idx, mags: np.ndarray) -> None:
-        """Fold in ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten."""
-        self.fold(idx, self.reduce(idx, mags))
+        self.fold(idx, self.reduce(idx, np.abs(rows)))
 
     def reduce(self, idx, mags: np.ndarray) -> np.ndarray:
         """This chunk's part of the reduction from ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten.

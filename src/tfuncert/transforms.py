@@ -42,8 +42,9 @@ __all__ = [
 ALIASING_THRESHOLD = 1e-8
 
 # Largest dense size x size array the library builds: the phase-space field
-# held by stft, ambiguity and the descent gradient, and the quadratic forms of
-# variational.build_forms.  Norms reduce streamed row chunks instead.
+# held by stft and ambiguity, and the quadratic forms of
+# variational.build_forms.  Norms and the descent's modulation gradient
+# stream row chunks instead, so no cap applies to them.
 _MAX_MATERIALIZED = 1 << 24
 
 # CPUs this process may run on.  The pool that makes and reduces row chunks
@@ -464,8 +465,9 @@ def stft_row_chunks(
     pool task as the rows, so rows never pass between threads.  The rows then
     live in a ring of reused buffers, one per chunk alive (allocated on first
     use, never more than there are chunks), and stay valid only until the
-    next step: neither ``reduce`` nor the consumer may keep them.  ``reduce``
-    runs on the pool's threads and must not wait on the pool.
+    next step: neither ``reduce`` nor the consumer may keep them, except
+    that the last chunk's rows stay valid once the iteration has ended.
+    ``reduce`` runs on the pool's threads and must not wait on the pool.
     """
     size = f.grid.size
     rows = _chunk_rows(size, chunk)
@@ -493,23 +495,15 @@ def stft_row_chunks(
     return _ordered_map(task, _chunk_bounds(size, rows), threaded)
 
 
-def _field_buffer(size: int) -> np.ndarray:
-    """An uninitialized complex size x size field, refused above the dense size cap."""
+def _materialize(f: SampledFunction, g: SampledFunction, flip: bool = False) -> np.ndarray:
+    """V_g f (or its x-flip) as a size x size array, refused above the dense size cap."""
+    size = f.grid.size
     if size * size > _MAX_MATERIALIZED:
         raise ValueError(
             f"phase-space field with {size}x{size} entries is too large to materialize; "
             "use stft_row_chunks / the streaming mixed norm instead"
         )
-    return np.empty((size, size), dtype=np.complex128)
-
-
-def _materialize(
-    f: SampledFunction, g: SampledFunction, flip: bool = False, out: np.ndarray | None = None
-) -> np.ndarray:
-    """V_g f (or its x-flip) as a size x size array, written into ``out`` when given."""
-    size = f.grid.size
-    if out is None:
-        out = _field_buffer(size)
+    out = np.empty((size, size), dtype=np.complex128)
     fill = _engine_rows(f, g, flip)
     for _ in _chunk_map(lambda start, stop: fill(start, stop, out[start:stop]), size):
         pass
@@ -580,27 +574,32 @@ def stft_adjoint(Y: np.ndarray, g: SampledFunction) -> np.ndarray:
     Y = np.array(Y, dtype=np.complex128, order="C")
     if Y.shape != (size, size):
         raise ValueError(f"Y must have shape ({size}, {size})")
-    return _adjoint_in_place(Y, g)
+    return _adjoint_sum(lambda start, stop: Y[start:stop], g)
 
 
-def _adjoint_in_place(Y: np.ndarray, g: SampledFunction) -> np.ndarray:
-    """:func:`stft_adjoint` of a C-contiguous complex ``Y`` of shape (size, size), overwriting Y."""
+def _adjoint_sum(rows, g: SampledFunction) -> np.ndarray:
+    """S^H Y for the window ``g``, where ``rows(start, stop)`` returns rows [start, stop) of Y.
+
+    Each chunk's rows are a C-contiguous complex block of shape
+    (stop - start, size), which the sum overwrites.  ``rows`` is called in the
+    pool task of its chunk; the chunks are summed in chunk order, so the bits
+    do not depend on the worker count.
+    """
     grid = g.grid
-    size = grid.size
     axes = tuple(range(1, grid.dim + 1))
     # The engine transposed: with U_i = ifft(Y_i) and j the node index of
     # ifftshift(u), S^H Y = cell n^d fftshift((-1)^j sum_i g[(j - i) mod n] U_i[j]).
-    rows = Y.reshape((size,) + grid.shape)
     bank = _window_bank(g.reshaped())
 
     def windowed(start: int, stop: int) -> np.ndarray:
-        U = _row_fftn(rows[start:stop], axes, inverse=True)
+        block = rows(start, stop).reshape((stop - start,) + grid.shape)
+        U = _row_fftn(block, axes, inverse=True)
         for lo, hi, windows in _bank_segments(bank, start, stop):
             U[lo:hi] *= windows
         return U
 
     acc = None
-    for U in _chunk_map(windowed, size):
+    for U in _chunk_map(windowed, grid.size):
         if acc is not None:
             # carry the running sum into the chunk's first row: the rows are
             # added one after another, exactly as one sum over all rows would

@@ -32,17 +32,17 @@ from .sampling import (
 # this module for code that binds them by module (the benchmark's span tracer does)
 from .transforms import (  # noqa: F401
     _MAX_MATERIALIZED,
-    _adjoint_in_place,
+    _adjoint_sum,
     _bank_segments,
     _check_stft_inputs,
-    _field_buffer,
-    _materialize,
+    _engine_rows,
     _parity,
     _window_bank,
     fourier,
     inverse_fourier,
     stft,
     stft_adjoint,
+    stft_row_chunks,
 )
 from .norms import (
     AdmissibleTriple,
@@ -468,10 +468,10 @@ class ModulationTerm:
         """Whether the term is the unweighted M^{2,2} norm, taken by :func:`_tight_frame_grad`."""
         return self.r == 2 and self.s == 2 and self.alpha == 0 and self.beta == 0
 
-    def _value_and_grad(self, f: SampledFunction, work=None) -> tuple[float, np.ndarray]:
+    def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
         if self._tight_frame:
             return _tight_frame_grad(f, self.window)
-        return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta, work)
+        return _modulation_grad(f, self.window, self.r, self.s, self.alpha, self.beta)
 
 
 FrechetTerm = Union[XMomentTerm, OmegaMomentTerm, ModulationTerm]
@@ -493,43 +493,50 @@ def _moment_grad(f: SampledFunction, p: float, a: float, what: str) -> tuple[flo
 
 
 def _modulation_grad(
-    f: SampledFunction,
-    g: SampledFunction,
-    r: float,
-    s: float,
-    alpha: float,
-    beta: float,
-    work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    f: SampledFunction, g: SampledFunction, r: float, s: float, alpha: float, beta: float
 ) -> tuple[float, np.ndarray]:
-    """Modulation norm of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell.
+    """Modulation norm of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell, streamed.
 
-    V is materialized once and overwritten by the adjoint's input; |V| is
-    taken once, for the power and the reducer.  ``work`` holds the V, |V|
-    and scratch fields (see :func:`_grad_workspace`); without it they are
-    allocated for this call.
+    Pass 1 reduces the row chunks of V = V_g f to the norm M and the column
+    norms, which coeff = wx^r ww^s col^(s-r) M^(1-s) needs before any row can
+    be scaled.  Pass 2 makes each chunk's rows again, scales them in place
+    through one real buffer (|V|, then its power, then coeff) and folds them
+    into the adjoint sum in chunk order.  The last chunk is not made again:
+    it is still in pass 1's buffer, so a one-chunk field is made once.
     """
     grid = f.grid
     _check_stft_inputs(f, g)
-    V, mags, scratch = work or _grad_workspace(grid)
-    _materialize(f, g, out=V)
-    np.abs(V, out=mags)
-    # |V|^(r-2) V with the V = 0 nodes set to 0 (the pairing's limit value)
-    scratch.fill(0.0)
-    np.power(mags, r - 2.0, out=scratch, where=mags > 0)
-    V *= scratch
     reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
-    reduction.add_magnitudes(slice(None), mags)
-    inner = reduction.inner()
+
+    def reduce_chunk(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return reduction.reduce(idx, np.abs(rows))
+
+    for idx, last_rows, part in stft_row_chunks(f, g, reduce=reduce_chunk):
+        reduction.fold(idx, part)
     value = reduction.value()
-    wx, ww = reduction.inner_weight, reduction.outer_weight
     if value == 0.0:
         raise ValueError("zero modulation norm; the derivative is undefined")
+    inner = reduction.inner()
     with np.errstate(divide="ignore", invalid="ignore"):
         col = np.where(inner > 0, inner ** (s - r), 0.0)
-    coeff = np.multiply(value ** (1.0 - s) * (ww**s * col)[None, :], (wx**r)[:, None], out=scratch)
-    V *= coeff
-    grad = grid.freq_cell * _adjoint_in_place(V, g)
-    return value, grad
+    col_coeff = value ** (1.0 - s) * (reduction.outer_weight**s * col)
+    row_coeff = reduction.inner_weight**r
+    fill = _engine_rows(f, g)
+
+    def scaled(start: int, stop: int) -> np.ndarray:
+        if stop == grid.size:
+            rows = last_rows
+        else:
+            rows = np.empty((stop - start, grid.size), dtype=np.complex128)
+            fill(start, stop, rows)
+        # |V|^(r-2) V with the V = 0 nodes left at 0 (the pairing's limit value)
+        mags = np.abs(rows)
+        np.power(mags, r - 2.0, out=mags, where=mags > 0)
+        rows *= mags
+        rows *= np.multiply(col_coeff[None, :], row_coeff[start:stop, None], out=mags)
+        return rows
+
+    return value, grid.freq_cell * _adjoint_sum(scaled, g)
 
 
 def _tight_frame_grad(f: SampledFunction, g: SampledFunction) -> tuple[float, np.ndarray]:
@@ -546,16 +553,6 @@ def _tight_frame_grad(f: SampledFunction, g: SampledFunction) -> tuple[float, np
     if fn == 0.0:
         raise ValueError("zero modulation norm; the derivative is undefined")
     return fn * gn, (gn / fn) * f.values
-
-
-def _grad_workspace(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialized V, |V| and scratch fields for :func:`_modulation_grad` on ``grid``.
-
-    A descent allocates them once per run instead of once per gradient, so
-    the size^2 fields are not mapped and unmapped on every step.
-    """
-    V = _field_buffer(grid.size)
-    return V, np.empty(V.shape), np.empty(V.shape)
 
 
 def _pairing(grad: np.ndarray, u: np.ndarray, cell: float) -> float:
@@ -608,8 +605,10 @@ class MinimizeOptions:
     max_iter: int = 400
 
     def __post_init__(self) -> None:
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("options out of range")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -643,14 +642,11 @@ def _banach_terms(
 
 
 def _banach_value_and_grads(
-    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction, work=None
+    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient.
-
-    ``work`` is the modulation gradient's workspace (see :func:`_grad_workspace`).
-    """
+    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient."""
     x_term, w_term, m_term = terms
-    m, gm = m_term._value_and_grad(f, work)
+    m, gm = m_term._value_and_grad(f)
     xval, gx = x_term._value_and_grad(f)
     wval, gw = w_term._value_and_grad(f)
     return xval + wval, gx + gw, m, gm
@@ -718,8 +714,8 @@ def minimize_banach(
     Each trial point streams M(Tu) once through :func:`modulation_norm` to
     normalize.  At r = s = 2 without weight the modulation gradient is the
     tight-frame identity ||g||^2 f / M(f) (see :func:`_tight_frame_grad`)
-    and takes no phase-space field; otherwise it materializes V_g f into a
-    workspace allocated once per run.
+    and takes no phase-space field; otherwise it streams the rows of V_g f
+    twice (see :func:`_modulation_grad`), so no grid size cap applies.
 
     Convergence is declared when the unpreconditioned stationarity defect
     along the ratio gradient, |<v, grad>| / ||grad||_2 with v = gf - lam gm
@@ -753,8 +749,6 @@ def minimize_banach(
     edge = (grid.coords() + 0.5 * h) / (0.5 * (grid.extent - h))
     taper = np.exp(-40.0 * np.sum(np.abs(edge) ** 32, axis=-1))
 
-    # the tight-frame gradient takes no field, so only the field route gets a workspace
-    work = None if terms[2]._tight_frame else _grad_workspace(grid)
     quadratic = e.p == 2 and e.q == 2
     precondition = _moment_preconditioner(grid, e.a, e.b) if quadratic else (lambda v: v)
 
@@ -765,7 +759,7 @@ def minimize_banach(
         if nm == 0.0:
             raise ValueError("cannot normalize a function with zero modulation norm")
         fn = scale(tu, 1.0 / nm)
-        lam, gf, _, gm = _banach_value_and_grads(terms, fn, work)
+        lam, gf, _, gm = _banach_value_and_grads(terms, fn)
         # F and M have 0-homogeneous gradients, so those at Tu are those at f
         grad = taper * (gf - lam * gm) / nm
         return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad], cell)

@@ -1,8 +1,9 @@
 """The STFT engine's bits on every row route: the cases and their regeneration.
 
 ``engine_bits.txt`` in this directory holds one line ``<case> <float.hex>``
-per streamed mixed norm below and per sum of a materialized ``ambiguity``
-field of a complex f.  ``tests/test_golden.py`` recomputes every value and compares the
+per streamed mixed norm below, per sum of a materialized ``ambiguity``
+field of a complex f, and per value and probe pairing of the descent's
+modulation gradient.  ``tests/test_golden.py`` recomputes every value and compares the
 text byte for byte.  The cases reach each route of the engine:
 
 - d = 1 (128 nodes) and d = 2 (32^2);
@@ -13,7 +14,10 @@ text byte for byte.  The cases reach each route of the engine:
   node axis in d = 2;
 - inner x and inner omega orders, with r or s infinite among them;
 - the unit and a bracket weight, each order with both across the chunk rules;
-- the flipped window bank of ``ambiguity``.
+- the flipped window bank of ``ambiguity``;
+- the modulation gradient of a complex f off the tight-frame route: one
+  chunk at 128 nodes, eight at 32^2 with the factored and the general
+  window.
 
 A change that moves these bits on purpose regenerates the file from a
 checkout with
@@ -32,6 +36,7 @@ import numpy as np
 from tfuncert.norms import BracketWeight, MixedOrder, default_window, stft_mixed_norm
 from tfuncert.sampling import GaussianSpec, RandomFunctionSpec, make_grid, random_smooth, sample_gaussian
 from tfuncert.transforms import ambiguity
+from tfuncert.variational import _modulation_grad
 
 PATH = Path(__file__).resolve().parent / "engine_bits.txt"
 
@@ -43,20 +48,30 @@ ORDERS = (
 )
 WEIGHTS = {"unit": BracketWeight(0.0, 0.0), "bracket": BracketWeight(0.5, 1.0)}
 CHUNKS = (None, 37)
+# (r, s, alpha, beta) of the gradient cases
+GRAD_EXPONENTS = (1.5, 1.8, 0.3, 0.2)
+
+
+def _spec(seed: int) -> RandomFunctionSpec:
+    return RandomFunctionSpec(seed=seed, band_fraction=0.5, envelope_sigma=1.2)
+
+
+def _windows(grid) -> dict:
+    """The Gaussian window, and in d = 2 a rotated one that takes the general route."""
+    windows = {"gaussian": default_window(grid)}
+    if grid.dim == 2:
+        quad = math.pi * np.array([[1.0, 0.3], [0.3, 1.0]])
+        windows["rotated"] = sample_gaussian(GaussianSpec(quad), grid)
+    return windows
 
 
 def _pairs(grid):
     """``(name, f, g)`` of the inputs on ``grid``: complex f takes full rows,
     real f with a real window half rows."""
-    spec = RandomFunctionSpec(seed=11, band_fraction=0.5, envelope_sigma=1.2)
-    f = random_smooth(spec, grid)
+    f = random_smooth(_spec(11), grid)
     real = f.with_values(f.values.real)
-    other = random_smooth(RandomFunctionSpec(seed=12, band_fraction=0.5, envelope_sigma=1.2), grid)
-    windows = {"gaussian": default_window(grid)}
-    if grid.dim == 2:
-        quad = math.pi * np.array([[1.0, 0.3], [0.3, 1.0]])
-        windows["rotated"] = sample_gaussian(GaussianSpec(quad), grid)
-    for name, g in windows.items():
+    other = random_smooth(_spec(12), grid)
+    for name, g in _windows(grid).items():
         yield f"complex-f {name}", f, g
         yield f"real-f {name}", real, g
     yield "complex-f random", f, other
@@ -82,6 +97,17 @@ def compute() -> dict[str, str]:
                 total = ambiguity(f, g).values.sum()
                 bits[f"{prefix} {pair} ambiguity sum.real"] = total.real.hex()
                 bits[f"{prefix} {pair} ambiguity sum.imag"] = total.imag.hex()
+    r, s, alpha, beta = GRAD_EXPONENTS
+    for grid in (make_grid(128, 10.0), make_grid(32, 9.0, dim=2)):
+        prefix = f"d={grid.dim} n={grid.n}"
+        f, probe = random_smooth(_spec(11), grid), random_smooth(_spec(13), grid).values
+        for name, g in _windows(grid).items():
+            value, grad = _modulation_grad(f, g, r, s, alpha, beta)
+            pairing = np.vdot(grad, probe)
+            case = f"{prefix} complex-f {name} modulation_grad r={r:g} s={s:g} alpha={alpha:g} beta={beta:g}"
+            bits[f"{case} value"] = value.hex()
+            bits[f"{case} vdot(grad, probe).real"] = pairing.real.hex()
+            bits[f"{case} vdot(grad, probe).imag"] = pairing.imag.hex()
     return bits
 
 

@@ -192,6 +192,20 @@ def test_certify_forced_failure_exits_1():
     assert rec["passed"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "heisenberg", "--seeds", "1", "--grid", "128,10"], ["minimize", "--preset", "heisenberg"]],
+    ids=["certify", "minimize"],
+)
+def test_non_finite_tol_exits_2(capsys, argv, tol):
+    # nan once failed every certificate and ran every descent to --max-iter;
+    # inf passed every certificate and declared descents converged at once
+    assert run_cli([*argv, f"--tol={tol}"]) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tfuncert: ") and "tol must be finite" in err[0]
+
+
 def test_certify_domain_errors_exit_2():
     # exponent outside the admissible window
     assert run_cli(["certify", "hausdorff_young", "--extremal", "r=2.5"])[0] == 2

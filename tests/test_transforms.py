@@ -42,7 +42,7 @@ from tfuncert.transforms import (
     stft_adjoint,
     stft_row_chunks,
 )
-from tfuncert.variational import ModulationTerm, frechet_directional
+from tfuncert.variational import ModulationTerm, _modulation_grad, frechet_directional
 
 from conftest import gaussian, lieb_extremals, rotated_gaussian
 
@@ -373,6 +373,11 @@ def test_stft_results_independent_of_fft_workers(monkeypatch):
                     for window in extra_windows
                     for r, s, inner in ((1.5, 2.5, "x"), (2.5, 1.5, "omega"))
                 ),
+                *(
+                    part
+                    for window in (g, *extra_windows)
+                    for part in _modulation_grad(f, window, 1.5, 1.8, 0.3, 0.2)
+                ),
             ]
             if first is None:
                 first = results
@@ -427,6 +432,9 @@ STFT_ROUTES = {
     "certify_lieb_reverse x": lambda f, g: certify_lieb_reverse(f, g, *_LIEB_REVERSE, "x"),
     "certify_lieb_reverse omega": lambda f, g: certify_lieb_reverse(f, g, *_LIEB_REVERSE, "omega"),
     "frechet_directional": lambda f, g: frechet_directional(f, f, ModulationTerm(2.0, 2.0, window=g)),
+    "frechet_directional field": lambda f, g: frechet_directional(
+        f, f, ModulationTerm(1.5, 1.8, 0.3, 0.2, window=g)
+    ),
 }
 
 

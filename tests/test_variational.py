@@ -35,7 +35,6 @@ from tfuncert.variational import (
     ModulationTerm,
     OmegaMomentTerm,
     XMomentTerm,
-    _grad_workspace,
     _hermitize,
     _modulation_grad,
     _moment_preconditioner,
@@ -52,7 +51,7 @@ from tfuncert.variational import (
     smallest_eigen,
 )
 
-from conftest import gaussian
+from conftest import gaussian, rotated_gaussian
 
 
 SMALL_SPEC = RandomFunctionSpec(seed=21, band_fraction=0.5, envelope_sigma=1.2)
@@ -485,23 +484,48 @@ def test_modulation_grad_matches_oracle_bitwise(grid128, r, s, alpha, beta):
     np.testing.assert_array_equal(grad, want_grad)
 
 
-def test_modulation_grad_reuses_a_workspace(grid128):
-    # a workspace left dirty by earlier calls gives the fresh fields' bits
-    g = default_window(grid128)
-    work = _grad_workspace(grid128)
-    for arr in work:
-        arr.fill(np.nan)
-    for seed in (1, 2):
-        f = random_smooth(RandomFunctionSpec(seed=seed), grid128)
-        value, grad = _modulation_grad(f, g, 1.5, 1.8, 0.3, 0.2, work)
-        want_value, want_grad = _modulation_grad(f, g, 1.5, 1.8, 0.3, 0.2)
-        assert value == want_value
-        np.testing.assert_array_equal(grad, want_grad)
+@pytest.mark.parametrize(
+    "grid, window",
+    [
+        (make_grid(1024, 12.0), default_window),
+        (make_grid(32, 9.0, dim=2), default_window),
+        (make_grid(32, 9.0, dim=2), rotated_gaussian),
+    ],
+    ids=["1024", "32^2 factored", "32^2 general"],
+)
+@pytest.mark.parametrize("r, s, alpha, beta", [(1.5, 1.8, 0.3, 0.2), (2.5, 1.5, 0, 0)])
+def test_multi_chunk_modulation_grad_matches_oracle(grid, window, r, s, alpha, beta):
+    # eight chunks: pass 2 makes seven of them again and sums the adjoint
+    # chunk by chunk, so the bits may differ from the oracle's in rounding
+    f = random_smooth(SMALL_SPEC, grid)
+    g = window(grid)
+    value, grad = _modulation_grad(f, g, r, s, alpha, beta)
+    want_value, want_grad = _modulation_grad_oracle(f, g, r, s, alpha, beta)
+    assert abs(value - want_value) <= 1e-12 * want_value
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+def test_modulation_grad_holds_no_field():
+    # a 64^2 field is 4096^2 entries (256 MiB complex); the streamed passes
+    # hold a few 2 MiB chunks of rows and their magnitudes
+    small = make_grid(16, 9.0, dim=2)
+    _modulation_grad(default_window(small), default_window(small), 1.5, 1.5, 0.0, 0.0)  # imports
+    grid = make_grid(64, 9.0, dim=2)
+    f = random_smooth(SMALL_SPEC, grid)
+    g = default_window(grid)
+    tracemalloc.start()
+    try:
+        _modulation_grad(f, g, 1.5, 1.5, 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_modulation_grad_allocation_budget():
-    # V, |V| and one real scratch field: a third complex-sized copy means a
-    # temporary crept back into the gradient
+    # 256 nodes are one chunk, made once: its rows and one real buffer for
+    # |V|, its power and the coefficient.  Making the chunk again, or a
+    # separate array for the power or the coefficient, crosses the bound
     grid = make_grid(256, 12.0)
     f = random_smooth(SMALL_SPEC, grid)
     g = default_window(grid)
@@ -538,13 +562,12 @@ def test_other_modulation_terms_take_the_field_gradient(grid128, r, s, alpha, be
 
 
 def test_tight_frame_descent_takes_no_field(grid128, monkeypatch):
-    # the M^{2,2} descent streams its normalization and nothing else: no
-    # workspace, no materialized field, no adjoint
+    # the M^{2,2} descent streams its normalization and nothing else: its
+    # gradient takes no phase-space field, streamed or materialized
     def refuse(*args, **kwargs):
         raise AssertionError("phase-space field taken")
 
-    for name in ("_grad_workspace", "_materialize", "_adjoint_in_place"):
-        monkeypatch.setattr(variational, name, refuse)
+    monkeypatch.setattr(variational, "_modulation_grad", refuse)
     init = random_smooth(RandomFunctionSpec(seed=50), grid128)
     sol = minimize_banach(HEISENBERG, default_window(grid128), grid128, init)
     assert sol.converged
@@ -734,8 +757,8 @@ def test_minimize_results_independent_of_fft_workers(monkeypatch):
 
 
 def test_field_route_descent_independent_of_fft_workers(monkeypatch):
-    # at r = s = 1.5 the modulation gradient materializes V_g f and applies
-    # the adjoint, both two 256-row chunks on the 512-node grid
+    # at r = s = 1.5 the modulation gradient streams V_g f twice and sums
+    # the adjoint chunk by chunk, two 256-row chunks on the 512-node grid
     grid = make_grid(512, 12.0)
     win = default_window(grid)
     e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=1.5, s=1.5)
@@ -760,8 +783,11 @@ def test_minimize_validation(grid128):
         minimize_banach(ExponentSet(d=1, p=2, q=2, a=1, b=1), win, grid128)
     with pytest.raises(ValueError):
         minimize_banach(HEISENBERG, win, grid128, init=scale(win, 0.0))
-    with pytest.raises(ValueError):
-        MinimizeOptions(tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            MinimizeOptions(tol=tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        MinimizeOptions(max_iter=0)
 
 
 def test_minimize_exploratory_flag(grid128):
