@@ -71,14 +71,15 @@ def _power_sum(mags: np.ndarray, p: float, cell: float, axis=None, counts=None) 
 
 @dataclass(frozen=True)
 class BracketWeight:
-    """(1 + |x|)^alpha (1 + |w|)^beta with nonnegative exponents."""
+    """(1 + |x|)^alpha (1 + |w|)^beta with finite nonnegative exponents."""
 
     alpha: float = 0.0
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("bracket weight exponents must be nonnegative")
+        # an infinite exponent makes the field inf * 0 = nan where V_g f vanishes
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("bracket weight exponents must be finite and nonnegative")
 
     def x_profile(self, grid: Grid) -> np.ndarray:
         return (1.0 + grid.radii()) ** self.alpha
@@ -250,6 +251,19 @@ class _MixedReduction:
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
         self.acc = np.zeros(columns if self.over_x else grid.size)
 
+    def stream(self, f: SampledFunction, g: SampledFunction, chunk: int | None = None):
+        """Fold in V_g f, half rows for a half reduction; returns the last chunk's rows.
+
+        Each chunk is reduced in the pool task that makes it and folded in
+        chunk order, so the result does not depend on the worker count.  The
+        returned rows stay valid in the engine's ring.  Inputs are not checked.
+        """
+        chunks = stft_row_chunks(f, g, chunk, half=self.counts is not None,
+                                 reduce=lambda idx, rows: self.reduce(idx, np.abs(rows)))
+        for idx, rows, part in chunks:
+            self.fold(idx, part)
+        return rows
+
     def add(self, idx, rows: np.ndarray) -> None:
         """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
         self.fold(idx, self.reduce(idx, np.abs(rows)))
@@ -335,12 +349,9 @@ def stft_mixed_norm(
     twice instead of computed.  Complex inputs and tabulated weights take the
     full rows.  The inner='x' order accumulates power sums over x per
     frequency node, the inner='omega' order reduces each x row.  ``chunk``
-    rows are taken per step, by default the engine's 2^17-entry rule.  On a
-    field of several chunks the pool task that makes a chunk's rows also
-    reduces them (``stft_row_chunks(..., reduce=)``), while later chunks may
-    already be computing; the rows live in the engine's ring of reused
-    buffers until the next step, and the parts are folded in chunk order, so
-    the result does not depend on the worker count.  Like
+    rows are taken per step, by default the engine's 2^17-entry rule, and
+    reduced by :meth:`_MixedReduction.stream` in the pool task that makes
+    them, while later chunks may already be computing.  Like
     :func:`~tfuncert.transforms.stft_row_chunks` it does not check its
     inputs; :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
@@ -350,12 +361,7 @@ def stft_mixed_norm(
         and not np.any(g.values.imag)
     )
     reduction = _MixedReduction(f.grid, order, weight, half)
-
-    def reduce_chunk(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return reduction.reduce(idx, np.abs(rows))
-
-    for idx, _, part in stft_row_chunks(f, g, chunk, half=half, reduce=reduce_chunk):
-        reduction.fold(idx, part)
+    reduction.stream(f, g, chunk)
     return reduction.value()
 
 

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,6 +61,15 @@ class Grid:
             raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.dim not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
+        # the largest power the library takes is cell**3 = spacing**(3d), in
+        # the lag assembly; it and freq_cell**3 must be normal floats, not 0 or inf
+        top = 3 * self.dim
+        lo, hi = sys.float_info.min ** (1.0 / top), sys.float_info.max ** (1.0 / top)
+        for name, h in (("spacing", self.spacing), ("frequency spacing", self.freq_spacing)):
+            if not lo <= h <= hi:
+                raise ValueError(
+                    f"grid {name} {h:g} is outside [{lo:.3g}, {hi:.3g}] for d={self.dim}"
+                )
 
     # -- geometry -----------------------------------------------------------
 

@@ -42,7 +42,6 @@ from .transforms import (  # noqa: F401
     inverse_fourier,
     stft,
     stft_adjoint,
-    stft_row_chunks,
 )
 from .norms import (
     AdmissibleTriple,
@@ -445,7 +444,11 @@ class OmegaMomentTerm:
 
 @dataclass(frozen=True)
 class ModulationTerm:
-    """The modulation norm with bracket weights and fixed window."""
+    """The modulation norm with bracket weights and fixed window.
+
+    ``_value_and_grad(f)`` gives M(f) and its gradient from one pass over
+    V_g f; the gradient is 0-homogeneous, so the descent normalizes with that M.
+    """
 
     r: float
     s: float
@@ -495,11 +498,12 @@ def _moment_grad(f: SampledFunction, p: float, a: float, what: str) -> tuple[flo
 def _modulation_grad(
     f: SampledFunction, g: SampledFunction, r: float, s: float, alpha: float, beta: float
 ) -> tuple[float, np.ndarray]:
-    """Modulation norm of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell, streamed.
+    """Modulation norm M of f and its gradient S^H(coeff |V|^(r-2) V) * freq_cell, streamed.
 
-    Pass 1 reduces the row chunks of V = V_g f to the norm M and the column
-    norms, which coeff = wx^r ww^s col^(s-r) M^(1-s) needs before any row can
-    be scaled.  Pass 2 makes each chunk's rows again, scales them in place
+    Pass 1 (:meth:`_MixedReduction.stream`) reduces the row chunks of
+    V = V_g f to M and the column norms, which coeff = wx^r ww^s col^(s-r)
+    M^(1-s) needs before any row can be scaled; the descent normalizes with
+    this M.  Pass 2 makes each chunk's rows again, scales them in place
     through one real buffer (|V|, then its power, then coeff) and folds them
     into the adjoint sum in chunk order.  The last chunk is not made again:
     it is still in pass 1's buffer, so a one-chunk field is made once.
@@ -507,12 +511,7 @@ def _modulation_grad(
     grid = f.grid
     _check_stft_inputs(f, g)
     reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
-
-    def reduce_chunk(idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return reduction.reduce(idx, np.abs(rows))
-
-    for idx, last_rows, part in stft_row_chunks(f, g, reduce=reduce_chunk):
-        reduction.fold(idx, part)
+    last_rows = reduction.stream(f, g)
     value = reduction.value()
     if value == 0.0:
         raise ValueError("zero modulation norm; the derivative is undefined")
@@ -540,19 +539,19 @@ def _modulation_grad(
 
 
 def _tight_frame_grad(f: SampledFunction, g: SampledFunction) -> tuple[float, np.ndarray]:
-    """The unweighted M^{2,2} norm of f and its gradient, by Moyal's identity.
+    """The unweighted M^{2,2} norm M of f and its gradient, by Moyal's identity.
 
-    On the periodic grid the STFT is a tight frame, S^H S = ||g||^2 I with the
-    phase-space quadrature folded in, so ||V_g f||_2 = ||f||_2 ||g||_2 and
+    M is the one guarded, streamed :func:`modulation_norm` call, which the
+    descent normalizes with.  On the periodic grid the STFT is a tight
+    frame, S^H S = ||g||^2 I with the phase-space quadrature folded in, so
     :func:`_modulation_grad` at r = s = 2 without weight reduces to
-    ||g||^2 f / M = (||g||_2 / ||f||_2) f, up to rounding: no field, reducer
-    or adjoint.  The inputs pass the same guards as every STFT route.
+    (||g||_2 / ||f/M||_2) f/M, up to rounding: no field, reducer or adjoint.
     """
-    _check_stft_inputs(f, g)
-    fn, gn = lp_weighted(f, 2.0), lp_weighted(g, 2.0)
-    if fn == 0.0:
+    value = modulation_norm(f, g, 2, 2)
+    if value == 0.0:
         raise ValueError("zero modulation norm; the derivative is undefined")
-    return fn * gn, (gn / fn) * f.values
+    unit = scale(f, 1.0 / value)
+    return value, (lp_weighted(g, 2.0) / lp_weighted(unit, 2.0)) * unit.values
 
 
 def _pairing(grad: np.ndarray, u: np.ndarray, cell: float) -> float:
@@ -641,17 +640,6 @@ def _banach_terms(
     )
 
 
-def _banach_value_and_grads(
-    terms: tuple[XMomentTerm, OmegaMomentTerm, ModulationTerm], f: SampledFunction
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """F(f) (the sum of the two moment norms), its gradient, M(f) and its gradient."""
-    x_term, w_term, m_term = terms
-    m, gm = m_term._value_and_grad(f)
-    xval, gx = x_term._value_and_grad(f)
-    wval, gw = w_term._value_and_grad(f)
-    return xval + wval, gx + gw, m, gm
-
-
 def _stationarity_defect(
     gf: np.ndarray, gm: np.ndarray, lam: float, vectors: Sequence[np.ndarray], cell: float
 ) -> float:
@@ -673,7 +661,9 @@ def el_residual_banach(
     directions: Sequence[SampledFunction],
 ) -> float:
     """Worst stationarity defect |dF[u] - lam dM[u]| / ||u||_2 over directions."""
-    _, gf, constraint, gm = _banach_value_and_grads(_banach_terms(e, g), f)
+    x_term, w_term, m_term = _banach_terms(e, g)
+    constraint, gm = m_term._value_and_grad(f)
+    gf = x_term._value_and_grad(f)[1] + w_term._value_and_grad(f)[1]
     if abs(constraint - 1.0) > 1e-8:
         raise ValueError(f"constraint norm is {constraint!r}, expected 1")
     if not directions:
@@ -711,11 +701,12 @@ def minimize_banach(
     there P slows the descent down (p = q = 3 and 4 fail to converge in 400
     iterations where the identity converges).
 
-    Each trial point streams M(Tu) once through :func:`modulation_norm` to
-    normalize.  At r = s = 2 without weight the modulation gradient is the
-    tight-frame identity ||g||^2 f / M(f) (see :func:`_tight_frame_grad`)
-    and takes no phase-space field; otherwise it streams the rows of V_g f
-    twice (see :func:`_modulation_grad`), so no grid size cap applies.
+    Each trial point takes M(Tu) and the modulation gradient from one call
+    of the modulation term and normalizes with that M: at r = s = 2 without
+    weight one streamed :func:`modulation_norm` and the tight-frame identity
+    (see :func:`_tight_frame_grad`), otherwise the two streamed passes over
+    the rows of V_g f (see :func:`_modulation_grad`), so no grid size cap
+    applies.
 
     Convergence is declared when the unpreconditioned stationarity defect
     along the ratio gradient, |<v, grad>| / ||grad||_2 with v = gf - lam gm
@@ -728,7 +719,7 @@ def minimize_banach(
     flagged exploratory (the infimum may be zero).
     """
     opts = options or MinimizeOptions()
-    terms = _banach_terms(e, g)
+    x_term, w_term, m_term = _banach_terms(e, g)
     if e.d != grid.dim:
         raise DomainError(f"exponent set is for d={e.d} but the grid is d={grid.dim}")
     exploratory = not bool(check_galperin_grochenig(e))
@@ -755,11 +746,10 @@ def minimize_banach(
     def evaluate(u: np.ndarray):
         """f = Tu/M(Tu), lam = F(f) = R(u), the gradient of R at u, the defect."""
         tu = SampledFunction(grid, u * taper)
-        nm = modulation_norm(tu, g, e.r, e.s, e.alpha, e.beta)
-        if nm == 0.0:
-            raise ValueError("cannot normalize a function with zero modulation norm")
+        nm, gm = m_term._value_and_grad(tu)
         fn = scale(tu, 1.0 / nm)
-        lam, gf, _, gm = _banach_value_and_grads(terms, fn)
+        (xval, gx), (wval, gw) = x_term._value_and_grad(fn), w_term._value_and_grad(fn)
+        lam, gf = xval + wval, gx + gw
         # F and M have 0-homogeneous gradients, so those at Tu are those at f
         grad = taper * (gf - lam * gm) / nm
         return fn, lam, grad, _stationarity_defect(gf, gm, lam, [grad], cell)

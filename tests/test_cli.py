@@ -426,6 +426,22 @@ def test_spectrum_errors(capsys):
     assert capsys.readouterr().err == "tfuncert: spectrum --oscillator is one-dimensional, got d=2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--oscillator", "--count", "3", "--grid", "8,1e-300"],
+        ["--oscillator", "--count", "3", "--grid", "16,1e160"],
+        ["--psi", "coord", "--phi", "coord", "--m0", "1", "--count", "1", "--grid", "16,1e160"],
+    ],
+    ids=["oscillator tiny", "oscillator huge", "forms huge"],
+)
+def test_spectrum_absurd_grid_extents_exit_2(capsys, argv):
+    # h**2 once underflowed to 0 or overflowed, and the command ended in a traceback
+    assert run_cli(["spectrum", *argv]) == (2, "")
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("tfuncert: grid spacing ")
+
+
 def test_spectrum_degenerate_pencil_exits_2(capsys):
     code, out = run_cli(["spectrum", "--psi", "1", "--phi", "1", "--m0", "0", "--grid", "64,8"])
     assert code == 2 and out == ""
@@ -498,6 +514,12 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
         spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
         assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
     capsys.readouterr()
+    # an infinite weight exponent once read as a NaN norm behind a RuntimeWarning
+    spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, "alpha": "inf"}))
+    assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "tfuncert: bracket weight exponents must be finite and nonnegative\n"
+    )
     # p = 1 is refused by the x-moment term, which has no gradient there
     spec.write_text(json.dumps({"d": 1, "p": 1, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2}))
     assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")

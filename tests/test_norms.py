@@ -97,6 +97,13 @@ def test_weight_profiles(grid128):
     np.testing.assert_allclose(w.omega_profile(grid128), (1 + grid128.freq_radii()) ** 0.5)
     with pytest.raises(ValueError):
         BracketWeight(-0.1, 0.0)
+    # an infinite exponent once made the profiles inf and the norm nan
+    for alpha, beta in ((math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            BracketWeight(alpha, beta)
+    g = default_window(grid128)
+    with pytest.raises(ValueError, match="finite"):
+        modulation_norm(g, g, 2, 2, alpha=math.inf)
     with pytest.raises(ValueError):
         TabulatedWeight(np.full((4, 4), -1.0))
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ def test_grid_validation():
         make_grid(16, 8.0, dim=3)
     with pytest.raises(ValueError):
         Grid(16.5, 8.0)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "n, extent, dim",
+    [(8, 1e-300, 1), (16, 1e160, 1), (8, 1e103, 1), (16, 1e-110, 1), (16, 1e60, 2), (16, 1e-60, 2)],
+)
+def test_grid_refuses_cells_whose_cube_is_not_a_normal_float(n, extent, dim):
+    # the lag assembly takes cell**3 and the forms freq_cell * cell**2: on
+    # these grids one of them, or spacing**2 in the oscillator, is 0 or
+    # overflows; (8, 1e103) fails on the frequency side alone
+    with pytest.raises(ValueError, match="spacing"):
+        make_grid(n, extent, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grids_next_to_the_guard_keep_every_cube_normal(dim):
+    lo = sys.float_info.min ** (1.0 / (3 * dim))
+    # the smallest spacing, then the smallest frequency spacing, just inside
+    for extent in (8 * lo * (1 + 1e-9), (1 - 1e-9) / lo):
+        grid = make_grid(8, extent, dim)
+        for cell in (grid.cell, grid.freq_cell):
+            assert sys.float_info.min <= cell**3 < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import tfuncert
@@ -561,19 +562,74 @@ def test_other_modulation_terms_take_the_field_gradient(grid128, r, s, alpha, be
     np.testing.assert_array_equal(grad, want_grad)
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_tight_frame_descent_takes_no_field(grid128, monkeypatch):
-    # the M^{2,2} descent streams its normalization and nothing else: its
-    # gradient takes no phase-space field, streamed or materialized
+    # the M^{2,2} descent streams one norm per evaluation, which normalizes
+    # the trial point, and nothing else: its gradient takes no phase-space
+    # field, streamed or materialized.  The x-moment term counts evaluations
     def refuse(*args, **kwargs):
         raise AssertionError("phase-space field taken")
 
+    calls = {"_value_and_grad": 0, "modulation_norm": 0}
     monkeypatch.setattr(variational, "_modulation_grad", refuse)
+    _count_calls(monkeypatch, calls, XMomentTerm, "_value_and_grad")
+    _count_calls(monkeypatch, calls, variational, "modulation_norm")
     init = random_smooth(RandomFunctionSpec(seed=50), grid128)
     sol = minimize_banach(HEISENBERG, default_window(grid128), grid128, init)
     assert sol.converged
+    assert calls["modulation_norm"] == calls["_value_and_grad"] > sol.iterations
     e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=0.3, beta=0)
     with pytest.raises(AssertionError, match="phase-space field"):
         minimize_banach(e, default_window(grid128), grid128, init, MinimizeOptions(max_iter=1))
+
+
+def test_field_route_descent_takes_one_modulation_pass_per_evaluation(grid128, monkeypatch):
+    # M(Tu) comes from the gradient's pass 1; evaluations are counted by the
+    # x-moment term, which every trial point takes once
+    def refuse(*args, **kwargs):
+        raise AssertionError("separate modulation norm taken")
+
+    calls = {"_value_and_grad": 0, "_modulation_grad": 0}
+    monkeypatch.setattr(variational, "modulation_norm", refuse)
+    _count_calls(monkeypatch, calls, XMomentTerm, "_value_and_grad")
+    _count_calls(monkeypatch, calls, variational, "_modulation_grad")
+    e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=1.5, s=1.5)
+    init = random_smooth(RandomFunctionSpec(seed=50), grid128)
+    sol = minimize_banach(e, default_window(grid128), grid128, init, MinimizeOptions(max_iter=3))
+    assert sol.iterations == 3
+    assert calls["_modulation_grad"] == calls["_value_and_grad"] >= 4
+
+
+@pytest.mark.parametrize(
+    "grid", [make_grid(128, 10.0), make_grid(32, 9.0, dim=2)], ids=["128", "32^2"]
+)
+@pytest.mark.parametrize(
+    "r, s, alpha, beta", [(2, 2, 0, 0), (1.5, 1.8, 0.3, 0.2)], ids=["tight frame", "field"]
+)
+def test_modulation_term_is_one_homogeneous(grid, r, s, alpha, beta):
+    # the descent normalizes with the value that comes with the gradient: the
+    # value scales with c and the gradient is the one at f, whatever c
+    f = random_smooth(SMALL_SPEC, grid)
+    term = ModulationTerm(r, s, alpha, beta, default_window(grid))
+    value, grad = term._value_and_grad(f)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=6)
+    @given(st.floats(min_value=1e-3, max_value=1e3))
+    def check(c):
+        value_c, grad_c = term._value_and_grad(scale(f, c))
+        assert abs(value_c - c * value) <= 1e-12 * c * value
+        assert np.max(np.abs(grad_c - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+    check()
 
 
 # ---------------------------------------------------------------------------
