@@ -50,17 +50,17 @@ def as_exponent(x: ExponentLike, name: str = "exponent") -> float:
             return math.inf
         try:
             x = Fraction(text)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse {name} from {x!r}") from exc
-    if isinstance(x, Fraction):
-        return x.numerator / x.denominator
     # a JSON true/false is no exponent, although float(True) is 1.0
     if isinstance(x, bool):
         raise DomainError(f"{name} must be a number, got {x!r}")
     try:
-        value = float(x)
+        value = float(x)  # a Fraction's float is its numerator / denominator
     except TypeError as exc:
         raise DomainError(f"{name} must be a number, got {x!r}") from exc
+    except OverflowError as exc:
+        raise DomainError(f"{name} is too large for a float") from exc
     if math.isnan(value):
         raise DomainError(f"{name} must not be NaN")
     return value

@@ -135,6 +135,10 @@ class AdmissibleTriple:
         for arr in (psi, phi):
             if not np.all(np.isfinite(arr.view(np.float64))):
                 raise ValueError("psi and phi must be finite")
+        # the forms hold m^2's terms: hypot bounds m by the peaks without squaring them
+        peaks = [float(np.max(arr, initial=0.0)) for arr in (np.abs(psi), np.abs(phi), m0)]
+        if not math.hypot(*peaks) < math.sqrt(np.finfo(np.float64).max):
+            raise ValueError("composite weight m = sqrt(m0^2 + |psi|^2 + |phi|^2) overflows")
         for arr in (psi, phi, m0):
             arr.setflags(write=False)
         self.psi, self.phi, self.m0 = psi, phi, m0

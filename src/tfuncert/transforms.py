@@ -189,12 +189,12 @@ class PhaseSpaceFunction:
 # fill(start, stop, out) that writes a chunk's rows into the block it is
 # given: a fresh one, a slice of the materialized field, or a reused buffer.
 #
-# Every pass over the field (making rows, filling the materialized field,
-# the adjoint, the streamed reductions) works in row chunks of
-# _CHUNK_ENTRIES entries.  A field of several chunks is processed on a
-# shared two-thread pool, each chunk's FFT on one thread, and the results are
-# folded in chunk order by the calling thread, so the bits do not depend on
-# the worker count.  A one-chunk field, or _FFT_WORKERS == 1, runs inline.
+# Every pass over the field (making rows, filling the materialized field, the
+# adjoint, the streamed reductions, build_forms' lag assembly) works in row
+# chunks of _CHUNK_ENTRIES entries.  A field of several chunks is processed on
+# a shared two-thread pool, each chunk's FFT on one thread, and the results are
+# folded in chunk order by the calling thread, so the bits do not depend on the
+# worker count.  A one-chunk field, or _FFT_WORKERS == 1, runs inline.
 # A streamed norm reduces each chunk in the pool task that made it, so its
 # rows never pass between threads and live in a ring of reused buffers.
 

@@ -35,8 +35,10 @@ from .transforms import (  # noqa: F401
     _adjoint_sum,
     _bank_segments,
     _check_stft_inputs,
+    _chunk_map,
     _engine_rows,
     _parity,
+    _row_fftn,
     _window_bank,
     fourier,
     inverse_fourier,
@@ -104,7 +106,6 @@ class QuadraticFormPair:
     form_full: np.ndarray
     herm_defect0: float
     herm_defect_full: float
-    window: SampledFunction
 
     def __post_init__(self) -> None:
         size = self.grid.size
@@ -131,45 +132,38 @@ def _assemble_form0_general(
 
     Writing V_g u in terms of periodized window shifts turns the double
     phase-space sum into, for each node lag l, a circular convolution between
-    the window autocorrelation at that lag and the frequency transform of the
-    m0^2 rows; cost O(size^2 log size) instead of O(size^3).  ``real`` keeps
-    only the real part, for conjugation-symmetric input.  The lag products
-    conj(g[m]) g[(m - l) mod n] and the nodes each block is scattered to are
-    strided views of the STFT engine's window bank, taken one block of lags at
-    a time, so no size^2 index table is built.
+    the window autocorrelation at that lag and the w-transform of m0^2; cost
+    O(size^2 log size) instead of O(size^3).  m0^2 is transformed once, and
+    the lags are a pass of the STFT engine: its chunks, pool and row FFTs,
+    with products and scatter nodes that are views of its window bank.
+    ``real`` keeps only the real part, for conjugation-symmetric input.
     """
-    size, d = grid.size, grid.dim
-    shape = grid.shape
-    axes = tuple(range(1, d + 1))
-    parity = _parity(grid)
-    # Dhat[i, l] = parity[l] * sum_k m0^2(x_i, w_k) e^{-2 pi i l k / n} * freq_cell
-    dhat = np.fft.fftn(m0sq.reshape((size,) + shape), axes=axes).reshape(size, size)
-    dhat *= parity.ravel() * grid.freq_cell
-    g = window.reshaped()
-    conj_g = np.conj(g)
-    lags = _window_bank(g)  # lags[l][m] = g[(m - l) mod n]
+    size, shape, axes = grid.size, grid.shape, tuple(range(1, grid.dim + 1))
+    parity = _parity(grid).ravel()
+    # mhat[l, k]: m0^2 transformed over w (lag l), then x (frequency k); the parities shift
+    # each convolution by n/2 per axis, and cell^3 is |V|^2's two and the x quadrature's one
+    sym = np.ascontiguousarray(m0sq.T, dtype=np.complex128).reshape(shape * 2)
+    mhat = _row_fftn(sym, tuple(range(2 * grid.dim))).reshape(size, size)
+    mhat *= np.multiply.outer(parity, parity * (grid.freq_cell * grid.cell**3))
+    conj_g = np.conj(window.reshaped())
+    lags = _window_bank(window.reshaped())  # lags[l][m] = g[(m - l) mod n]
     nodes = _node_bank(grid)
     cols = np.arange(size)
     form0 = np.empty((size, size), dtype=np.float64 if real else np.complex128)
-    # blocks of 2^18 entries (4 MiB complex) bound the temporaries per block
-    step = max(1, (1 << 18) // size)
-    for start in range(0, size, step):
-        stop = min(start + step, size)
+
+    def task(start: int, stop: int) -> None:
         w = np.empty((stop - start,) + shape, dtype=np.complex128)
         for lo, hi, windows in _bank_segments(lags, start, stop):
             np.multiply(conj_g, windows, out=w[lo:hi])
-        c = np.ascontiguousarray(dhat.T[start:stop]).reshape((-1,) + shape)
-        spec = np.fft.fftn(w, axes=axes)
-        spec *= np.fft.fftn(c, axes=axes)
-        # parity on the spectrum shifts each circular convolution by n/2 on every axis
-        spec *= parity
-        block = np.fft.ifftn(spec, axes=axes).reshape(-1, size)
-        # two cell powers from |V|^2 and one from the phase-space x quadrature
-        block *= grid.cell**3
+        spec = _row_fftn(w, axes)
+        spec *= mhat[start:stop].reshape(spec.shape)
+        block = _row_fftn(spec, axes, inverse=True).reshape(-1, size)
         vals = block.real if real else block
-        # the convolution at lag l and node m is form0[(m - l) mod n, m]
+        # lag l at node m is form0[(m - l) mod n, m]: each chunk writes its own entries
         for lo, hi, idx in _bank_segments(nodes, start, stop):
             form0[idx.reshape(hi - lo, size), cols] = vals[lo:hi]
+
+    deque(_chunk_map(task, size), maxlen=0)
     return form0
 
 
@@ -243,13 +237,12 @@ def build_forms(
     Definiteness of form0 is not checked here: the eigensolver's factorization
     of form0 checks it (see :func:`smallest_eigen`).
 
-    Every lag index comes from the STFT engine: the lag products, the
-    circulant |phi|^2 form and the scatter nodes are views of its window
-    bank, and the parity is its own, so no size^2 index table is built.
-    form_full is summed in place in form0's raw buffer, and each form is
-    hermitized one block of rows at a time.  On 1024 nodes the tracemalloc
-    peak is 52 MiB with a tabulated m0 (the lag assembly's), 25 MiB with a
-    constant one and 60 MiB for a complex pencil with a tabulated m0.
+    A tabulated m0 takes one more pass of the STFT engine (see
+    :func:`_assemble_form0_general`), and the circulant |phi|^2 form is a
+    view of its window bank.  form_full is summed in place in form0's raw
+    buffer, and each form is hermitized one block of rows at a time.  On
+    1024 nodes the tracemalloc peak is 37 MiB with a tabulated m0, 25 MiB
+    with a constant one and 58 MiB for a complex pencil with a tabulated m0.
     """
     size = grid.size
     if size * size > _MAX_MATERIALIZED:
@@ -282,7 +275,7 @@ def build_forms(
     full = raw.reshape(grid.shape * 2)  # full[l][m]: row l, column m as node multi-indices
     full += _form_phi_bank(phisq, grid, real)
     form_full, defect_full = _hermitize(raw)
-    return QuadraticFormPair(grid, form0, form_full, defect0, defect_full, window)
+    return QuadraticFormPair(grid, form0, form_full, defect0, defect_full)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +623,16 @@ def _banach_terms(
     for name, value in needed.items():
         if value is None:
             raise DomainError(f"exponent {name} is required for the Banach problem")
-    # the terms' constructors check finite p, q, r, s > 1
     if e.a <= 0 or e.b <= 0:
         raise DomainError("moment orders a, b must be positive")
-    return (
-        XMomentTerm(e.p, e.a),
-        OmegaMomentTerm(e.q, e.b),
-        ModulationTerm(e.r, e.s, e.alpha, e.beta, g),
-    )
+    # the constructors check finite p, q, r, s > 1; the gradients' and preconditioner's
+    # weights |x|^(a p) and |w|^(b q) are refused in log space if they overflow on the grid
+    terms = XMomentTerm(e.p, e.a), OmegaMomentTerm(e.q, e.b)
+    grid = g.grid
+    for var, order, radii in (("x", e.a * e.p, grid.radii()), ("w", e.b * e.q, grid.freq_radii())):
+        if order * math.log(np.max(radii)) > math.log(np.finfo(np.float64).max):
+            raise DomainError(f"moment weight |{var}|^{order:g} overflows on the grid")
+    return (*terms, ModulationTerm(e.r, e.s, e.alpha, e.beta, g))
 
 
 def _stationarity_defect(
@@ -649,7 +644,8 @@ def _stationarity_defect(
         nrm = math.sqrt(_pairing(vec, vec, cell))
         if nrm:
             defect = abs(_pairing(gf, vec, cell) - lam * _pairing(gm, vec, cell))
-            worst = max(worst, defect / nrm)
+            # np.maximum keeps a NaN defect, which then never reads as converged
+            worst = float(np.maximum(worst, defect / nrm))
     return worst
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,24 @@ def test_constants_condition_checks():
 def test_constants_check_cp_missing_keys_exit_2(capsys):
     assert run_cli(["constants", "--check-cp", "p=2"]) == (2, "")
     assert capsys.readouterr().err == "tfuncert: --check-cp is missing q, a, b\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["constants", "--Cp", "1/0"], "cannot parse p from '1/0'"),
+        (["constants", "--Cp", "0/0"], "cannot parse p from '0/0'"),
+        (["constants", "--Cp", "1e999"], "p is too large for a float"),
+        (["constants", "--check-cp", "p=1/0", "q=2", "a=1", "b=1"], "cannot parse p from '1/0'"),
+        (["certify", "hausdorff_young", "--extremal", "r=1/0"], "cannot parse r from '1/0'"),
+    ],
+    ids=["one over zero", "zero over zero", "overflowing decimal", "check-cp", "extremal"],
+)
+def test_zero_denominators_and_overflowing_decimals_exit_2(capsys, argv, message):
+    # Fraction raised ZeroDivisionError, and numerator / denominator an
+    # OverflowError: each command once ended in a traceback
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"tfuncert: {message}\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -442,6 +461,19 @@ def test_spectrum_absurd_grid_extents_exit_2(capsys, argv):
     assert line.startswith("tfuncert: grid spacing ")
 
 
+@pytest.mark.parametrize("psi, m0", [("coord", "1e200"), ("poly:0,1e200", "1")])
+def test_spectrum_overflowing_composite_weight_exits_2(capsys, psi, m0):
+    # m0^2 or |psi|^2 overflowed: four RuntimeWarnings, then scipy's "array
+    # must not contain infs or NaNs"
+    argv = ["spectrum", "--psi", psi, "--phi", "coord", "--m0", m0, "--count", "1", "--grid", "64,8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "tfuncert: composite weight m = sqrt(m0^2 + |psi|^2 + |phi|^2) overflows\n"
+    )
+
+
 def test_spectrum_degenerate_pencil_exits_2(capsys):
     code, out = run_cli(["spectrum", "--psi", "1", "--phi", "1", "--m0", "0", "--grid", "64,8"])
     assert code == 2 and out == ""
@@ -508,9 +540,13 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
     assert recs[0]["converged"] is False
     assert recs[1]["best"]["converged"] is False
     # a non-numeric exponent (a JSON boolean too, or a null weight exponent,
-    # although alpha and beta default to 0) and a fractional dimension are
-    # domain errors
-    for key, value in (("p", [1]), ("d", 1.5), ("d", True), ("alpha", None), ("beta", None)):
+    # although alpha and beta default to 0), a fractional dimension, and a
+    # zero denominator or a number beyond the float range (which once ended
+    # in a traceback) are domain errors
+    for key, value in (
+        ("p", [1]), ("d", 1.5), ("d", True), ("alpha", None), ("beta", None),
+        ("r", "1/0"), ("r", "1e999"), ("r", 10**400),
+    ):
         spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
         assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
     capsys.readouterr()
@@ -528,6 +564,19 @@ def test_minimize_exponents_file_and_failure_exit(tmp_path, capsys):
     )
     spec.write_text("[1]")
     assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+
+
+@pytest.mark.parametrize("key, value, weight", [("a", 200, "|x|^400"), ("b", 300, "|w|^600")])
+def test_minimize_refuses_an_overflowing_moment_weight(tmp_path, capsys, key, value, weight):
+    # on the default grid (256 nodes, L = 12) the largest |x| is 6 and the
+    # largest |w| 10.7, and 6^400 overflows.  The gradient was NaN, its
+    # defect read max(0.0, nan) = 0.0, and the run printed "converged": true
+    spec = tmp_path / "exponents.json"
+    spec.write_text(json.dumps({"d": 1, "p": 2, "q": 2, "a": 1, "b": 1, "r": 2, "s": 2, key: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["minimize", "--exponents", str(spec), "--starts", "1"]) == (2, "")
+    assert capsys.readouterr().err == f"tfuncert: moment weight {weight} overflows on the grid\n"
 
 
 def test_minimize_requires_exponent_source(capsys):

@@ -1,6 +1,7 @@
 """Closed-form constants, exponent algebra, and admissibility conditions."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -58,6 +59,15 @@ def test_as_exponent_parses_inf_and_rejects_garbage():
     for flag in (True, False):
         with pytest.raises(DomainError, match=f"p must be a number, got {flag}"):
             as_exponent(flag, "p")
+    # zero denominators and values beyond the float range once escaped as
+    # ZeroDivisionError and OverflowError
+    for text in ("1/0", "0/0", " -3/0 "):
+        with pytest.raises(DomainError, match="cannot parse p"):
+            as_exponent(text, "p")
+    for value in ("1e999", "-1e999", Fraction(10**400, 3), 10**400):
+        with pytest.raises(DomainError, match="p is too large for a float"):
+            as_exponent(value, "p")
+    assert as_exponent(Fraction(10**400, 10**399)) == 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,15 @@ def test_admissible_triple_validation(grid128):
     m0 = np.ones((grid128.size, grid128.size))
     m0[0] = 0.0  # x_0 = -extent/2, so psi = x is nonzero on this row
     AdmissibleTriple(x, w, m0)
+    # m = sqrt(m0^2 + |psi|^2 + |phi|^2) must stay finite when squared,
+    # which a finite m0, psi and phi alone do not ensure
+    m0[3, 5] = 1e155
+    with pytest.raises(ValueError, match="composite weight"):
+        AdmissibleTriple(x, w, m0)
+    for psi, phi, const in ((x, w, 1e200), (x * 1e200, w, 1.0), (x, w * 1e154, 1e154)):
+        with pytest.raises(ValueError, match="composite weight"):
+            AdmissibleTriple(psi, phi, const)
+    AdmissibleTriple(x, w, 1e150)
 
 
 def test_admissible_triple_keeps_constant_m0_untabulated():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from tfuncert.variational import (
     _modulation_grad,
     _moment_preconditioner,
     _pairing,
+    _stationarity_defect,
     build_forms,
     el_residual_banach,
     frechet_directional,
@@ -216,6 +218,36 @@ def test_build_forms_allocation_budget(tabulated, budget_mib):
     finally:
         tracemalloc.stop()
     assert peak <= budget_mib << 20
+
+
+def test_tabulated_forms_independent_of_fft_workers(monkeypatch):
+    # the lag assembly is a pass of the STFT engine: 1024 nodes and 32^2 are
+    # eight 128-lag chunks and the complex 512-node pencil two 256-lag ones,
+    # so with more than one worker the lags really run on the pool
+    cases = []
+    for grid in (make_grid(1024, 12.0), make_grid(32, 9.0, dim=2)):
+        x, w = grid.radii(), grid.freq_radii()
+        m0 = np.sqrt(np.outer(1.0 + x, 1.0 + w))
+        cases.append((AdmissibleTriple(x.astype(complex), w.astype(complex), m0), _unit_window(grid)))
+    cases.append(_asymmetric_triple("modulated_window", make_grid(512, 12.0)))
+    threads = set()
+    row_fftn = variational._row_fftn
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return row_fftn(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "_row_fftn", spy)
+    first = None
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(transforms, "_FFT_WORKERS", workers)
+        threads.clear()
+        pairs = [build_forms(triple, win, win.grid) for triple, win in cases]
+        assert [pair.form0.dtype for pair in pairs] == [np.float64, np.float64, np.complex128]
+        assert (threads == {threading.get_ident()}) == (workers == 1)
+        got = [(pair.form0.tobytes(), pair.form_full.tobytes()) for pair in pairs]
+        first = first or got
+        assert got == first
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -637,6 +669,14 @@ def test_modulation_term_is_one_homogeneous(grid, r, s, alpha, beta):
 
 
 HEISENBERG = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=0, beta=0)
+
+
+def test_stationarity_defect_keeps_a_nan():
+    # max(0.0, nan) is 0.0, so a NaN gradient once read as a converged descent
+    vec = np.ones(4)
+    gf = np.array([np.nan, 0.0, 0.0, 0.0])
+    assert math.isnan(_stationarity_defect(gf, np.zeros(4), 1.0, [vec], 1.0))
+    assert math.isnan(_stationarity_defect(np.zeros(4), gf, 1.0, [vec, vec], 1.0))
 
 
 def test_el_residual_gaussian_stationary(grid128):
