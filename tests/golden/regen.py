@@ -13,6 +13,11 @@ and lists in CHANGES.md which files moved and why.  It leaves
 command's stdout, and is regenerated with
 
     PYTHONPATH=src python tests/golden/engine_bits.py
+
+It leaves the ``*.csv`` files alone too: they pin the CSV writers' bytes and
+are regenerated with
+
+    PYTHONPATH=src python tests/golden/csv_layout.py
 """
 from __future__ import annotations
 

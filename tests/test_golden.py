@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import strict_json
-from golden import engine_bits
+from golden import csv_layout, engine_bits
 from golden.regen import COMMANDS, GOLDEN, render, replay, write_inputs
 
 
@@ -103,3 +103,11 @@ def test_engine_bits_on_every_route():
     got = engine_bits.compute()
     moved = [case for case in want if got.get(case) != want[case]]
     assert engine_bits.render(got) == expected, f"{len(moved)} cases moved, first {moved[:3]}"
+
+
+@pytest.mark.parametrize("name", sorted(csv_layout.CASES))
+def test_csv_layout_byte_for_byte(name, tmp_path):
+    # header, column order and number format of each CSV writer (the cases
+    # are listed in golden/csv_layout.py)
+    csv_layout.CASES[name](tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
