@@ -173,19 +173,11 @@ def _json_line(obj: dict) -> str:
     return json.dumps(_strict_json(obj), allow_nan=False)
 
 
-def _grid_meta(grid: Grid) -> dict:
-    return {"n": grid.n, "extent": grid.extent, "dim": grid.dim}
-
-
 def _unit(f: SampledFunction, norm: float, what: str) -> SampledFunction:
     """f scaled to unit norm; the inequalities bound nonzero functions only."""
     if norm == 0.0:
         raise DomainError(f"{what} is identically zero")
     return scale(f, 1.0 / norm)
-
-
-def _expdict(**kw) -> dict:
-    return {k: v for k, v in kw.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +196,7 @@ def certify_hausdorff_young(
     const = babenko_beckner(r) ** d
     rhs = lp_weighted(fourier(f), holder_dual(r))
     return CertificateReport(
-        "hausdorff_young", _expdict(r=r), const, rhs, const, tol, _grid_meta(f.grid), seed
+        "hausdorff_young", dict(r=r), const, rhs, const, tol, f.grid.to_json_dict(), seed
     )
 
 
@@ -234,7 +226,7 @@ def certify_young(
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
     rhs = lp_weighted(convolve(f, g), r)
     return CertificateReport(
-        "young", _expdict(m=m, n=n, r=r), const, rhs, const, tol, _grid_meta(f.grid), seed
+        "young", dict(m=m, n=n, r=r), const, rhs, const, tol, f.grid.to_json_dict(), seed
     )
 
 
@@ -269,7 +261,7 @@ def certify_leindler(
     const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
     lhs = lp_weighted(convolve(f, g), r)
     return CertificateReport(
-        "leindler", _expdict(m=m, n=n, r=r), lhs, const, const, tol, _grid_meta(f.grid), seed
+        "leindler", dict(m=m, n=n, r=r), lhs, const, const, tol, f.grid.to_json_dict(), seed
     )
 
 
@@ -297,7 +289,7 @@ def certify_lieb_forward(
     # nodes, so unweighted mixed norms of A(f,g) and V_g f coincide
     rhs = _guarded_stft_norm(f, g, MixedOrder(r, r, inner="x"))
     return CertificateReport(
-        "lieb_forward", _expdict(r=r, p=p), const, rhs, const, tol, _grid_meta(f.grid), seed
+        "lieb_forward", dict(r=r, p=p), const, rhs, const, tol, f.grid.to_json_dict(), seed
     )
 
 
@@ -332,12 +324,12 @@ def certify_lieb_reverse(
     ineq_id = "lieb_reverse_xw" if order == "x" else "lieb_reverse_wx"
     return CertificateReport(
         ineq_id,
-        _expdict(r=r, s=s, u=u, v=v, order=order),
+        dict(r=r, s=s, u=u, v=v, order=order),
         lhs,
         const,
         const,
         tol,
-        _grid_meta(f.grid),
+        f.grid.to_json_dict(),
         seed,
     )
 
@@ -352,7 +344,7 @@ def certify_heisenberg(
     lhs = moment_seminorm(f, 2.0, 1.0, "x") ** 2 + moment_seminorm(f, 2.0, 1.0, "omega") ** 2
     const = 1.0 / (2.0 * math.pi)
     return CertificateReport(
-        "heisenberg", {}, lhs, const, const, tol, _grid_meta(f.grid), seed
+        "heisenberg", {}, lhs, const, const, tol, f.grid.to_json_dict(), seed
     )
 
 
@@ -389,12 +381,12 @@ def certify_modulation_bound(
     lhs = 1.0 / (const * gn)
     return CertificateReport(
         "modulation_bound",
-        _expdict(r=r, s=s, u=u, v=v, side=side),
+        dict(r=r, s=s, u=u, v=v, side=side),
         lhs,
         rhs,
         const,
         tol,
-        _grid_meta(f.grid),
+        f.grid.to_json_dict(),
         seed,
     )
 
@@ -432,12 +424,12 @@ def certify_cowling_functional(
     lhs = evaluate_banach_functional(f, p, q, a, b)
     return CertificateReport(
         "cowling_price_functional",
-        _expdict(p=p, q=q, a=a, b=b, r=r, s=s, alpha=alpha, beta=beta, K=K),
+        dict(p=p, q=q, a=a, b=b, r=r, s=s, alpha=alpha, beta=beta, K=K),
         lhs,
         K,
         K,
         tol,
-        _grid_meta(f.grid),
+        f.grid.to_json_dict(),
         seed,
     )
 
@@ -581,7 +573,6 @@ class _Inequality:
     # unless one is given)
     second: Optional[str] = None
     keywords: dict = field(default_factory=dict)  # point keys passed by name, with defaults
-    missing_second: str = ""  # error when a required second stored input is absent
     check_input: Optional[Callable[[tuple, dict], None]] = None  # stored inputs only
 
 
@@ -593,7 +584,6 @@ def _lieb_reverse_entry(order: str) -> _Inequality:
         lambda grid, **e: _lieb_reverse_pair(grid, order, **e),
         {"u": lambda e: min(2.0, 0.5 * (1.0 + holder_dual(e["r"]))), "v": _partner_v},
         second="seeded",
-        missing_second="certify lieb_reverse requires --input2",
     )
 
 
@@ -611,7 +601,6 @@ _INEQUALITIES = {
         _convolution_pair,
         {"r": lambda e: _young_target(e["m"], e["n"])},
         second="seeded",
-        missing_second="certify young requires --input2 for the second factor",
         check_input=_young_mass_corner,
     ),
     "leindler": _Inequality(
@@ -621,7 +610,6 @@ _INEQUALITIES = {
         _convolution_pair,
         {"r": lambda e: _young_target(e["m"], e["n"])},
         second="squared",
-        missing_second="certify leindler requires --input2 for the second factor",
     ),
     "lieb_forward": _Inequality(
         lambda *a, **k: certify_lieb_forward(*a, **k),
@@ -630,7 +618,6 @@ _INEQUALITIES = {
         lambda grid, **e: (_centered_gaussian(grid),) * 2,
         {"p": 2.0},
         second="seeded",
-        missing_second="certify lieb_forward requires --input2",
     ),
     "lieb_reverse_xw": _lieb_reverse_entry("x"),
     "lieb_reverse_wx": _lieb_reverse_entry("omega"),

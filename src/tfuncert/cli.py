@@ -15,11 +15,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
-from .sampling import Grid, SampledFunction, make_grid, scale
+from .sampling import Grid, SampledFunction, _write_csv, make_grid, scale
 from .transforms import AliasingError
 from .norms import AdmissibleTriple, default_window, lp_weighted
 from .constants import (
@@ -154,32 +155,14 @@ def cmd_constants(args, out: _Emitter) -> int:
         missing = [k for k in ("p", "q", "a", "b") if k not in kv]
         if missing:
             raise DomainError(f"--check-cp is missing {', '.join(missing)}")
-        witness = check_cowling_price(kv["p"], kv["q"], kv["a"], kv["b"])
-        out.emit(
-            {
-                "quantity": "cowling_price",
-                **{k: kv[k] for k in ("p", "q", "a", "b")},
-                "ok": bool(witness),
-                "margin_x": witness.margin_x,
-                "margin_omega": witness.margin_omega,
-            }
-        )
+        point = {k: kv[k] for k in ("p", "q", "a", "b")}
+        witness = check_cowling_price(*point.values())
+        out.emit({"quantity": "cowling_price", **point, **asdict(witness)})
     if args.check_gg is not None:
         kv = _parse_kv(args.check_gg, "--check-gg")
         witness = check_galperin_grochenig(ExponentSet.from_dict(kv))
-        out.emit(
-            {
-                "quantity": "galperin_grochenig",
-                "exponents": dict(sorted(kv.items())),
-                "ok": bool(witness),
-                "left_factor_x": witness.left_factor_x,
-                "left_factor_omega": witness.left_factor_omega,
-                "left_product": witness.left_product,
-                "right_max_x": witness.right_max_x,
-                "right_max_omega": witness.right_max_omega,
-                "right_product": witness.right_product,
-            }
-        )
+        exponents = dict(sorted(kv.items()))
+        out.emit({"quantity": "galperin_grochenig", "exponents": exponents, **asdict(witness)})
     if not out.lines:
         raise DomainError("constants: nothing requested; pass at least one quantity flag")
     return EXIT_PASS
@@ -221,7 +204,7 @@ def _stored_inputs(ineq: str, entry, args) -> tuple[tuple, dict]:
     elif entry.second == "window":
         inputs = (f, default_window(f.grid))
     else:
-        raise DomainError(entry.missing_second)
+        raise DomainError(f"certify {args.inequality} requires --input2")
     point = {}
     for key in entry.exponents:
         flag = getattr(args, key)
@@ -298,18 +281,6 @@ def _profile(expr: str, base: np.ndarray, what: str) -> np.ndarray:
         ) from exc
 
 
-def _write_modes_csv(path: str, grid: Grid, modes: list[SampledFunction]) -> None:
-    cols = [grid.coords()[:, ax] for ax in range(grid.dim)]
-    header = [f"x{ax + 1}" for ax in range(grid.dim)]
-    for k, mode in enumerate(modes):
-        cols.append(mode.values.real)
-        header.append(f"mode_{k}_re")
-        cols.append(mode.values.imag)
-        header.append(f"mode_{k}_im")
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
-
 def cmd_spectrum(args, out: _Emitter) -> int:
     grid = _parse_grid(args.grid, _PRESET_GRIDS["spectrum"])
     count = args.count
@@ -317,43 +288,37 @@ def cmd_spectrum(args, out: _Emitter) -> int:
         if grid.dim != 1:
             raise DomainError(f"spectrum --oscillator is one-dimensional, got d={grid.dim}")
         vals, modes = oscillator_modes(grid.n, grid.extent, count)
-        out.emit(
-            {
-                "method": "finite_difference",
-                "eigenvalues": [float(v) for v in vals],
-                "grid": {"n": grid.n, "extent": grid.extent, "dim": 1},
-            }
-        )
-        if args.csv:
-            _write_modes_csv(args.csv, modes[0].grid, modes)
-        return EXIT_PASS
-    if not (args.psi and args.phi and args.m0):
+        record = {"method": "finite_difference", "eigenvalues": [float(v) for v in vals]}
+    elif not (args.psi and args.phi and args.m0):
         raise DomainError("spectrum needs either --oscillator or all of --psi/--phi/--m0")
-    coord = grid.axis if grid.dim == 1 else grid.radii()
-    fcoord = grid.freq_axis if grid.dim == 1 else grid.freq_radii()
-    psi = _profile(args.psi, coord, "--psi")
-    phi = _profile(args.phi, fcoord, "--phi")
-    try:
-        m0 = float(args.m0)
-    except ValueError as exc:
-        raise DomainError("--m0 must be a scalar constant") from exc
-    triple = AdmissibleTriple(psi.astype(complex), phi.astype(complex), m0)
-    window = default_window(grid)
-    window = scale(window, 1.0 / lp_weighted(window, 2.0))
-    pair = build_forms(triple, window, grid)
-    solutions = smallest_eigen(pair, count)
-    out.emit(
-        {
+    else:
+        coord = grid.axis if grid.dim == 1 else grid.radii()
+        fcoord = grid.freq_axis if grid.dim == 1 else grid.freq_radii()
+        psi = _profile(args.psi, coord, "--psi")
+        phi = _profile(args.phi, fcoord, "--phi")
+        try:
+            m0 = float(args.m0)
+        except ValueError as exc:
+            raise DomainError("--m0 must be a scalar constant") from exc
+        triple = AdmissibleTriple(psi.astype(complex), phi.astype(complex), m0)
+        window = default_window(grid)
+        window = scale(window, 1.0 / lp_weighted(window, 2.0))
+        pair = build_forms(triple, window, grid)
+        solutions = smallest_eigen(pair, count)
+        modes = [sol.vector for sol in solutions]
+        record = {
             "method": "quadratic_form",
             "eigenvalues": [sol.lam for sol in solutions],
             "nu": [sol.nu for sol in solutions],
             "residuals": [sol.residual for sol in solutions],
             "herm_defects": [pair.herm_defect0, pair.herm_defect_full],
-            "grid": {"n": grid.n, "extent": grid.extent, "dim": grid.dim},
         }
-    )
+    out.emit({**record, "grid": grid.to_json_dict()})
     if args.csv:
-        _write_modes_csv(args.csv, grid, [sol.vector for sol in solutions])
+        columns = {}
+        for k, mode in enumerate(modes):
+            columns.update({f"mode_{k}_re": mode.values.real, f"mode_{k}_im": mode.values.imag})
+        _write_csv(args.csv, grid, columns)
     return EXIT_PASS
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 __all__ = [
     "DomainError",
@@ -74,13 +74,9 @@ def _inv(p: float) -> float:
 def holder_dual(p: float) -> float:
     """Hoelder conjugate on [1, inf]: 1/p + 1/p' = 1."""
     p = as_exponent(p, "p")
-    if p == math.inf:
-        return 1.0
     if p < 1.0:
         raise DomainError(f"holder_dual requires p in [1, inf], got {p}")
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
+    return general_dual(p)
 
 
 def general_dual(p: float) -> float:
@@ -108,8 +104,23 @@ def babenko_beckner(p: float) -> float:
         return 1.0
     q = general_dual(p)
     num = p ** _inv(p)
-    den = abs(q) ** _inv(q) if q != math.inf else 1.0
+    try:
+        den = abs(q) ** _inv(q) if q != math.inf else 1.0
+    except OverflowError:
+        # small p (q ~ -p): the quotient in log space, which rounds to 0.0 or a subnormal
+        return math.exp(0.5 * (math.log(p) / p - math.log(abs(q)) / q))
     return math.sqrt(num / den)
+
+
+def _finite(quantity: str, compute: Callable[[], float]) -> float:
+    """``compute()``; a result that overflows a float is a DomainError naming ``quantity``."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{quantity} overflows a float")
+    return value
 
 
 def _pow_conv(base: float, expo: float) -> float:
@@ -151,11 +162,12 @@ def lieb_H(r: float, p: float) -> float:
             )
     else:
         raise DomainError("lieb_H is stated for r != 2")
-    h_sq = (
-        (p * pp / r**2)
+    h_sq = _finite(
+        f"H(r, p) at r={r}, p={p}",
+        lambda: (p * pp / r**2)
         * _pow_conv(r - 2.0, 2.0 - r)
         * _pow_conv(r - p, r / p - 1.0)
-        * _pow_conv(r - pp, r / pp - 1.0)
+        * _pow_conv(r - pp, r / pp - 1.0),
     )
     return math.sqrt(h_sq)
 
@@ -181,7 +193,10 @@ def sharp_B(r: float, s: float, u: float, v: float, d: int = 1) -> float:
         # r = 1: the bracket carries exponent d/r' = 0 and C_inf = 1.
         return 1.0
     core = babenko_beckner(u / rp) * babenko_beckner(v / rp) / babenko_beckner(s / rp)
-    return (babenko_beckner(rp) ** d) * core ** (d / rp)
+    return _finite(
+        f"B at r={r}, s={s}, u={u}, v={v}, d={d}",
+        lambda: (babenko_beckner(rp) ** d) * core ** (d / rp),
+    )
 
 
 def leindler_duals(u: float, v: float, r: float) -> tuple[float, float]:

@@ -145,6 +145,10 @@ class Grid:
             mask[tuple(sl)] = True
         return mask.ravel()
 
+    def to_json_dict(self) -> dict:
+        """The grid record of every JSON output: ``{"n": ..., "extent": ..., "dim": ...}``."""
+        return {"n": self.n, "extent": self.extent, "dim": self.dim}
+
     def compatible(self, other: "Grid", tol: float = 1e-12) -> bool:
         return (
             self.n == other.n
@@ -221,7 +225,7 @@ class SampledFunction:
 
     def to_json_dict(self) -> dict:
         return {
-            "grid": {"n": self.grid.n, "extent": self.grid.extent, "dim": self.grid.dim},
+            "grid": self.grid.to_json_dict(),
             "values": [[float(v.real), float(v.imag)] for v in self.values],
         }
 
@@ -254,11 +258,14 @@ class SampledFunction:
 
     def to_csv(self, path) -> None:
         """Write one row per node: coordinates, real part, imaginary part."""
-        coords = self.grid.coords()
-        cols = [coords[:, ax] for ax in range(self.grid.dim)]
-        cols += [self.values.real, self.values.imag]
-        header = ",".join([f"x{ax + 1}" for ax in range(self.grid.dim)] + ["re", "im"])
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
+        _write_csv(path, self.grid, {"re": self.values.real, "im": self.values.imag})
+
+
+def _write_csv(path, grid: Grid, columns: dict) -> None:
+    """Write one row per node: the coordinates ``x1, ...``, then ``columns`` (name -> values)."""
+    header = ",".join([f"x{ax + 1}" for ax in range(grid.dim)] + list(columns))
+    data = np.column_stack([*grid.coords().T, *columns.values()])
+    np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 def scale(f: SampledFunction, c: complex) -> SampledFunction:

@@ -260,9 +260,9 @@ def _ordered_map(task, items, threaded: bool):
             future.cancel()
 
 
-def _chunk_map(task, size: int, chunk: int | None = None):
-    """:func:`_ordered_map` of ``task(start, stop)`` over the row chunks of [0, size)."""
-    rows = _chunk_rows(size, chunk)
+def _chunk_map(task, size: int):
+    """:func:`_ordered_map` of ``task(start, stop)`` over the default row chunks of [0, size)."""
+    rows = _chunk_rows(size)
     return _ordered_map(task, _chunk_bounds(size, rows), threaded=rows < size)
 
 

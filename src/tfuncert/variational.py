@@ -115,10 +115,6 @@ class QuadraticFormPair:
                 raise ValueError(f"{name} must be {size}x{size}")
             mat.setflags(write=False)
 
-    def moment_form(self) -> np.ndarray:
-        """The positive semi-definite difference form_full - form0."""
-        return self.form_full - self.form0
-
 
 def _node_bank(grid: Grid) -> np.ndarray:
     """Window bank of the flat node numbers: ``bank[l][m]`` is the node (m - l) mod n per axis."""
@@ -290,7 +286,6 @@ class EigenSolution:
     lam: float
     vector: SampledFunction
     residual: float
-    index: int
 
 
 def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolution]:
@@ -331,7 +326,7 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
                 f"generalized eigenvalue {nu} below 1; the moment form is not PSD"
             )
         solutions.append(
-            EigenSolution(nu, max(nu - 1.0, 0.0), SampledFunction(pair.grid, v), residual, idx)
+            EigenSolution(nu, max(nu - 1.0, 0.0), SampledFunction(pair.grid, v), residual)
         )
     return solutions
 
@@ -347,15 +342,14 @@ def operator_A_apply(pair: QuadraticFormPair, u: SampledFunction) -> SampledFunc
 
 
 def hilbert_functional(pair: QuadraticFormPair, u: SampledFunction) -> float:
-    """Rayleigh quotient of the moment form against the weighted norm."""
+    """Rayleigh quotient of the moment form form_full - form0 against the weighted norm."""
     if not pair.grid.compatible(u.grid):
         raise ValueError("input sampled on a different grid")
     v = u.values
     den = float(np.real(np.vdot(v, pair.form0 @ v)))
     if den <= 0.0:
         raise ValueError("input has zero weighted norm")
-    num = float(np.real(np.vdot(v, pair.moment_form() @ v)))
-    return num / den
+    return float(np.real(np.vdot(v, pair.form_full @ v))) / den - 1.0
 
 
 def oscillator_spectrum(n: int, extent: float, count: int = 6) -> np.ndarray:

@@ -93,6 +93,28 @@ def test_zero_denominators_and_overflowing_decimals_exit_2(capsys, argv, message
     assert capsys.readouterr().err == f"tfuncert: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["--H", "1e300", "1.5"], 2, "", "H(r, p) at r=1e+300, p=1.5 overflows a float"),
+        (["--H", "1e308", "2"], 2, "", "H(r, p) at r=1e+308, p=2.0 overflows a float"),
+        (["--B", "1.5", "1.5", "2", "2", "--dim", "100000000"], 2, "",
+         "B at r=1.5, s=1.5, u=2.0, v=2.0, d=100000000 overflows a float"),
+        # each factor is finite and their product is not: this printed "inf"
+        (["--B", "1.5", "1.5", "2", "2", "--dim", "3701"], 2, "",
+         "B at r=1.5, s=1.5, u=2.0, v=2.0, d=3701 overflows a float"),
+        # |p'|^(1/p') overflows, and the exact C_p rounds to 0.0
+        (["--Cp", "1e-300"], 0, '{"quantity": "Cp", "p": 1e-300, "value": 0.0}', ""),
+    ],
+    ids=["H r=1e300", "H r=1e308", "B d=1e8", "B d=3701", "Cp p=1e-300"],
+)
+def test_constants_overflowing_a_float_ends_without_a_traceback(capsys, argv, code, stdout, stderr):
+    # r**2, a power or a product overflowed: each command once exited 1 with
+    # an OverflowError traceback, or printed "inf"
+    assert run_cli(["constants", *argv]) == (code, stdout + "\n" if stdout else "")
+    assert capsys.readouterr().err == (f"tfuncert: {stderr}\n" if stderr else "")
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_constants_B_refuses_a_dimension_below_one(capsys, dim):
     assert run_cli(["constants", "--B", "1.5", "1.5", "2", "2", "--dim", dim]) == (2, "")
@@ -309,6 +331,19 @@ def test_certify_input_requires_every_exponent_flag(tmp_path, capsys, ineq):
         given = [tok for k, v in flags.items() if k != missing for tok in (f"--{k}", v)]
         assert run_cli([*base, *given]) == (2, "")
         assert f"certify {ineq} with --input requires --{missing}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "typed, ineq",
+    [(ineq, ineq) for ineq in ("young", "leindler", "lieb_forward", "lieb_reverse_wx")]
+    + [("lieb_reverse", "lieb_reverse_xw")],
+)
+def test_certify_missing_input2_names_the_id_as_typed(tmp_path, capsys, typed, ineq):
+    path = tmp_path / "f.json"
+    path.write_text(gaussian(make_grid(128, 10.0)).to_json())
+    flags = [tok for k, v in INPUT_FLAGS[ineq].items() for tok in (f"--{k}", v)]
+    assert run_cli(["certify", typed, "--input", str(path), *flags]) == (2, "")
+    assert capsys.readouterr().err == f"tfuncert: certify {typed} requires --input2\n"
 
 
 def test_certify_refuses_non_decaying_modulation_input(tmp_path):

@@ -96,6 +96,17 @@ def test_babenko_beckner_peaks_at_extremes():
         assert babenko_beckner(p) > 1.0
 
 
+def test_babenko_beckner_below_the_overflow_threshold():
+    # |p'|^(1/p') overflows for p below 0.0069436686854468; C_p is then taken
+    # in log space.  Just below the threshold it is a subnormal, not 0.0
+    # (2.8163248841108405e-310 to 17 digits, from a 60-digit evaluation)
+    assert babenko_beckner(0.0069436686) == pytest.approx(2.8163248841108405e-310, rel=1e-12)
+    # the two evaluations meet at the threshold
+    below, above = 0.006943668685446811, 0.006943668685446812
+    assert babenko_beckner(below) == pytest.approx(babenko_beckner(above), rel=1e-9)
+    assert babenko_beckner(1e-300) == 0.0
+
+
 def test_lieb_H_values():
     assert lieb_H(3.0, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
     for r in (2.5, 3.0, 4.0, 6.0):

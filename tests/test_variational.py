@@ -406,6 +406,34 @@ def test_operator_apply_and_functional():
     assert hilbert_functional(pair, probe) >= sol.lam - 1e-12
 
 
+def test_hilbert_functional_on_a_complex_pencil():
+    triple, win = _asymmetric_triple("modulated_window", make_grid(512, 12.0))
+    pair = build_forms(triple, win, win.grid)
+    assert pair.form0.dtype == np.complex128
+    sol = smallest_eigen(pair, 1)[0]
+    assert hilbert_functional(pair, sol.vector) == pytest.approx(sol.lam, rel=1e-10)
+    probe = random_smooth(RandomFunctionSpec(seed=3), win.grid)
+    assert hilbert_functional(pair, probe) >= sol.lam - 1e-12
+
+
+def test_hilbert_functional_allocation_budget():
+    # the README's real pencil (psi = x, phi = w, m0 = 1) at 1024 nodes: each
+    # form is 8 MiB, and form @ v casts one to complex128 for a complex v
+    # (16 MiB); the difference form_full - form0 is never built
+    grid = make_grid(1024, 16.0)
+    triple = AdmissibleTriple(grid.axis.astype(complex), grid.freq_axis.astype(complex), 1.0)
+    pair = build_forms(triple, _unit_window(grid), grid)
+    probe = random_smooth(RandomFunctionSpec(seed=3), grid)
+    hilbert_functional(pair, probe)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        hilbert_functional(pair, probe)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << 20
+
+
 def test_oscillator_spectrum_and_modes():
     vals = oscillator_spectrum(1024, 16.0, 6)
     targets = [(2 * k + 1) / (2 * math.pi) for k in range(6)]
