@@ -8,7 +8,7 @@ endpoint values C_1 = C_inf = 1 hold by convention and as limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Callable, Optional, Union
 

@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
