@@ -8,6 +8,7 @@ endpoint values C_1 = C_inf = 1 hold by convention and as limits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -108,8 +109,16 @@ def babenko_beckner(p: float) -> float:
         den = abs(q) ** _inv(q) if q != math.inf else 1.0
     except OverflowError:
         # small p (q ~ -p): the quotient in log space, which rounds to 0.0 or a subnormal
-        return math.exp(0.5 * (math.log(p) / p - math.log(abs(q)) / q))
+        return math.exp(_log_babenko_beckner(p))
     return math.sqrt(num / den)
+
+
+def _log_babenko_beckner(p: float) -> float:
+    """log C_p = (log(p)/p - log|p'|/p') / 2 for p > 0, with log C_1 = log C_inf = 0."""
+    if p == 1.0 or p == math.inf:
+        return 0.0
+    q = general_dual(p)
+    return 0.5 * (math.log(p) / p - math.log(abs(q)) / q)
 
 
 def _finite(quantity: str, compute: Callable[[], float]) -> float:
@@ -162,14 +171,23 @@ def lieb_H(r: float, p: float) -> float:
             )
     else:
         raise DomainError("lieb_H is stated for r != 2")
+    factors = ((r - 2.0, 2.0 - r), (r - p, r / p - 1.0), (r - pp, r / pp - 1.0))
     h_sq = _finite(
         f"H(r, p) at r={r}, p={p}",
         lambda: (p * pp / r**2)
-        * _pow_conv(r - 2.0, 2.0 - r)
-        * _pow_conv(r - p, r / p - 1.0)
-        * _pow_conv(r - pp, r / pp - 1.0),
+        * _pow_conv(*factors[0])
+        * _pow_conv(*factors[1])
+        * _pow_conv(*factors[2]),
     )
-    return math.sqrt(h_sq)
+    if h_sq >= sys.float_info.min:
+        return math.sqrt(h_sq)
+    # for large r, |r-2|^(2-r) underflows before the other factors bring the
+    # product back (at H(200, 1.5) to 0.0): the same product in log space; a
+    # base is 0 only with exponent 0, where 0^0 = 1 drops the factor
+    log_h_sq = math.log(p * pp) - 2.0 * math.log(r) + math.fsum(
+        expo * math.log(abs(base)) for base, expo in factors if expo != 0.0
+    )
+    return math.exp(0.5 * log_h_sq)
 
 
 def sharp_B(r: float, s: float, u: float, v: float, d: int = 1) -> float:
@@ -192,11 +210,16 @@ def sharp_B(r: float, s: float, u: float, v: float, d: int = 1) -> float:
     if rp == math.inf:
         # r = 1: the bracket carries exponent d/r' = 0 and C_inf = 1.
         return 1.0
-    core = babenko_beckner(u / rp) * babenko_beckner(v / rp) / babenko_beckner(s / rp)
-    return _finite(
-        f"B at r={r}, s={s}, u={u}, v={v}, d={d}",
-        lambda: (babenko_beckner(rp) ** d) * core ** (d / rp),
-    )
+    what = f"B at r={r}, s={s}, u={u}, v={v}, d={d}"
+    cu, cv, cs = (babenko_beckner(t / rp) for t in (u, v, s))
+    if min(cu, cv, cs) >= sys.float_info.min:
+        core = cu * cv / cs
+        return _finite(what, lambda: (babenko_beckner(rp) ** d) * core ** (d / rp))
+    # r near 1 (r' >~ 100): a C_{t/r'} underflows (to 0.0 at B(1.01, 1, 1, 101)),
+    # so the bracket, raised to d/r', is taken in log space
+    logs = [_log_babenko_beckner(t / rp) for t in (u, v, s)]
+    log_b = d * (_log_babenko_beckner(rp) + (logs[0] + logs[1] - logs[2]) / rp)
+    return _finite(what, lambda: math.exp(log_b))
 
 
 def leindler_duals(u: float, v: float, r: float) -> tuple[float, float]:

@@ -115,6 +115,19 @@ def test_constants_overflowing_a_float_ends_without_a_traceback(capsys, argv, co
     assert capsys.readouterr().err == (f"tfuncert: {stderr}\n" if stderr else "")
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [(["--H", "200", "1.5"], 0.010613), (["--B", "1.01", "1", "1", "101"], 1.0181)],
+    ids=["H r=200", "B r=1.01"],
+)
+def test_constants_underflowing_factors_print_the_value(capsys, argv, value):
+    # a factor underflowed: H printed "value": 0.0 and B ended in a
+    # ZeroDivisionError traceback; both are taken in log space now
+    code, stdout = run_cli(["constants", *argv])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert json.loads(stdout)["value"] == pytest.approx(value, abs=5e-5)
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_constants_B_refuses_a_dimension_below_one(capsys, dim):
     assert run_cli(["constants", "--B", "1.5", "1.5", "2", "2", "--dim", dim]) == (2, "")

@@ -1,6 +1,7 @@
 """Closed-form constants, exponent algebra, and admissibility conditions."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,53 @@ def test_lieb_H_values():
     # symmetric in p <-> p'
     assert lieb_H(4.0, 4.0) == pytest.approx(lieb_H(4.0, 4.0 / 3.0), rel=1e-12)
     assert lieb_H(1.5, 1.8) == pytest.approx(lieb_H(1.5, holder_dual(1.8)), rel=1e-12)
+
+
+def _decimal_C(p):
+    """C_p = (p^(1/p) / |p'|^(1/p'))^(1/2) in the current decimal context."""
+    if p == 1:
+        return Decimal(1)
+    q = p / (p - 1)
+    return (p ** (1 / p) / abs(q) ** (1 / q)).sqrt()
+
+
+def _decimal_lieb_H(r, p):
+    """H(r, p) from its defining product, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, p = Decimal(r), Decimal(p)
+        pp = p / (p - 1)
+        h_sq = p * pp / r**2
+        for base, expo in ((r - 2, 2 - r), (r - p, r / p - 1), (r - pp, r / pp - 1)):
+            h_sq *= 1 if expo == 0 else abs(base) ** expo
+        return float(h_sq.sqrt())
+
+
+def _decimal_sharp_B(r, s, u, v, d=1):
+    """B(r, s, u, v) in d dimensions, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, s, u, v = (Decimal(t) for t in (r, s, u, v))
+        rp = r / (r - 1)
+        bracket = _decimal_C(u / rp) * _decimal_C(v / rp) / _decimal_C(s / rp)
+        return float(_decimal_C(rp) ** d * bracket ** (d / rp))
+
+
+@pytest.mark.parametrize("r, p", [(150.0, 1.5), (200.0, 1.5), (230.0, 1.8), (4.0, 4.0 / 3.0)])
+def test_lieb_H_for_large_r_matches_a_50_digit_evaluation(r, p):
+    # |r-2|^(2-r) underflows for large r before the other factors bring the
+    # product back: H(200, 1.5) read 0.0 instead of 0.010613
+    assert lieb_H(r, p) == pytest.approx(_decimal_lieb_H(r, p), rel=1e-11)
+
+
+@pytest.mark.parametrize("r, s, u", [(1.01, 1.0, 1.0), (1.005, 1.2, 1.5), (1.5, 1.5, 2.0)])
+def test_sharp_B_near_r_one_matches_a_50_digit_evaluation(r, s, u):
+    # C_{s/r'} underflows to 0.0 once r' is near 100: B(1.01, 1, 1, 101)
+    # ended in a ZeroDivisionError although B = 1.0181 there
+    v = solve_partner_exponent(s, r, u)
+    for d in (1, 2):
+        assert sharp_B(r, s, u, v, d=d) == pytest.approx(_decimal_sharp_B(r, s, u, v, d), rel=1e-10)
+    assert sharp_B(1.01, 1.0, 1.0, 101.0) == pytest.approx(1.0181, abs=5e-5)
 
 
 def test_lieb_H_domain():

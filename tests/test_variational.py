@@ -391,6 +391,117 @@ def test_smallest_eigen_refuses_degenerate_pencil():
         smallest_eigen(pair)
 
 
+def _tabulated_triple(grid):
+    """The benchmark's pencil: m0 = ((1+|x|)(1+|w|))^(1/2), psi = |x|, phi = |w|."""
+    x, w = grid.radii(), grid.freq_radii()
+    m0 = np.sqrt(np.multiply.outer(1.0 + x, 1.0 + w))
+    return AdmissibleTriple(x.astype(complex), w.astype(complex), m0)
+
+
+def _coord_triple(grid):
+    """The README's pencil: psi = x, phi = w, m0 = 1."""
+    return AdmissibleTriple(grid.axis.astype(complex), grid.freq_axis.astype(complex), 1.0)
+
+
+def _parity_sizes(grid):
+    """Sizes of the even and odd blocks of the node mirror: 2^d fixed nodes, the rest in pairs."""
+    fixed = 2**grid.dim
+    half = (grid.size - fixed) // 2
+    return [fixed + half, half]
+
+
+def _solve_recording_shapes(pair, count, monkeypatch):
+    """smallest_eigen(pair, count) and the shapes of the pencils passed to scipy.linalg.eigh."""
+    shapes = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, b=None, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", spy)
+        sols = smallest_eigen(pair, count)
+    return sols, shapes
+
+
+def _check_matches_unsplit(pair, sols):
+    count = len(sols)
+    expected = scipy.linalg.eigh(
+        pair.form_full, pair.form0, eigvals_only=True, subset_by_index=[0, count - 1]
+    )
+    np.testing.assert_allclose([sol.nu for sol in sols], expected, rtol=0, atol=1e-12)
+    vecs = np.column_stack([sol.vector.values for sol in sols])
+    gram = vecs.conj().T @ pair.form0 @ vecs
+    np.testing.assert_allclose(gram, np.eye(count), rtol=0, atol=1e-12)
+
+
+def _chirped_window(grid):
+    """The unit Gaussian window times e^{i pi x^2}: complex, and even in x."""
+    win = default_window(grid)
+    win = win.with_values(win.values * np.exp(1j * math.pi * grid.radii() ** 2))
+    return scale(win, 1.0 / lp_weighted(win, 2.0))
+
+
+@pytest.mark.parametrize(
+    "case, n, extent, dim, count",
+    [
+        ("readme", 512, 12.0, 1, 3),
+        ("tabulated", 1024, 12.0, 1, 6),
+        ("tabulated", 32, 6.5, 2, 6),
+        ("complex", 128, 10.0, 1, 6),
+        ("readme", 8, 9.0, 1, 5),
+        ("tabulated", 8, 9.0, 2, 32),
+    ],
+)
+def test_mirror_symmetric_pencil_splits_by_parity(case, n, extent, dim, count, monkeypatch):
+    # every pencil here is even under x -> -x: it is solved as its even and
+    # odd blocks and must agree with one unsplit solve of the same forms.  On
+    # the smallest grids (8 and 8^2 nodes) the odd block (3 and 30 rows) is
+    # smaller than count, so it is solved whole
+    grid = make_grid(n, extent, dim=dim)
+    triple = _coord_triple(grid) if case == "readme" else _tabulated_triple(grid)
+    window = _chirped_window(grid) if case == "complex" else _unit_window(grid)
+    pair = build_forms(triple, window, grid)
+    assert pair.mirror_symmetric
+    assert pair.form0.dtype == (np.complex128 if case == "complex" else np.float64)
+    sols, shapes = _solve_recording_shapes(pair, count, monkeypatch)
+    assert shapes == [(size, size) for size in _parity_sizes(grid)]
+    _check_matches_unsplit(pair, sols)
+    assert all(sol.residual <= 1e-10 for sol in sols)
+
+
+def test_pencil_off_by_one_bit_takes_one_solve(monkeypatch):
+    grid = make_grid(256, 10.0)
+    triple = _coord_triple(grid)
+    psi = triple.psi.real.copy()
+    psi.view(np.int64)[5] ^= 1 << 20  # one mantissa bit of psi at one node
+    tilted = AdmissibleTriple(psi.astype(complex), triple.phi, 1.0)
+    pair = build_forms(tilted, _unit_window(grid), grid)
+    assert not pair.mirror_symmetric
+    sols, shapes = _solve_recording_shapes(pair, 3, monkeypatch)
+    assert shapes == [(grid.size, grid.size)]
+    mirrored = smallest_eigen(build_forms(triple, _unit_window(grid), grid), 3)
+    np.testing.assert_allclose([s.nu for s in sols], [s.nu for s in mirrored], rtol=0, atol=1e-8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_parity_split_matches_unsplit_on_random_even_tables(seed):
+    # seeded, mirror-symmetric random tables on 64 nodes: m0 even in (x, w)
+    # jointly, |psi| and |phi| even; a sum with its mirror is bit-for-bit even
+    grid = make_grid(64, 8.0)
+    mirror = variational._node_mirror(grid)
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(0.5, 2.0, (grid.size, grid.size))
+    m0 = np.sqrt(table + table[np.ix_(mirror, mirror)])
+    psi, phi = (rng.uniform(0.0, 3.0, grid.size) for _ in range(2))
+    triple = AdmissibleTriple(psi + psi[mirror], phi + phi[mirror], m0)
+    pair = build_forms(triple, _unit_window(grid), grid)
+    assert pair.mirror_symmetric
+    _check_matches_unsplit(pair, smallest_eigen(pair, 6))
+
+
 def test_operator_apply_and_functional():
     grid = make_grid(128, 10.0)
     win = _unit_window(grid)
