@@ -171,23 +171,24 @@ def lieb_H(r: float, p: float) -> float:
             )
     else:
         raise DomainError("lieb_H is stated for r != 2")
-    factors = ((r - 2.0, 2.0 - r), (r - p, r / p - 1.0), (r - pp, r / pp - 1.0))
-    h_sq = _finite(
-        f"H(r, p) at r={r}, p={p}",
-        lambda: (p * pp / r**2)
-        * _pow_conv(*factors[0])
-        * _pow_conv(*factors[1])
-        * _pow_conv(*factors[2]),
-    )
-    if h_sq >= sys.float_info.min:
+    factors = ((2.0, 2.0 - r), (p, r / p - 1.0), (pp, r / pp - 1.0))
+    try:
+        h_sq = math.prod((_pow_conv(r - c, e) for c, e in factors), start=p * pp / r**2)
+    except OverflowError:
+        h_sq = 0.0
+    if sys.float_info.min <= h_sq < math.inf:
         return math.sqrt(h_sq)
-    # for large r, |r-2|^(2-r) underflows before the other factors bring the
-    # product back (at H(200, 1.5) to 0.0): the same product in log space; a
-    # base is 0 only with exponent 0, where 0^0 = 1 drops the factor
-    log_h_sq = math.log(p * pp) - 2.0 * math.log(r) + math.fsum(
-        expo * math.log(abs(base)) for base, expo in factors if expo != 0.0
+    # for large r the powers over- or underflow before their product comes
+    # back (|r-2|^(2-r) reads 0.0 at r = 200, |r-p|^(r/p-1) inf at r = 210),
+    # although H ~ sqrt(p p')/r.  The exponents sum to 0 by 1/p + 1/p' = 1,
+    # so |r-c|^e = |1-c/r|^e exactly, with each log taken by log1p for c < r;
+    # a base is 0 only with exponent 0, where 0^0 = 1 drops the factor
+    log_sum = math.fsum(
+        e * (math.log1p(-c / r) if c < r else math.log((c - r) / r))
+        for c, e in factors
+        if e != 0.0
     )
-    return math.exp(0.5 * log_h_sq)
+    return math.sqrt(p * pp) / r * math.exp(0.5 * log_sum)
 
 
 def sharp_B(r: float, s: float, u: float, v: float, d: int = 1) -> float:

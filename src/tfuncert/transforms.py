@@ -31,7 +31,6 @@ __all__ = [
     "convolve",
     "stft",
     "ambiguity",
-    "ambiguity_direct",
     "stft_adjoint",
     "stft_row_chunks",
 ]
@@ -541,26 +540,6 @@ def ambiguity(f: SampledFunction, g: SampledFunction) -> PhaseSpaceFunction:
         phase = -1j * math.pi * (coords[start : start + rows] @ freqs)
         out[start : start + rows] *= np.exp(phase, out=phase)
     return PhaseSpaceFunction._adopt(grid, out)
-
-
-def ambiguity_direct(f: SampledFunction, g: SampledFunction, steps: int) -> np.ndarray:
-    """Defining integral of the ambiguity function along one even lag.
-
-    ``steps`` is the x-node offset from the center node and must be even, so
-    that the half shifts t -/+ x/2 land on grid nodes.  Returns the row over
-    all frequency nodes, for cross-checking :func:`ambiguity`.  One
-    dimension only.
-    """
-    _require_same_grid(f, g, "ambiguity_direct")
-    if f.grid.dim != 1:
-        raise ValueError("ambiguity_direct supports one dimension only")
-    if steps % 2 != 0:
-        raise ValueError(f"lag must be an even node offset, got {steps}")
-    half = steps // 2
-    fs = np.roll(f.values, half)
-    gs = np.roll(g.values, -half)
-    prod = fs * np.conj(gs)
-    return _centered_fftn(prod) * f.grid.cell
 
 
 def stft_adjoint(Y: np.ndarray, g: SampledFunction) -> np.ndarray:

@@ -94,8 +94,8 @@ class QuadraticFormPair:
     """Sesquilinear forms of the weighted phase-space inner products.
 
     ``form0`` represents (u,v) through the m0-weighted STFT energy; ``form_full``
-    adds the |psi(x)|^2 and |phi(w)|^2 moment terms.  Both are Hermitian, the
-    recorded defects are the relative asymmetry removed by symmetrization.
+    adds the |psi(x)|^2 and |phi(w)|^2 moment terms.  Both are Hermitian by
+    construction, bit for bit: each equals its conjugate transpose exactly.
     For conjugation-symmetric input (a real window, m0^2 and |phi|^2 even in
     w) both forms are real symmetric and stored as ``float64``; otherwise they
     are complex Hermitian ``complex128``.
@@ -108,8 +108,6 @@ class QuadraticFormPair:
     grid: Grid
     form0: np.ndarray
     form_full: np.ndarray
-    herm_defect0: float
-    herm_defect_full: float
     mirror_symmetric: bool
 
     def __post_init__(self) -> None:
@@ -126,6 +124,13 @@ def _node_bank(grid: Grid) -> np.ndarray:
     return _window_bank(np.arange(grid.size).reshape(grid.shape))
 
 
+def _half_lags(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """[a, b) runs of the flat lags l <= -l (one in d = 1, two in d = 2), and the 2^d lags l = -l."""
+    lags, neg = np.arange(grid.size), _node_mirror(grid)  # neg[l] is the flat number of -l
+    runs = np.flatnonzero(np.diff(lags <= neg, prepend=False, append=False)).reshape(-1, 2)
+    return runs, np.flatnonzero(lags == neg)
+
+
 def _assemble_form0_general(
     m0sq: np.ndarray, window: SampledFunction, grid: Grid, real: bool
 ) -> np.ndarray:
@@ -138,8 +143,17 @@ def _assemble_form0_general(
     the lags are a pass of the STFT engine: its chunks, pool and row FFTs,
     with products and scatter nodes that are views of its window bank.
     ``real`` keeps only the real part, for conjugation-symmetric input.
+
+    Lag l at node m is form0[(m - l) mod n, m], and lag -l holds the
+    conjugates of lag l, so only the lags with l <= -l in flat order are
+    transformed.  Each is written with its conjugate mirror form0[m, (m - l)
+    mod n].  The 2^d self-conjugate lags (l = -l) are their own mirror: each
+    is averaged with it first, (v[m] + conj(v[(m - l) mod n])) / 2, which
+    makes the diagonal real, so its mirror write repeats the same bits.
+    form0 is Hermitian bit for bit, and each entry is written by one chunk.
     """
     size, shape, axes = grid.size, grid.shape, tuple(range(1, grid.dim + 1))
+    runs, own = _half_lags(grid)
     parity = _parity(grid).ravel()
     # mhat[l, k]: m0^2 transformed over w (lag l), then x (frequency k); the parities shift
     # each convolution by n/2 per axis, and cell^3 is |V|^2's two and the x quadrature's one
@@ -152,7 +166,7 @@ def _assemble_form0_general(
     cols = np.arange(size)
     form0 = np.empty((size, size), dtype=np.float64 if real else np.complex128)
 
-    def task(start: int, stop: int) -> None:
+    def transform(start: int, stop: int) -> None:
         w = np.empty((stop - start,) + shape, dtype=np.complex128)
         for lo, hi, windows in _bank_segments(lags, start, stop):
             np.multiply(conj_g, windows, out=w[lo:hi])
@@ -160,9 +174,17 @@ def _assemble_form0_general(
         spec *= mhat[start:stop].reshape(spec.shape)
         block = _row_fftn(spec, axes, inverse=True).reshape(-1, size)
         vals = block.real if real else block
-        # lag l at node m is form0[(m - l) mod n, m]: each chunk writes its own entries
         for lo, hi, idx in _bank_segments(nodes, start, stop):
-            form0[idx.reshape(hi - lo, size), cols] = vals[lo:hi]
+            idx, part, first = idx.reshape(hi - lo, size), vals[lo:hi], start + lo
+            for k in own[(first <= own) & (own < start + hi)] - first:  # rows of lags l = -l
+                part[k] = 0.5 * (part[k] + np.conj(part[k][idx[k]]))
+            form0[idx, cols] = part
+            form0[cols, idx] = np.conjugate(part, out=part)
+
+    def task(start: int, stop: int) -> None:
+        for a, b in runs:
+            if max(a, start) < min(b, stop):
+                transform(max(a, start), min(b, stop))
 
     deque(_chunk_map(task, size), maxlen=0)
     return form0
@@ -172,11 +194,15 @@ def _form_phi_bank(phisq: np.ndarray, grid: Grid, real: bool) -> np.ndarray:
     """Matrix of u -> sum_k |phi(w_k)|^2 |u_hat(w_k)|^2 freq_cell, circulant in the lag.
 
     Returned as the window bank of its lag spectrum, a read-only view with
-    node-shaped axes: ``bank[l][m]`` is the entry of row l, column m.
+    node-shaped axes: ``bank[l][m]`` is the entry of row l, column m.  The
+    spectrum t is averaged with its conjugate mirror, (t[k] + conj(t[-k])) / 2,
+    so the matrix is Hermitian bit for bit.
     """
-    t = np.fft.fftn(phisq.reshape(grid.shape))
-    t = t * _parity(grid) * grid.freq_cell * grid.cell**2
-    return _window_bank(t.real if real else t)
+    t = np.fft.fftn(phisq.reshape(grid.shape)).ravel()
+    t = t * _parity(grid).ravel() * grid.freq_cell * grid.cell**2
+    t = t.real if real else t
+    t = 0.5 * (t + np.conj(t[_node_mirror(grid)]))
+    return _window_bank(t.reshape(grid.shape))
 
 
 def _node_mirror(grid: Grid) -> np.ndarray:
@@ -219,32 +245,6 @@ def _input_symmetries(
     return real, mirrored
 
 
-def _hermitize(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """(mat + mat^H) / 2 and the defect max|mat - mat^H| / max|mat|.
-
-    Taken one block of rows at a time: the adjoint rows are written straight
-    into the output, and the scale and the defect are maxima over blocks,
-    which are exact, so only one block of scratch is held besides the output.
-    """
-    size = mat.shape[0]
-    out = np.empty_like(mat)
-    step = min(size, max(1, (1 << 16) // size))  # 2^16 entries, 0.5 or 1 MiB
-    diff = np.empty((step, size), dtype=mat.dtype)
-    mags = np.empty((step, size))
-    scale_ = defect = 0.0
-    for start in range(0, size, step):
-        rows = slice(start, start + step)
-        block, adj = mat[rows], out[rows]
-        k = block.shape[0]
-        np.conjugate(mat[:, rows].T, out=adj)
-        scale_ = max(scale_, float(np.max(np.abs(block, out=mags[:k]))))
-        np.subtract(block, adj, out=diff[:k])
-        defect = max(defect, float(np.max(np.abs(diff[:k], out=mags[:k]))))
-        adj += block
-        adj *= 0.5
-    return out, defect / (scale_ or 1.0)
-
-
 def build_forms(
     triple: AdmissibleTriple, window: SampledFunction, grid: Grid
 ) -> QuadraticFormPair:
@@ -262,12 +262,14 @@ def build_forms(
     Definiteness of form0 is not checked here: the eigensolver's factorization
     of form0 checks it (see :func:`smallest_eigen`).
 
-    A tabulated m0 takes one more pass of the STFT engine (see
+    A tabulated m0 takes one more pass of the STFT engine over half the
+    lags, each written with its conjugate mirror (see
     :func:`_assemble_form0_general`), and the circulant |phi|^2 form is a
-    view of its window bank.  form_full is summed in place in form0's raw
-    buffer, and each form is hermitized one block of rows at a time.  On
-    1024 nodes the tracemalloc peak is 37 MiB with a tabulated m0, 25 MiB
-    with a constant one and 58 MiB for a complex pencil with a tabulated m0.
+    view of its window bank, with a conjugate-symmetric lag spectrum.  So
+    both forms are Hermitian by construction and nothing symmetrizes them
+    afterwards.  On 1024 nodes the tracemalloc peak is 36.5 MiB with a
+    tabulated m0, 16.1 MiB with a constant one and 44.6 MiB for a complex
+    pencil with a tabulated m0; on 32^2 with a tabulated m0 it is 36.8 MiB.
     """
     size = grid.size
     if size * size > _MAX_MATERIALIZED:
@@ -291,17 +293,16 @@ def build_forms(
     if m0sq.ndim == 0:
         # constant-table specialization of the lag path: only lag zero survives
         base = float(m0sq) * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
-        raw = base * np.eye(size, dtype=dtype)
+        form0 = base * np.eye(size, dtype=dtype)
     else:
-        raw = _assemble_form0_general(m0sq, window, grid, real)
-    form0, defect0 = _hermitize(raw)
-    # form_full is summed in the raw buffer, which form0 no longer needs:
-    # the |psi|^2 diagonal first, then the |phi|^2 circulant
-    raw.reshape(-1)[:: size + 1] += psisq * grid.cell
-    full = raw.reshape(grid.shape * 2)  # full[l][m]: row l, column m as node multi-indices
+        form0 = _assemble_form0_general(m0sq, window, grid, real)
+    # form_full is form0 plus the |psi|^2 diagonal, then the |phi|^2 circulant:
+    # Hermitian terms, so the sum is Hermitian bit for bit too
+    form_full = form0.copy()
+    form_full.reshape(-1)[:: size + 1] += psisq * grid.cell
+    full = form_full.reshape(grid.shape * 2)  # full[l][m]: row l, column m as node multi-indices
     full += _form_phi_bank(phisq, grid, real)
-    form_full, defect_full = _hermitize(raw)
-    return QuadraticFormPair(grid, form0, form_full, defect0, defect_full, mirrored)
+    return QuadraticFormPair(grid, form0, form_full, mirrored)
 
 
 # ---------------------------------------------------------------------------

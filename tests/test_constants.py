@@ -127,15 +127,23 @@ def _decimal_C(p):
 
 
 def _decimal_lieb_H(r, p):
-    """H(r, p) from its defining product, in 50-digit decimal arithmetic."""
+    """H(r, p) in decimal arithmetic, 50 digits beyond the scale of 1/r.
+
+    The defining product's powers leave the decimal exponent range once r is
+    about 2e5, so it is taken as sqrt(p p')/r prod |1 - c/r|^e, which is
+    equal by 1/p + 1/p' = 1 (the exponents e sum to 0); 1 - c/r needs the
+    extra digits to keep its O(1/r) part, which e ~ r multiplies.
+    """
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 50 + max(0, int(math.log10(r)))
         r, p = Decimal(r), Decimal(p)
         pp = p / (p - 1)
-        h_sq = p * pp / r**2
-        for base, expo in ((r - 2, 2 - r), (r - p, r / p - 1), (r - pp, r / pp - 1)):
-            h_sq *= 1 if expo == 0 else abs(base) ** expo
-        return float(h_sq.sqrt())
+        log = sum(
+            expo * abs(1 - c / r).ln()
+            for c, expo in ((2, 2 - r), (p, r / p - 1), (pp, r / pp - 1))
+            if expo != 0
+        )
+        return float((p * pp).sqrt() / r * (log / 2).exp())
 
 
 def _decimal_sharp_B(r, s, u, v, d=1):
@@ -148,11 +156,24 @@ def _decimal_sharp_B(r, s, u, v, d=1):
         return float(_decimal_C(rp) ** d * bracket ** (d / rp))
 
 
-@pytest.mark.parametrize("r, p", [(150.0, 1.5), (200.0, 1.5), (230.0, 1.8), (4.0, 4.0 / 3.0)])
+@pytest.mark.parametrize(
+    "r, p",
+    [(150.0, 1.5), (230.0, 1.8), (4.0, 4.0 / 3.0), (1.5, 1.8)]
+    + [(r, p) for r in (200.0, 210.0, 400.0, 1e3, 1e6, 1e300) for p in (1.01, 1.5, 1.99)],
+)
 def test_lieb_H_for_large_r_matches_a_50_digit_evaluation(r, p):
-    # |r-2|^(2-r) underflows for large r before the other factors bring the
-    # product back: H(200, 1.5) read 0.0 instead of 0.010613
-    assert lieb_H(r, p) == pytest.approx(_decimal_lieb_H(r, p), rel=1e-11)
+    # for large r a power of the defining product over- or underflows on its
+    # own: H(200, 1.5) read 0.0 instead of 0.010613, and H(210, 1.5) and
+    # H(1e300, 1.5) were refused as overflows
+    assert lieb_H(r, p) == pytest.approx(_decimal_lieb_H(r, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 1.99])
+def test_lieb_H_tends_to_its_large_r_limit(p):
+    # H = sqrt(p p')/r (1 + O(1/r)): the exponents' r-parts cancel exactly
+    pp = holder_dual(p)
+    for r in (1e3, 1e6, 1e9, 1e300, 1e308):
+        assert abs(r * lieb_H(r, p) / math.sqrt(p * pp) - 1.0) <= (p + pp + 4.0) / r + 1e-15
 
 
 @pytest.mark.parametrize("r, s, u", [(1.01, 1.0, 1.0), (1.005, 1.2, 1.5), (1.5, 1.5, 2.0)])

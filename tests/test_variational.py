@@ -37,7 +37,6 @@ from tfuncert.variational import (
     ModulationTerm,
     OmegaMomentTerm,
     XMomentTerm,
-    _hermitize,
     _modulation_grad,
     _moment_preconditioner,
     _pairing,
@@ -91,6 +90,12 @@ def _brute_forms(triple, window, grid):
     return Q0, Q0 + Qpsi + Qphi
 
 
+def _assert_hermitian(pair):
+    """Both forms equal their conjugate transposes bit for bit."""
+    for form in (pair.form0, pair.form_full):
+        assert np.array_equal(form, form.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # form assembly
 
@@ -106,7 +111,7 @@ def test_build_forms_matches_brute_force_1d():
     assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
-    assert pair.herm_defect0 < 1e-12 and pair.herm_defect_full < 1e-12
+    _assert_hermitian(pair)
 
 
 def test_build_forms_matches_brute_force_2d():
@@ -121,6 +126,7 @@ def test_build_forms_matches_brute_force_2d():
     assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
+    _assert_hermitian(pair)
 
 
 def _asymmetric_triple(case, grid):
@@ -151,6 +157,7 @@ def _check_asymmetric_forms(case, grid, floor):
     assert np.max(np.abs(Qfull.imag)) > floor * np.max(np.abs(Qfull))
     np.testing.assert_allclose(pair.form0, Q0, atol=1e-13)
     np.testing.assert_allclose(pair.form_full, Qfull, atol=1e-13)
+    _assert_hermitian(pair)
     nus = [sol.nu for sol in smallest_eigen(pair, 3)]
     expected = scipy.linalg.eigh(Qfull, Q0, eigvals_only=True, subset_by_index=[0, 2])
     np.testing.assert_allclose(nus, expected, atol=1e-10)
@@ -187,29 +194,40 @@ def test_real_route_eigenvalues_match_complex_brute_force():
 
 
 def test_build_forms_constant_weight_tight_frame():
-    grid = make_grid(32, 10.0)
-    win = _unit_window(grid)
-    triple = AdmissibleTriple(
-        grid.axis.astype(complex), grid.freq_axis.astype(complex), 2.0
-    )
-    pair = build_forms(triple, win, grid)
-    assert pair.form0.dtype == np.float64 and pair.form_full.dtype == np.float64
-    # constant m0: the frame identity collapses form0 to m0^2 h I
-    np.testing.assert_allclose(
-        pair.form0, 4.0 * grid.cell * np.eye(grid.size), atol=1e-14
-    )
+    # constant m0: the frame identity collapses form0 to m0^2 h^d I on every
+    # route; phi = w + 1 is not even in w, so its forms are complex
+    for grid in (make_grid(32, 10.0), make_grid(16, 8.0, dim=2)):
+        win = _unit_window(grid)
+        for shift, dtype in ((0.0, np.float64), (1.0, np.complex128)):
+            phi = grid.freq_coords()[:, 0] + shift
+            triple = AdmissibleTriple(grid.radii().astype(complex), phi.astype(complex), 2.0)
+            pair = build_forms(triple, win, grid)
+            assert pair.form0.dtype == dtype and pair.form_full.dtype == dtype
+            np.testing.assert_allclose(
+                pair.form0, 4.0 * grid.cell * np.eye(grid.size), atol=1e-14
+            )
+            _assert_hermitian(pair)
 
 
-@pytest.mark.parametrize("tabulated, budget_mib", [(True, 64), (False, 48)])
-def test_build_forms_allocation_budget(tabulated, budget_mib):
-    # 1024 nodes: each dense form is 8 MiB.  The lag products, the circulant
-    # and the scatter nodes are views of the window bank, and form_full is
-    # summed in place, so no size^2 index table or dense psi form is built
-    grid = make_grid(1024, 12.0)
+@pytest.mark.parametrize(
+    "case, dim, budget_mib",
+    [("tabulated", 1, 37), ("constant", 1, 17), ("complex", 1, 46), ("tabulated", 2, 37)],
+    ids=["tabulated-1024", "constant-1024", "complex-1024", "tabulated-32^2"],
+)
+def test_build_forms_allocation_budget(case, dim, budget_mib):
+    # 1024 nodes or 32^2: each dense form is 8 MiB, or 16 MiB when complex,
+    # and m0^2 transformed is 16 MiB.  The lag products, the circulant and
+    # the scatter nodes are views of the window bank, and the lags are
+    # written in chunks, so no size^2 index table or dense psi form is
+    # built.  The d = 2 node bank reshaped to one flat (size, size) index
+    # table alone would add 8 MiB of int64
+    grid = make_grid(1024, 12.0) if dim == 1 else make_grid(32, 6.5, dim=2)
     win = _unit_window(grid)
     x, w = grid.radii(), grid.freq_radii()
-    m0 = np.sqrt(np.outer(1.0 + x, 1.0 + w)) if tabulated else 1.0
-    triple = AdmissibleTriple(x.astype(complex), w.astype(complex), m0)
+    m0 = 1.0 if case == "constant" else np.sqrt(np.outer(1.0 + x, 1.0 + w))
+    # phi = 1 + w (signed) is not even in w: the complex route with a real window
+    phi = 1.0 + grid.freq_axis if case == "complex" else w
+    triple = AdmissibleTriple(x.astype(complex), phi.astype(complex), m0)
     build_forms(triple, win, grid)  # first-call imports and caches
     tracemalloc.start()
     try:
@@ -245,33 +263,11 @@ def test_tabulated_forms_independent_of_fft_workers(monkeypatch):
         pairs = [build_forms(triple, win, win.grid) for triple, win in cases]
         assert [pair.form0.dtype for pair in pairs] == [np.float64, np.float64, np.complex128]
         assert (threads == {threading.get_ident()}) == (workers == 1)
+        for pair in pairs:
+            _assert_hermitian(pair)
         got = [(pair.form0.tobytes(), pair.form_full.tobytes()) for pair in pairs]
         first = first or got
         assert got == first
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_hermitize_in_row_blocks(dtype):
-    # the blocked symmetrization equals the whole-matrix formula bit for bit
-    # and holds the output plus one 2^16-entry block of rows' scratch (the
-    # difference and its magnitudes), not size^2 temporaries
-    rng = np.random.default_rng(3)
-    size = 1024
-    mat = rng.standard_normal((size, size)).astype(dtype)
-    if dtype is np.complex128:
-        mat += 1j * rng.standard_normal((size, size))
-    adj = np.conj(mat).T
-    want = (adj + mat) * 0.5
-    want_defect = float(np.max(np.abs(mat - adj))) / float(np.max(np.abs(mat)))
-    tracemalloc.start()
-    try:
-        got, defect = _hermitize(mat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(got, want)
-    assert defect == want_defect
-    assert peak <= got.nbytes + (1 << 16) * (mat.itemsize + 8) + (256 << 10)
 
 
 @pytest.mark.parametrize("n, extent, dim", [(128, 12.0, 2), (8192, 24.0, 1)])
@@ -499,6 +495,7 @@ def test_parity_split_matches_unsplit_on_random_even_tables(seed):
     triple = AdmissibleTriple(psi + psi[mirror], phi + phi[mirror], m0)
     pair = build_forms(triple, _unit_window(grid), grid)
     assert pair.mirror_symmetric
+    _assert_hermitian(pair)
     _check_matches_unsplit(pair, smallest_eigen(pair, 6))
 
 
