@@ -104,13 +104,16 @@ def babenko_beckner(p: float) -> float:
     if p == 1.0 or p == math.inf:
         return 1.0
     q = general_dual(p)
-    num = p ** _inv(p)
     try:
-        den = abs(q) ** _inv(q) if q != math.inf else 1.0
+        quotient = p ** _inv(p) / (abs(q) ** _inv(q) if q != math.inf else 1.0)
     except OverflowError:
-        # small p (q ~ -p): the quotient in log space, which rounds to 0.0 or a subnormal
+        quotient = 0.0
+    if quotient < sys.float_info.min:
+        # small p (q ~ -p): |q|^(1/q) overflows, or the quotient is subnormal and
+        # has lost digits that its square root C_p, a normal float, would keep;
+        # log space keeps them (C_p rounds to 0.0 or a subnormal only on its own)
         return math.exp(_log_babenko_beckner(p))
-    return math.sqrt(num / den)
+    return math.sqrt(quotient)
 
 
 def _log_babenko_beckner(p: float) -> float:

@@ -9,6 +9,7 @@ cell-weighted quadrature.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -131,18 +132,38 @@ def _half_lags(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return runs, np.flatnonzero(lags == neg)
 
 
+def _m0sq_spectrum(m0sq: np.ndarray, grid: Grid) -> np.ndarray:
+    """The rows of m0^2's spectrum that the lag loop reads: ``mhat[l, k]``.
+
+    m0^2 is transformed over w (lag l), then x (frequency k).  It is real, so
+    its spectrum is Hermitian, and one real-input transform that halves the
+    first w axis keeps the lags with l_1 = 0 .. n/2 on that axis: (n/2 + 1)
+    n^(d-1) rows in flat lag order, which hold every lag l <= -l.  The
+    parities shift each convolution by n/2 per axis, and cell^3 is |V|^2's
+    two and the x quadrature's one.
+    """
+    # m0sq.T's axes are (w, x); the last of the axes is the halved one
+    axes = tuple(range(1, 2 * grid.dim)) + (0,)
+    mhat = _row_fftn(m0sq.T.reshape(grid.shape * 2), axes, real=True).reshape(-1, grid.size)
+    parity = _parity(grid).ravel()
+    mhat *= parity[: len(mhat), None]
+    mhat *= parity * (grid.freq_cell * grid.cell**3)
+    return mhat
+
+
 def _assemble_form0_general(
-    m0sq: np.ndarray, window: SampledFunction, grid: Grid, real: bool
+    mhat: np.ndarray, window: SampledFunction, grid: Grid, real: bool
 ) -> np.ndarray:
     """Dense form0 for tabulated m0, via per-lag circular convolutions.
 
     Writing V_g u in terms of periodized window shifts turns the double
     phase-space sum into, for each node lag l, a circular convolution between
     the window autocorrelation at that lag and the w-transform of m0^2; cost
-    O(size^2 log size) instead of O(size^3).  m0^2 is transformed once, and
-    the lags are a pass of the STFT engine: its chunks, pool and row FFTs,
-    with products and scatter nodes that are views of its window bank.
-    ``real`` keeps only the real part, for conjugation-symmetric input.
+    O(size^2 log size) instead of O(size^3).  ``mhat`` is m0^2's half
+    spectrum (see :func:`_m0sq_spectrum`), and the lags are a pass of the
+    STFT engine: its chunks, pool and row FFTs, with products and scatter
+    nodes that are views of its window bank.  ``real`` keeps only the real
+    part, for conjugation-symmetric input.
 
     Lag l at node m is form0[(m - l) mod n, m], and lag -l holds the
     conjugates of lag l, so only the lags with l <= -l in flat order are
@@ -154,12 +175,6 @@ def _assemble_form0_general(
     """
     size, shape, axes = grid.size, grid.shape, tuple(range(1, grid.dim + 1))
     runs, own = _half_lags(grid)
-    parity = _parity(grid).ravel()
-    # mhat[l, k]: m0^2 transformed over w (lag l), then x (frequency k); the parities shift
-    # each convolution by n/2 per axis, and cell^3 is |V|^2's two and the x quadrature's one
-    sym = np.ascontiguousarray(m0sq.T, dtype=np.complex128).reshape(shape * 2)
-    mhat = _row_fftn(sym, tuple(range(2 * grid.dim))).reshape(size, size)
-    mhat *= np.multiply.outer(parity, parity * (grid.freq_cell * grid.cell**3))
     conj_g = np.conj(window.reshaped())
     lags = _window_bank(window.reshaped())  # lags[l][m] = g[(m - l) mod n]
     nodes = _node_bank(grid)
@@ -215,6 +230,22 @@ def _node_mirror(grid: Grid) -> np.ndarray:
     return _node_bank(grid)[(...,) + (0,) * grid.dim].reshape(grid.size)
 
 
+def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
+    """Whether ``table`` equals itself under j -> (-j) mod n on ``axes`` jointly, bit for bit.
+
+    The mirror fixes index 0 and reverses [1:] on each axis, so the table is
+    compared with reversed views of itself, one block per choice of index 0
+    or [1:] on each axis, and nothing is gathered.
+    """
+    for tails in itertools.product((False, True), repeat=len(axes)):
+        here, there = [slice(None)] * table.ndim, [slice(None)] * table.ndim
+        for axis, tail in zip(axes, tails):
+            here[axis], there[axis] = (slice(1, None), slice(None, 0, -1)) if tail else (0, 0)
+        if not np.array_equal(table[tuple(here)], table[tuple(there)]):
+            return False
+    return True
+
+
 def _input_symmetries(
     gp: np.ndarray, psisq: np.ndarray, phisq: np.ndarray, m0sq: np.ndarray, grid: Grid
 ) -> tuple[bool, bool]:
@@ -228,19 +259,20 @@ def _input_symmetries(
     tables are bit-equal, so the comparisons are exact.  A 0-d ``m0sq`` is a
     constant m0.
     """
-    mirror = _node_mirror(grid)
+    mirror, d = _node_mirror(grid), grid.dim
     scalar = m0sq.ndim == 0
+    table = None if scalar else m0sq.reshape(grid.shape * 2)  # axes (x, w)
     even_phi = np.array_equal(phisq, phisq[mirror])
     real = (
         even_phi
         and not np.any(gp.imag)
-        and (scalar or np.array_equal(m0sq, np.take(m0sq, mirror, axis=1)))
+        and (scalar or _mirror_even(table, range(d, 2 * d)))
     )
     mirrored = (
         even_phi
         and np.array_equal(gp, gp[mirror])
         and np.array_equal(psisq, psisq[mirror])
-        and (scalar or np.array_equal(m0sq, m0sq[np.ix_(mirror, mirror)]))
+        and (scalar or _mirror_even(table, range(2 * d)))
     )
     return real, mirrored
 
@@ -262,14 +294,16 @@ def build_forms(
     Definiteness of form0 is not checked here: the eigensolver's factorization
     of form0 checks it (see :func:`smallest_eigen`).
 
-    A tabulated m0 takes one more pass of the STFT engine over half the
+    A tabulated m0 takes one real-input transform of m0^2, whose half
+    spectrum holds every lag the form reads (see :func:`_m0sq_spectrum`), and
+    m0^2 is released before one more pass of the STFT engine over half the
     lags, each written with its conjugate mirror (see
-    :func:`_assemble_form0_general`), and the circulant |phi|^2 form is a
-    view of its window bank, with a conjugate-symmetric lag spectrum.  So
-    both forms are Hermitian by construction and nothing symmetrizes them
-    afterwards.  On 1024 nodes the tracemalloc peak is 36.5 MiB with a
-    tabulated m0, 16.1 MiB with a constant one and 44.6 MiB for a complex
-    pencil with a tabulated m0; on 32^2 with a tabulated m0 it is 36.8 MiB.
+    :func:`_assemble_form0_general`).  The circulant |phi|^2 form is a view
+    of its window bank, with a conjugate-symmetric lag spectrum.  So both
+    forms are Hermitian by construction and nothing symmetrizes them
+    afterwards.  On 1024 nodes the tracemalloc peak is 20.6 MiB with a
+    tabulated m0, 16.1 MiB with a constant one and 32.2 MiB for a complex
+    pencil with a tabulated m0; on 32^2 with a tabulated m0 it is 21.3 MiB.
     """
     size = grid.size
     if size * size > _MAX_MATERIALIZED:
@@ -295,7 +329,12 @@ def build_forms(
         base = float(m0sq) * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
         form0 = base * np.eye(size, dtype=dtype)
     else:
-        form0 = _assemble_form0_general(m0sq, window, grid, real)
+        # the lag loop reads only m0^2's spectrum, and form_full only form0, so
+        # each is released once read: 8 MiB apiece on 1024 nodes
+        mhat = _m0sq_spectrum(m0sq, grid)
+        del m0sq
+        form0 = _assemble_form0_general(mhat, window, grid, real)
+        del mhat
     # form_full is form0 plus the |psi|^2 diagonal, then the |phi|^2 circulant:
     # Hermitian terms, so the sum is Hermitian bit for bit too
     form_full = form0.copy()

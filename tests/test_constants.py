@@ -101,11 +101,29 @@ def test_babenko_beckner_below_the_overflow_threshold():
     # |p'|^(1/p') overflows for p below 0.0069436686854468; C_p is then taken
     # in log space.  Just below the threshold it is a subnormal, not 0.0
     # (2.8163248841108405e-310 to 17 digits, from a 60-digit evaluation)
-    assert babenko_beckner(0.0069436686) == pytest.approx(2.8163248841108405e-310, rel=1e-12)
-    # the two evaluations meet at the threshold
+    assert babenko_beckner(0.0069436686) == pytest.approx(2.8163248841108405e-310, rel=1e-12, abs=0.0)
+    # the values on both sides of the overflow agree
     below, above = 0.006943668685446811, 0.006943668685446812
-    assert babenko_beckner(below) == pytest.approx(babenko_beckner(above), rel=1e-9)
+    assert babenko_beckner(below) == pytest.approx(babenko_beckner(above), rel=1e-9, abs=0.0)
     assert babenko_beckner(1e-300) == 0.0
+
+
+def test_babenko_beckner_with_a_subnormal_quotient():
+    # at p = s/r' of B(1.01, 1.2, ...) the quotient p^(1/p) / |p'|^(1/p') is
+    # about 2e-322, a subnormal with three digits, while C_p = 1.3989e-161 is
+    # a normal float; the square root of the subnormal read 1.4058e-161
+    p = 1.2 / holder_dual(1.01)
+    assert p == 0.01188118811881189
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert babenko_beckner(p) == pytest.approx(float(_decimal_C(Decimal(p))), rel=1e-13, abs=0.0)
+    # the direct and the log-space evaluation meet where the quotient leaves the normal range
+    below, above = 0.012319096933166023, 0.012319096933166025
+    assert babenko_beckner(below) == pytest.approx(babenko_beckner(above), rel=1e-12, abs=0.0)
+    # the 0.5 % error, raised to d/r', moved B by 1.5e-4
+    v = solve_partner_exponent(1.2, 1.01, 50.0)
+    assert sharp_B(1.01, 1.2, 50.0, v, d=3) == pytest.approx(_decimal_sharp_B(1.01, 1.2, 50.0, v, 3), rel=1e-10)
+    assert sharp_B(1.01, 1.2, 50.0, v, d=3) == pytest.approx(1.217259, abs=5e-7)
 
 
 def test_lieb_H_values():

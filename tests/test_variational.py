@@ -129,6 +129,28 @@ def test_build_forms_matches_brute_force_2d():
     _assert_hermitian(pair)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_half_lags_lie_in_the_half_spectrum(n, dim):
+    # m0^2's real-input transform keeps the lags l_1 = 0 .. n/2 on the first
+    # w axis, (n/2 + 1) n^(d-1) rows in flat lag order; the lag loop reads rows
+    # [a, b) of every run of lags l <= -l
+    grid = make_grid(n, 8.0, dim=dim)
+    runs, own = variational._half_lags(grid)
+    rows = (n // 2 + 1) * n ** (dim - 1)
+    assert runs.size and np.all(runs[:, 0] < runs[:, 1]) and np.all(runs[:, 1] <= rows)
+    assert np.all(own < rows)
+    # the rows are those of the full complex transform, which is how the form read them
+    x, w = grid.coords()[:, 0], grid.freq_coords()[:, 0]
+    m0sq = 1.0 + np.outer(np.exp(-(x**2)), 2.0 + np.tanh(w))  # not even in w or x
+    parity = transforms._parity(grid).ravel()
+    full = np.fft.fftn(m0sq.T.reshape(grid.shape * 2)).reshape(grid.size, grid.size)
+    full *= np.multiply.outer(parity, parity * (grid.freq_cell * grid.cell**3))
+    spectrum = variational._m0sq_spectrum(m0sq, grid)
+    assert spectrum.shape == (rows, grid.size)
+    np.testing.assert_allclose(spectrum, full[:rows], rtol=0, atol=1e-13 * np.max(np.abs(full)))
+
+
 def _asymmetric_triple(case, grid):
     """(triple, window) with one of the three conjugation symmetries broken.
 
@@ -211,12 +233,13 @@ def test_build_forms_constant_weight_tight_frame():
 
 @pytest.mark.parametrize(
     "case, dim, budget_mib",
-    [("tabulated", 1, 37), ("constant", 1, 17), ("complex", 1, 46), ("tabulated", 2, 37)],
+    [("tabulated", 1, 22), ("constant", 1, 17), ("complex", 1, 33), ("tabulated", 2, 22)],
     ids=["tabulated-1024", "constant-1024", "complex-1024", "tabulated-32^2"],
 )
 def test_build_forms_allocation_budget(case, dim, budget_mib):
     # 1024 nodes or 32^2: each dense form is 8 MiB, or 16 MiB when complex,
-    # and m0^2 transformed is 16 MiB.  The lag products, the circulant and
+    # m0^2 is 8 MiB and its real-input half spectrum 8 MiB, and m0^2 is
+    # released before the lag loop.  The lag products, the circulant and
     # the scatter nodes are views of the window bank, and the lags are
     # written in chunks, so no size^2 index table or dense psi form is
     # built.  The d = 2 node bank reshaped to one flat (size, size) index
@@ -479,6 +502,51 @@ def test_pencil_off_by_one_bit_takes_one_solve(monkeypatch):
     assert shapes == [(grid.size, grid.size)]
     mirrored = smallest_eigen(build_forms(triple, _unit_window(grid), grid), 3)
     np.testing.assert_allclose([s.nu for s in sols], [s.nu for s in mirrored], rtol=0, atol=1e-8)
+
+
+def _gather_symmetries(gp, psisq, phisq, m0sq, grid):
+    """(real, mirrored) from size^2 gathers of the mirrored tables, as build_forms once decided them."""
+    mirror = variational._node_mirror(grid)
+    even_phi = np.array_equal(phisq, phisq[mirror])
+    real = (
+        even_phi
+        and not np.any(gp.imag)
+        and np.array_equal(m0sq, np.take(m0sq, mirror, axis=1))
+    )
+    mirrored = (
+        even_phi
+        and np.array_equal(gp, gp[mirror])
+        and np.array_equal(psisq, psisq[mirror])
+        and np.array_equal(m0sq, m0sq[np.ix_(mirror, mirror)])
+    )
+    return real, mirrored
+
+
+@pytest.mark.parametrize("n, dim", [(16, 1), (8, 2)])
+def test_symmetry_decisions_match_the_gather_oracle(n, dim):
+    # one mantissa bit of m0 flipped at a paired x node, at w-index 0 and at
+    # w-index n/2 (both fixed by the mirror) or at a paired w node; the
+    # view-based checks must decide as the gathers do in all four outcomes
+    grid = make_grid(n, 8.0, dim=dim)
+    mirror = variational._node_mirror(grid)
+    paired = int(np.flatnonzero(mirror != np.arange(grid.size))[1])
+    middle = int(np.ravel_multi_index((n // 2,) * dim, grid.shape))
+    x, w = grid.radii(), grid.freq_radii()
+    even = np.sqrt(np.outer(1.0 + x, 1.0 + w))  # even in x and in w
+    table = np.random.default_rng(5).uniform(0.5, 2.0, (grid.size, grid.size))
+    joint = table + table[np.ix_(mirror, mirror)]  # even in (x, w) jointly only
+    gp = _unit_window(grid).values
+    seen = set()
+    for base in (even, joint):
+        for spot in (None, (paired, 0), (paired, middle), (paired, paired)):
+            m0 = base.copy()
+            if spot is not None:
+                m0.view(np.int64)[spot] ^= 1 << 20
+            args = (gp, x**2, w**2, m0**2, grid)
+            got = variational._input_symmetries(*args)
+            assert got == _gather_symmetries(*args)
+            seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
