@@ -101,15 +101,15 @@ class QuadraticFormPair:
     w) both forms are real symmetric and stored as ``float64``; otherwise they
     are complex Hermitian ``complex128``.
 
-    ``mirror_symmetric`` is derived by :func:`build_forms` from the input
-    tables: True when the pencil commutes with the node mirror x -> -x, so
-    that :func:`smallest_eigen` may solve its even and odd parts apart.
+    ``even_axes``, derived by :func:`build_forms` from the input tables, are
+    the grid axes i on which the pencil commutes with the mirror x_i -> -x_i:
+    :func:`smallest_eigen` solves its even and odd parts on each apart.
     """
 
     grid: Grid
     form0: np.ndarray
     form_full: np.ndarray
-    mirror_symmetric: bool
+    even_axes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         size = self.grid.size
@@ -248,33 +248,33 @@ def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
 
 def _input_symmetries(
     gp: np.ndarray, psisq: np.ndarray, phisq: np.ndarray, m0sq: np.ndarray, grid: Grid
-) -> tuple[bool, bool]:
-    """(conjugation symmetric, mirror symmetric) by exact comparison of the input tables.
+) -> tuple[bool, tuple[int, ...]]:
+    """(conjugation symmetric, even axes) by exact comparison of the input tables.
 
     For real g, conj(V_g u(x, w)) = V_g conj(u)(x, -w), so an m0^2 weight even
-    in w makes form0 real; likewise for the |phi|^2 term.  For even g,
-    V_g(u(-.))(x, w) = V_g u(-x, -w), so an m0^2 even in (x, w) jointly and
-    even |psi|^2 and |phi|^2 make both forms commute with the node mirror.  On
-    the centered grid the node of -w is (0 - l) mod n, and the mirrored
-    tables are bit-equal, so the comparisons are exact.  A 0-d ``m0sq`` is a
-    constant m0.
+    in w makes form0 real; likewise for the |phi|^2 term.  If R mirrors axis
+    i and g is even on it, V_g(u o R)(x, w) = V_g u(Rx, Rw), so an m0^2 even
+    in (x_i, w_i) and |psi|^2 and |phi|^2 even in x_i and w_i make both forms
+    commute with R.  On the centered grid the node of -w is (0 - l) mod n, so
+    the mirrored tables are bit-equal and the view comparisons (see
+    :func:`_mirror_even`) exact.  A 0-d ``m0sq`` is a constant m0.
     """
-    mirror, d = _node_mirror(grid), grid.dim
+    d = grid.dim
     scalar = m0sq.ndim == 0
     table = None if scalar else m0sq.reshape(grid.shape * 2)  # axes (x, w)
-    even_phi = np.array_equal(phisq, phisq[mirror])
+    g, psisq, phisq = (t.reshape(grid.shape) for t in (gp, psisq, phisq))
     real = (
-        even_phi
+        _mirror_even(phisq, range(d))
         and not np.any(gp.imag)
         and (scalar or _mirror_even(table, range(d, 2 * d)))
     )
-    mirrored = (
-        even_phi
-        and np.array_equal(gp, gp[mirror])
-        and np.array_equal(psisq, psisq[mirror])
-        and (scalar or _mirror_even(table, range(2 * d)))
+    even_axes = tuple(
+        axis
+        for axis in range(d)
+        if all(_mirror_even(t, (axis,)) for t in (g, psisq, phisq))
+        and (scalar or _mirror_even(table, (axis, d + axis)))
     )
-    return real, mirrored
+    return real, even_axes
 
 
 def build_forms(
@@ -289,8 +289,7 @@ def build_forms(
     tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is what the general
     path produces up to rounding.  Conjugation-symmetric input gives real
     symmetric forms, which the eigensolver then handles in real arithmetic;
-    mirror-symmetric input (see :func:`_input_symmetries`) marks the pair
-    ``mirror_symmetric``, which the eigensolver splits by parity.
+    it splits by parity on the pair's ``even_axes`` (see :func:`_input_symmetries`).
     Definiteness of form0 is not checked here: the eigensolver's factorization
     of form0 checks it (see :func:`smallest_eigen`).
 
@@ -322,7 +321,7 @@ def build_forms(
     m0sq = triple.m0**2  # 0-d for a constant m0
     psisq = np.abs(triple.psi) ** 2
     phisq = np.abs(triple.phi) ** 2
-    real, mirrored = _input_symmetries(gp, psisq, phisq, m0sq, grid)
+    real, even_axes = _input_symmetries(gp, psisq, phisq, m0sq, grid)
     dtype = np.float64 if real else np.complex128
     if m0sq.ndim == 0:
         # constant-table specialization of the lag path: only lag zero survives
@@ -341,7 +340,7 @@ def build_forms(
     form_full.reshape(-1)[:: size + 1] += psisq * grid.cell
     full = form_full.reshape(grid.shape * 2)  # full[l][m]: row l, column m as node multi-indices
     full += _form_phi_bank(phisq, grid, real)
-    return QuadraticFormPair(grid, form0, form_full, mirrored)
+    return QuadraticFormPair(grid, form0, form_full, even_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -358,69 +357,65 @@ class EigenSolution:
     residual: float
 
 
-def _parity_blocks(
-    form: np.ndarray, fixed: np.ndarray, pairs: np.ndarray, partners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``form`` on the orthonormal even and odd bases of the node mirror R.
+def _axis_basis(n: int, parity: Optional[bool]) -> list:
+    """One axis's orthonormal basis of one mirror parity, as ``(coordinates, terms)`` parts.
 
-    The even basis is e_f for the fixed nodes, then (e_j + e_Rj)/sqrt 2 for
-    each pair; the odd basis is (e_j - e_Rj)/sqrt 2.  The form commutes with
-    R, form[Rj, Rk] = form[j, k], so the rows of the pairs' partners are not
-    read.  The blocks are preallocated in Fortran order, for LAPACK to
-    overwrite, and filled from one half-block gather at a time.
+    Block coordinates in the slice ``coordinates`` are the vectors sum sign e_j
+    over the ``(node slice, sign)`` terms, over sqrt(len(terms)).  Even is e_0,
+    e_{n/2} (the fixed nodes), then (e_j + e_{n-j})/sqrt 2 for j = 1 .. n/2 - 1;
+    odd is (e_j - e_{n-j})/sqrt 2; ``None`` is the nodes.  The last stop is the size.
     """
-    nf, half = fixed.size, pairs.size
-    even = np.empty((nf + half, nf + half), dtype=form.dtype, order="F")
-    odd = np.empty((half, half), dtype=form.dtype, order="F")
-    top = form[fixed]
-    even[:nf, :nf] = top[:, fixed]
-    even[:nf, nf:] = (top[:, pairs] + top[:, partners]) * math.sqrt(0.5)
-    even[nf:, :nf] = form[np.ix_(pairs, fixed)] * math.sqrt(2.0)
-    inner = even[nf:, nf:]
-    inner[...] = form[np.ix_(pairs, pairs)]
-    odd[...] = inner
-    far = form[np.ix_(pairs, partners)]
-    inner += far
-    odd -= far
-    return even, odd
+    h = n // 2
+    pairs = ((slice(1, h), 1), (slice(n - 1, h, -1), 1 if parity else -1))
+    if parity is None:
+        return [(slice(0, n), ((slice(None), 1),))]
+    if parity:
+        return [(slice(0, 2), ((slice(0, None, h), 1),)), (slice(2, h + 1), pairs)]
+    return [(slice(0, h - 1), pairs)]
 
 
-def _parity_eigh(pair: QuadraticFormPair, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` smallest eigenpairs of a mirror-symmetric pencil, from its two parity blocks.
+def _parity_block(form: np.ndarray, grid: Grid, bases: list) -> np.ndarray:
+    """``form`` on the tensor product of the per-axis ``bases`` (see :func:`_axis_basis`).
 
-    Each block is solved apart, for min(count, block size) pairs; the
-    eigenvalues are merged by a stable sort, even first on ties, and the
-    vectors are embedded back onto the nodes.  The bases are orthonormal, so
-    form0-orthonormal block vectors stay form0-orthonormal.  Neither block is
-    empty: a grid axis has at least 8 nodes, of which 2 are fixed.
+    The form commutes with the mirror R of each split axis, so the row of
+    (e_j +- R e_j)/sqrt 2 is sqrt 2 times that of e_j: only the first node of
+    each vector is read as a row, the columns fold on views, [1:n/2] +-
+    [n-1:n/2:-1], and a part with k more terms in its rows than in its
+    columns is scaled by sqrt(2)^k.  The block is written in place into a
+    preallocated Fortran array (coordinates in Fortran order), for LAPACK.
     """
-    import scipy.linalg
+    dims = tuple(basis[-1][0].stop for basis in bases)
+    cube = np.empty(dims * 2, dtype=form.dtype, order="F")
+    nodes = form.reshape(grid.shape * 2)  # nodes[l][m]: row l, column m as node multi-indices
+    for rows, cols in itertools.product(itertools.product(*bases), repeat=2):
+        out = cube[tuple(part for part, _ in rows + cols)]
+        first = tuple(terms[0][0] for _, terms in rows)
+        for k, terms in enumerate(itertools.product(*(terms for _, terms in cols))):
+            src = nodes[first + tuple(node for node, _ in terms)]
+            if k == 0:
+                out[...] = src
+            elif math.prod(sign for _, sign in terms) > 0:
+                out += src
+            else:
+                out -= src
+        lift = sum(len(terms) for _, terms in rows) - sum(len(terms) for _, terms in cols)
+        if lift:
+            out *= math.sqrt(2.0**lift)
+    return cube.reshape((math.prod(dims),) * 2, order="F")
 
-    grid = pair.grid
-    mirror = _node_mirror(grid)
-    nodes = np.arange(grid.size)
-    fixed = np.flatnonzero(mirror == nodes)
-    pairs = np.flatnonzero(nodes < mirror)
-    partners = mirror[pairs]
-    blocks = zip(
-        _parity_blocks(pair.form_full, fixed, pairs, partners),
-        _parity_blocks(pair.form0, fixed, pairs, partners),
-    )
-    vals, vecs = [], []
-    for (full, zero), head, sign in zip(blocks, (fixed, fixed[:0]), (1.0, -1.0)):
-        w, x = scipy.linalg.eigh(
-            full, zero, subset_by_index=[0, min(count, full.shape[0]) - 1],
-            overwrite_a=True, overwrite_b=True,
-        )
-        v = np.zeros((grid.size, w.size), dtype=x.dtype)
-        v[head] = x[: head.size]
-        v[pairs] = x[head.size :] * math.sqrt(0.5)
-        v[partners] = v[pairs] * sign
-        vals.append(w)
-        vecs.append(v)
-    merged = np.concatenate(vals)
-    order = np.argsort(merged, kind="stable")[:count]
-    return merged[order], np.concatenate(vecs, axis=1)[:, order]
+
+def _embed(x: np.ndarray, grid: Grid, bases: list) -> np.ndarray:
+    """Node values of the block vectors in the columns of ``x``: the basis change undone."""
+    coords = x.reshape(tuple(basis[-1][0].stop for basis in bases) + x.shape[1:], order="F")
+    v = np.zeros(grid.shape + x.shape[1:], dtype=x.dtype)
+    for parts in itertools.product(*bases):
+        piece = coords[tuple(part for part, _ in parts)]
+        lift = sum(len(terms) - 1 for _, terms in parts)
+        piece = piece * math.sqrt(2.0**-lift) if lift else piece
+        for terms in itertools.product(*(terms for _, terms in parts)):
+            even = math.prod(sign for _, sign in terms) > 0
+            v[tuple(node for node, _ in terms)] = piece if even else -piece
+    return v.reshape(grid.size, -1)
 
 
 def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolution]:
@@ -430,50 +425,53 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
     phase-space norm the pencil encodes.  A form0 that is not positive
     definite raises ``ValueError``.
 
-    A mirror-symmetric pencil (``pair.mirror_symmetric``) has even and odd
-    eigenvectors, as the Hermite functions are, and is solved as two
-    half-size pencils (:func:`_parity_eigh`): a quarter of the O(size^3)
-    flops of one solve.  On 1024 nodes with a tabulated m0 and six pairs the
-    solve took 50-55 ms instead of 112-116 ms (2-vCPU Xeon, best of 7 calls).
-    Every other pencil takes one ``scipy.linalg.eigh``.  Residuals and the
-    nu >= 1 check are taken against the full forms on both routes.
+    The pencil is solved as its parity blocks (:func:`_parity_block`), one
+    per choice of even or odd on each axis in ``pair.even_axes``, as the
+    Hermite functions are products of even and odd ones: k axes give 2^k
+    blocks, a 4^k-th of the O(size^3) flops of one solve.  Each block is
+    solved for min(count, block size) pairs, even before odd on ties.  A
+    pencil with no even axis, such as a d = 2 one even only under the joint
+    mirror x -> -x (a rotated Gaussian window), is one block, the whole
+    pencil.  Residuals and the nu >= 1 check use the full forms.
     """
     import scipy.linalg
 
-    size = pair.grid.size
-    if not (1 <= count <= size):
-        raise ValueError(f"count must be in 1..{size}, got {count}")
-    try:
-        if pair.mirror_symmetric:
-            vals, vecs = _parity_eigh(pair, count)
-        else:
-            vals, vecs = scipy.linalg.eigh(
-                pair.form_full, pair.form0, subset_by_index=[0, count - 1]
+    grid = pair.grid
+    if not (1 <= count <= grid.size):
+        raise ValueError(f"count must be in 1..{grid.size}, got {count}")
+    vals, vecs = [], []
+    for parities in itertools.product((True, False), repeat=len(pair.even_axes)):
+        split = dict(zip(pair.even_axes, parities))
+        bases = [_axis_basis(grid.n, split.get(axis)) for axis in range(grid.dim)]
+        block_size = math.prod(basis[-1][0].stop for basis in bases)
+        try:  # the pair of blocks lives for this call only, and LAPACK overwrites it
+            w, x = scipy.linalg.eigh(
+                *(_parity_block(form, grid, bases) for form in (pair.form_full, pair.form0)),
+                subset_by_index=[0, min(count, block_size) - 1], overwrite_a=True, overwrite_b=True,
             )
-    except np.linalg.LinAlgError as exc:
-        # the solver's Cholesky factorization of form0 is the definiteness check
-        raise ValueError(
-            "form0 is not positive definite; the weight/grid combination is degenerate"
-        ) from exc
+        except np.linalg.LinAlgError as exc:
+            # the solver's Cholesky factorization of form0 is the definiteness check
+            raise ValueError(
+                "form0 is not positive definite; the weight/grid combination is degenerate"
+            ) from exc
+        vals.append(w)
+        vecs.append(_embed(x, grid, bases))
+    merged = np.concatenate(vals)
+    order = np.argsort(merged, kind="stable")[:count]
+    vals, vecs = merged[order], np.concatenate(vecs, axis=1)[:, order]
     lead = pair.form_full @ vecs
     residuals = np.linalg.norm(lead - vals * (pair.form0 @ vecs), axis=0)
     residuals /= np.linalg.norm(lead, axis=0)
     solutions = []
-    for idx in range(count):
-        nu = float(vals[idx])
-        v = vecs[:, idx]
-        residual = float(residuals[idx])
+    for idx, (nu, residual) in enumerate(zip(vals.tolist(), residuals.tolist())):
         if residual > EIGEN_RESIDUAL_TOL:
             raise ValueError(
                 f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL} at index {idx}"
             )
         if nu < 1.0 - 1e-8:
-            raise ValueError(
-                f"generalized eigenvalue {nu} below 1; the moment form is not PSD"
-            )
-        solutions.append(
-            EigenSolution(nu, max(nu - 1.0, 0.0), SampledFunction(pair.grid, v), residual)
-        )
+            raise ValueError(f"generalized eigenvalue {nu} below 1; the moment form is not PSD")
+        vector = SampledFunction(grid, vecs[:, idx])
+        solutions.append(EigenSolution(nu, max(nu - 1.0, 0.0), vector, residual))
     return solutions
 
 

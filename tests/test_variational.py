@@ -2,6 +2,7 @@
 finite differences, and the Banach minimizer against the Gaussian minimizer
 and the Hilbert-Banach bridge."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -423,10 +424,11 @@ def _coord_triple(grid):
 
 
 def _parity_sizes(grid):
-    """Sizes of the even and odd blocks of the node mirror: 2^d fixed nodes, the rest in pairs."""
-    fixed = 2**grid.dim
-    half = (grid.size - fixed) // 2
-    return [fixed + half, half]
+    """Sizes of the 2^d blocks of the per-axis mirrors, even first: each axis
+    has n/2 + 1 even basis vectors (2 fixed nodes, the rest in pairs) and
+    n/2 - 1 odd ones."""
+    h = grid.n // 2
+    return [math.prod(sizes) for sizes in itertools.product((h + 1, h - 1), repeat=grid.dim)]
 
 
 def _solve_recording_shapes(pair, count, monkeypatch):
@@ -474,15 +476,16 @@ def _chirped_window(grid):
     ],
 )
 def test_mirror_symmetric_pencil_splits_by_parity(case, n, extent, dim, count, monkeypatch):
-    # every pencil here is even under x -> -x: it is solved as its even and
-    # odd blocks and must agree with one unsplit solve of the same forms.  On
-    # the smallest grids (8 and 8^2 nodes) the odd block (3 and 30 rows) is
-    # smaller than count, so it is solved whole
+    # every pencil here is even under the mirror of each axis: it is solved as
+    # its 2^d per-axis parity blocks and must agree with one unsplit solve of
+    # the same forms.  On the smallest grids (8 and 8^2 nodes) the odd block
+    # (3 rows) and every 8^2 block (25, 15, 15 and 9 rows) is smaller than
+    # count, so it is solved whole
     grid = make_grid(n, extent, dim=dim)
     triple = _coord_triple(grid) if case == "readme" else _tabulated_triple(grid)
     window = _chirped_window(grid) if case == "complex" else _unit_window(grid)
     pair = build_forms(triple, window, grid)
-    assert pair.mirror_symmetric
+    assert pair.even_axes == tuple(range(dim))
     assert pair.form0.dtype == (np.complex128 if case == "complex" else np.float64)
     sols, shapes = _solve_recording_shapes(pair, count, monkeypatch)
     assert shapes == [(size, size) for size in _parity_sizes(grid)]
@@ -497,39 +500,84 @@ def test_pencil_off_by_one_bit_takes_one_solve(monkeypatch):
     psi.view(np.int64)[5] ^= 1 << 20  # one mantissa bit of psi at one node
     tilted = AdmissibleTriple(psi.astype(complex), triple.phi, 1.0)
     pair = build_forms(tilted, _unit_window(grid), grid)
-    assert not pair.mirror_symmetric
+    assert pair.even_axes == ()
     sols, shapes = _solve_recording_shapes(pair, 3, monkeypatch)
     assert shapes == [(grid.size, grid.size)]
     mirrored = smallest_eigen(build_forms(triple, _unit_window(grid), grid), 3)
     np.testing.assert_allclose([s.nu for s in sols], [s.nu for s in mirrored], rtol=0, atol=1e-8)
 
 
+def _test_pencil_2d(window, psi):
+    """A 16^2 pencil with the tabulated m0 and phi = |w| (both even on each axis)."""
+    grid = window.grid
+    triple = _tabulated_triple(grid)
+    return build_forms(AdmissibleTriple(psi.astype(complex), triple.phi, triple.m0), window, grid)
+
+
+def test_pencil_even_on_one_axis_takes_two_solves(monkeypatch):
+    # psi = |x - (0, 0.3)| is even in x_1 only: the pencil splits on axis 0
+    # into an even and an odd block of 9 x 16 and 7 x 16 rows
+    grid = make_grid(16, 8.0, dim=2)
+    coords = grid.coords()
+    psi = np.hypot(coords[:, 0], coords[:, 1] - 0.3)
+    pair = _test_pencil_2d(_unit_window(grid), psi)
+    assert pair.even_axes == (0,)
+    sols, shapes = _solve_recording_shapes(pair, 6, monkeypatch)
+    assert shapes == [(9 * 16, 9 * 16), (7 * 16, 7 * 16)]
+    _check_matches_unsplit(pair, sols)
+
+
+def test_pencil_even_only_jointly_takes_one_solve(monkeypatch):
+    # the rotated Gaussian window, summed with its mirror to be bit-for-bit
+    # even under x -> -x, is even under neither axis mirror alone, so the
+    # pencil is one block
+    grid = make_grid(16, 8.0, dim=2)
+    window = rotated_gaussian(grid)
+    window = window.with_values(window.values + window.values[variational._node_mirror(grid)])
+    window = scale(window, 1.0 / lp_weighted(window, 2.0))
+    assert variational._mirror_even(window.values.reshape(grid.shape), (0, 1))
+    pair = _test_pencil_2d(window, grid.radii())
+    assert pair.even_axes == ()
+    sols, shapes = _solve_recording_shapes(pair, 6, monkeypatch)
+    assert shapes == [(grid.size, grid.size)]
+    _check_matches_unsplit(pair, sols)
+
+
+def _axis_mirror(grid, axis):
+    """Flat node numbers of the mirror x_axis -> -x_axis: node j goes to (-j) mod n on that axis."""
+    nodes = np.arange(grid.size).reshape(grid.shape)
+    return np.roll(np.flip(nodes, axis), 1, axis).ravel()
+
+
 def _gather_symmetries(gp, psisq, phisq, m0sq, grid):
-    """(real, mirrored) from size^2 gathers of the mirrored tables, as build_forms once decided them."""
-    mirror = variational._node_mirror(grid)
-    even_phi = np.array_equal(phisq, phisq[mirror])
+    """(real, even axes) from size^2 gathers of the mirrored tables, one mirror per axis."""
+    joint = variational._node_mirror(grid)
     real = (
-        even_phi
+        np.array_equal(phisq, phisq[joint])
         and not np.any(gp.imag)
-        and np.array_equal(m0sq, np.take(m0sq, mirror, axis=1))
+        and np.array_equal(m0sq, np.take(m0sq, joint, axis=1))
     )
-    mirrored = (
-        even_phi
-        and np.array_equal(gp, gp[mirror])
-        and np.array_equal(psisq, psisq[mirror])
-        and np.array_equal(m0sq, m0sq[np.ix_(mirror, mirror)])
-    )
-    return real, mirrored
+    even_axes = []
+    for axis in range(grid.dim):
+        mirror = _axis_mirror(grid, axis)
+        if all(np.array_equal(t, t[mirror]) for t in (gp, psisq, phisq)) and np.array_equal(
+            m0sq, m0sq[np.ix_(mirror, mirror)]
+        ):
+            even_axes.append(axis)
+    return real, tuple(even_axes)
 
 
 @pytest.mark.parametrize("n, dim", [(16, 1), (8, 2)])
 def test_symmetry_decisions_match_the_gather_oracle(n, dim):
-    # one mantissa bit of m0 flipped at a paired x node, at w-index 0 and at
-    # w-index n/2 (both fixed by the mirror) or at a paired w node; the
-    # view-based checks must decide as the gathers do in all four outcomes
+    # one mantissa bit of m0 flipped at a node paired on the last axis only
+    # (in d = 2) or on every axis, at w-index 0 and at w-index n/2 (both
+    # fixed by the mirrors) or at a paired w node; the view-based checks must
+    # decide as the gathers do, and see real and complex forms both split and
+    # solved whole
     grid = make_grid(n, 8.0, dim=dim)
     mirror = variational._node_mirror(grid)
     paired = int(np.flatnonzero(mirror != np.arange(grid.size))[1])
+    corner = int(np.ravel_multi_index((1,) * dim, grid.shape))
     middle = int(np.ravel_multi_index((n // 2,) * dim, grid.shape))
     x, w = grid.radii(), grid.freq_radii()
     even = np.sqrt(np.outer(1.0 + x, 1.0 + w))  # even in x and in w
@@ -538,7 +586,7 @@ def test_symmetry_decisions_match_the_gather_oracle(n, dim):
     gp = _unit_window(grid).values
     seen = set()
     for base in (even, joint):
-        for spot in (None, (paired, 0), (paired, middle), (paired, paired)):
+        for spot in (None, (paired, 0), (paired, middle), (paired, paired), (corner, 0)):
             m0 = base.copy()
             if spot is not None:
                 m0.view(np.int64)[spot] ^= 1 << 20
@@ -546,25 +594,51 @@ def test_symmetry_decisions_match_the_gather_oracle(n, dim):
             got = variational._input_symmetries(*args)
             assert got == _gather_symmetries(*args)
             seen.add(got)
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert {(real, bool(axes)) for real, axes in seen} == set(
+        itertools.product((True, False), repeat=2)
+    )
+    if dim == 2:
+        assert (True, (0,)) in seen and (False, (0,)) in seen  # split on one axis only
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_parity_split_matches_unsplit_on_random_even_tables(seed):
-    # seeded, mirror-symmetric random tables on 64 nodes: m0 even in (x, w)
-    # jointly, |psi| and |phi| even; a sum with its mirror is bit-for-bit even
-    grid = make_grid(64, 8.0)
-    mirror = variational._node_mirror(grid)
+    # seeded random tables on 64 nodes and on 16^2, even under the mirror R_i
+    # of each axis: m0^2 in (x_i, w_i), psi in x_i and phi in w_i.  A sum with
+    # the mirror, s = t + t o R_0, then s + s o R_1, is bit-for-bit even
     rng = np.random.default_rng(seed)
-    table = rng.uniform(0.5, 2.0, (grid.size, grid.size))
-    m0 = np.sqrt(table + table[np.ix_(mirror, mirror)])
-    psi, phi = (rng.uniform(0.0, 3.0, grid.size) for _ in range(2))
-    triple = AdmissibleTriple(psi + psi[mirror], phi + phi[mirror], m0)
-    pair = build_forms(triple, _unit_window(grid), grid)
-    assert pair.mirror_symmetric
-    _assert_hermitian(pair)
-    _check_matches_unsplit(pair, smallest_eigen(pair, 6))
+
+    def even(t, mirrors, both):
+        for mirror in mirrors:
+            t = t + (t[np.ix_(mirror, mirror)] if both else t[mirror])
+        return t
+
+    for grid in (make_grid(64, 8.0), make_grid(16, 8.0, dim=2)):
+        mirrors = [_axis_mirror(grid, axis) for axis in range(grid.dim)]
+        m0 = np.sqrt(even(rng.uniform(0.5, 2.0, (grid.size, grid.size)), mirrors, True))
+        psi, phi = (even(rng.uniform(0.0, 3.0, grid.size), mirrors, False) for _ in range(2))
+        pair = build_forms(AdmissibleTriple(psi, phi, m0), _unit_window(grid), grid)
+        assert pair.even_axes == tuple(range(grid.dim))
+        _assert_hermitian(pair)
+        _check_matches_unsplit(pair, smallest_eigen(pair, 6))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_smallest_eigen_allocation_budget(dim):
+    # the benchmark's tabulated pencil on 1024 nodes or 32^2: the blocks are
+    # written in place, one (form_full, form0) block pair at a time, so the
+    # even pair (514^2 or 17^4 entries) bounds the peak: 4.2 MiB in d = 1
+    grid = make_grid(1024, 12.0) if dim == 1 else make_grid(32, 6.5, dim=2)
+    pair = build_forms(_tabulated_triple(grid), _unit_window(grid), grid)
+    smallest_eigen(pair, 6)  # first-call imports
+    tracemalloc.start()
+    try:
+        smallest_eigen(pair, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 << 20
 
 
 def test_operator_apply_and_functional():
