@@ -9,10 +9,16 @@ cell-weighted quadrature.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -418,6 +424,63 @@ def _embed(x: np.ndarray, grid: Grid, bases: list) -> np.ndarray:
     return v.reshape(grid.size, -1)
 
 
+_BLAS_LOCK = threading.Lock()  # one pinned region at a time: the counts are process-wide
+
+
+@functools.cache
+def _bundled_openblas() -> tuple:
+    """``(get, set)`` thread-count functions of numpy's and scipy's bundled
+    OpenBLAS builds, as already loaded; ``()`` if either is not found.
+
+    numpy's ``numpy.libs/libscipy_openblas64_-*.so`` serves the residual
+    products, scipy's ``scipy.libs/libscipy_openblas-*.so`` the LAPACK solves.
+    ``RTLD_NOLOAD`` opens only a library the process has loaded already.
+    """
+    import scipy.linalg  # loads scipy's OpenBLAS
+
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return ()
+    found = []
+    for module, pattern, suffix in (
+        (np, "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+        (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+    ):
+        for path in sorted(Path(module.__file__).parent.parent.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+            break
+    return tuple(found) if len(found) == 2 else ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Both bundled OpenBLAS libraries on one thread for the body, each
+    library's previous count restored after it, on error too.
+
+    One thread gives the same bits on every machine and starts no worker
+    threads that spin after the call.  Without the libraries (see
+    :func:`_bundled_openblas`) the body runs at the default counts.
+    """
+    with _BLAS_LOCK:
+        libs = _bundled_openblas()
+        saved = [get() for get, _ in libs]
+        for _, set_ in libs:
+            set_(1)
+        try:
+            yield
+        finally:
+            for (_, set_), threads in zip(libs, saved):
+                set_(threads)
+
+
+@_one_blas_thread()
 def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolution]:
     """The ``count`` smallest generalized eigenpairs, ascending.
 
@@ -433,6 +496,12 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
     pencil with no even axis, such as a d = 2 one even only under the joint
     mirror x -> -x (a rotated Gaussian window), is one block, the whole
     pencil.  Residuals and the nu >= 1 check use the full forms.
+
+    The solves and the residual products run with numpy's and scipy's
+    bundled OpenBLAS pinned to one thread (:func:`_one_blas_thread`), so the
+    bits do not depend on ``OPENBLAS_NUM_THREADS`` or the CPU count; calls
+    from several threads take turns.  Where those libraries are not found,
+    the default thread counts apply and the last bits may move with them.
     """
     import scipy.linalg
 

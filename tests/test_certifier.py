@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfuncert.certifier import (
     CertificateReport,
@@ -207,6 +208,54 @@ def test_modulation_bound_moyal_equality(grid512):
         certify_modulation_bound(f, win, 2.0, 2.0, 2.0, 2.0, side="middle")
     with pytest.raises(DomainError):
         certify_modulation_bound(f, win, 1.5, 1.5, 3.5, 2.0)
+
+
+def _moved(h, k, m, theta):
+    """h rolled by k nodes, modulated by the grid frequency m / extent and turned by theta."""
+    grid = h.grid
+    wave = np.exp(1j * (2.0 * math.pi * m / grid.extent * grid.axis + theta))
+    return h.with_values(np.roll(h.values, k) * wave)
+
+
+_INVARIANT_POINTS = [
+    ("lieb_reverse_xw", default_lattice("lieb_reverse_xw")[1]),
+    ("lieb_reverse_wx", default_lattice("lieb_reverse_wx")[3]),
+    ("modulation_bound", default_lattice("modulation_bound")[2]),
+    ("modulation_bound", {**default_lattice("modulation_bound")[2], "side": "time"}),
+]
+
+
+@pytest.fixture(scope="module")
+def invariance_inputs():
+    """Seeded inputs and their ratios at each of ``_INVARIANT_POINTS``.  On
+    128 nodes over [-6, 6) they stay below the 1e-8 boundary guard when rolled
+    by up to 8 nodes (over [-5, 5) a roll of 8 reads 7.6e-7)."""
+    grid = make_grid(128, 12.0)
+    f = random_smooth(RandomFunctionSpec(seed=11), grid)
+    g = random_smooth(RandomFunctionSpec(seed=12), grid)
+    inputs = {"seeded": (f, g), "window": (f, default_window(grid))}
+    ratios = [
+        certifier._certify(ineq, inputs[_INEQUALITIES[ineq].second], point, 1e-9).ratio
+        for ineq, point in _INVARIANT_POINTS
+    ]
+    return inputs, ratios
+
+
+_MOVES = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(move_f=_MOVES, move_g=_MOVES)
+def test_ratios_invariant_under_translation_modulation_and_phase(invariance_inputs, move_f, move_g):
+    # |V_g f| moves on the phase-space grid when f or g is rolled by whole
+    # nodes or modulated by a grid frequency, and a phase drops out of every
+    # modulus, so each norm in these ratios is unchanged on the periodic grid
+    inputs, ratios = invariance_inputs
+    for (ineq, point), ratio in zip(_INVARIANT_POINTS, ratios):
+        f, g = inputs[_INEQUALITIES[ineq].second]
+        moved = (_moved(f, *move_f), _moved(g, *move_g))
+        rep = certifier._certify(ineq, moved, point, 1e-9)
+        assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0), (ineq, point)
 
 
 def test_cowling_functional_gaussian_equality(grid512):

@@ -2,8 +2,14 @@
 stdout and exits with the code stored in its golden file, byte for byte."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tfuncert
 
 from conftest import strict_json
 from golden import csv_layout, engine_bits
@@ -111,3 +117,29 @@ def test_csv_layout_byte_for_byte(name, tmp_path):
     # are listed in golden/csv_layout.py)
     csv_layout.CASES[name](tmp_path / name)
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_spectrum_stdout_does_not_depend_on_the_blas_thread_count():
+    # the eigensolve pins numpy's and scipy's OpenBLAS to one thread, so a
+    # child at either OPENBLAS_NUM_THREADS, or on one CPU, prints the golden bits
+    name = "readme_spectrum_forms"
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    argv = [sys.executable, "-m", "tfuncert", *COMMANDS[name].split()]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(tfuncert.__file__).resolve().parents[1])
+    cpu = min(os.sched_getaffinity(0))
+    settings = {
+        "OPENBLAS_NUM_THREADS=1": dict(env={**env, "OPENBLAS_NUM_THREADS": "1"}),
+        "OPENBLAS_NUM_THREADS=2": dict(env={**env, "OPENBLAS_NUM_THREADS": "2"}),
+        f"on CPU {cpu} alone": dict(env=env, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})),
+    }
+    children = {
+        label: subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", **kwargs
+        )
+        for label, kwargs in settings.items()
+    }
+    outputs = {label: child.communicate(timeout=120) for label, child in children.items()}
+    for label, (stdout, stderr) in outputs.items():
+        actual = render(children[label].returncode, stdout)
+        assert actual == expected, f"{label}: {_mismatch(expected, actual)}; stderr {stderr!r}"

@@ -431,19 +431,20 @@ def _parity_sizes(grid):
     return [math.prod(sizes) for sizes in itertools.product((h + 1, h - 1), repeat=grid.dim)]
 
 
-def _solve_recording_shapes(pair, count, monkeypatch):
-    """smallest_eigen(pair, count) and the shapes of the pencils passed to scipy.linalg.eigh."""
-    shapes = []
+def _solve_recording(pair, count, monkeypatch, record=lambda a: a.shape):
+    """smallest_eigen(pair, count) and ``record(a)`` at each scipy.linalg.eigh
+    call, ``a`` its first pencil form (by default, the pencils' shapes)."""
+    seen = []
     eigh = scipy.linalg.eigh
 
     def spy(a, b=None, **kwargs):
-        shapes.append(a.shape)
+        seen.append(record(a))
         return eigh(a, b, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(scipy.linalg, "eigh", spy)
         sols = smallest_eigen(pair, count)
-    return sols, shapes
+    return sols, seen
 
 
 def _check_matches_unsplit(pair, sols):
@@ -487,7 +488,7 @@ def test_mirror_symmetric_pencil_splits_by_parity(case, n, extent, dim, count, m
     pair = build_forms(triple, window, grid)
     assert pair.even_axes == tuple(range(dim))
     assert pair.form0.dtype == (np.complex128 if case == "complex" else np.float64)
-    sols, shapes = _solve_recording_shapes(pair, count, monkeypatch)
+    sols, shapes = _solve_recording(pair, count, monkeypatch)
     assert shapes == [(size, size) for size in _parity_sizes(grid)]
     _check_matches_unsplit(pair, sols)
     assert all(sol.residual <= 1e-10 for sol in sols)
@@ -501,7 +502,7 @@ def test_pencil_off_by_one_bit_takes_one_solve(monkeypatch):
     tilted = AdmissibleTriple(psi.astype(complex), triple.phi, 1.0)
     pair = build_forms(tilted, _unit_window(grid), grid)
     assert pair.even_axes == ()
-    sols, shapes = _solve_recording_shapes(pair, 3, monkeypatch)
+    sols, shapes = _solve_recording(pair, 3, monkeypatch)
     assert shapes == [(grid.size, grid.size)]
     mirrored = smallest_eigen(build_forms(triple, _unit_window(grid), grid), 3)
     np.testing.assert_allclose([s.nu for s in sols], [s.nu for s in mirrored], rtol=0, atol=1e-8)
@@ -522,7 +523,7 @@ def test_pencil_even_on_one_axis_takes_two_solves(monkeypatch):
     psi = np.hypot(coords[:, 0], coords[:, 1] - 0.3)
     pair = _test_pencil_2d(_unit_window(grid), psi)
     assert pair.even_axes == (0,)
-    sols, shapes = _solve_recording_shapes(pair, 6, monkeypatch)
+    sols, shapes = _solve_recording(pair, 6, monkeypatch)
     assert shapes == [(9 * 16, 9 * 16), (7 * 16, 7 * 16)]
     _check_matches_unsplit(pair, sols)
 
@@ -538,7 +539,7 @@ def test_pencil_even_only_jointly_takes_one_solve(monkeypatch):
     assert variational._mirror_even(window.values.reshape(grid.shape), (0, 1))
     pair = _test_pencil_2d(window, grid.radii())
     assert pair.even_axes == ()
-    sols, shapes = _solve_recording_shapes(pair, 6, monkeypatch)
+    sols, shapes = _solve_recording(pair, 6, monkeypatch)
     assert shapes == [(grid.size, grid.size)]
     _check_matches_unsplit(pair, sols)
 
@@ -639,6 +640,103 @@ def test_smallest_eigen_allocation_budget(dim):
     finally:
         tracemalloc.stop()
     assert peak <= 5 << 20
+
+
+# ---------------------------------------------------------------------------
+# the eigensolve's BLAS threads
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's and scipy's bundled OpenBLAS (get, set) pairs, both set to a
+    caller's count of 2 for the test and put back after it."""
+    libs = variational._bundled_openblas()
+    if not libs:
+        pytest.skip("numpy's and scipy's bundled OpenBLAS builds are not loaded")
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(2)
+    yield libs
+    for (_, set_), threads in zip(libs, saved):
+        set_(threads)
+
+
+def _read_threads(libs):
+    return [get() for get, _ in libs]
+
+
+@pytest.fixture(scope="module")
+def tabulated_pencil_2d():
+    grid = make_grid(32, 6.5, dim=2)
+    return build_forms(_tabulated_triple(grid), _unit_window(grid), grid)
+
+
+def test_smallest_eigen_solves_on_one_blas_thread(blas_threads, tabulated_pencil_2d, monkeypatch):
+    _, seen = _solve_recording(
+        tabulated_pencil_2d, 6, monkeypatch, lambda a: _read_threads(blas_threads)
+    )
+    assert seen == [[1, 1]] * 4  # one solve per parity block
+    assert _read_threads(blas_threads) == [2, 2]
+
+
+def test_smallest_eigen_restores_blas_threads_after_an_error(blas_threads):
+    grid = make_grid(64, 8.0)
+    ones = np.ones(grid.size, complex)
+    pair = build_forms(AdmissibleTriple(ones, ones, 0.0), _unit_window(grid), grid)
+    with pytest.raises(ValueError, match="form0 is not positive definite"):
+        smallest_eigen(pair)
+    assert _read_threads(blas_threads) == [2, 2]
+
+
+def test_concurrent_eigensolves_give_the_serial_bits(blas_threads, tabulated_pencil_2d):
+    # each call saves, pins and restores the process-wide counts; without the
+    # lock a second caller could save the first one's pin as its caller's count
+    serial = smallest_eigen(tabulated_pencil_2d, 6)
+    results = [None] * 8
+    barrier = threading.Barrier(4)
+
+    def solve(slot):
+        barrier.wait(timeout=30)
+        results[slot] = smallest_eigen(tabulated_pencil_2d, 6)
+        results[slot + 4] = smallest_eigen(tabulated_pencil_2d, 6)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for sols in results:
+        assert [sol.nu for sol in sols] == [sol.nu for sol in serial]
+        for sol, ref in zip(sols, serial):
+            assert np.array_equal(sol.vector.values, ref.vector.values)
+    assert _read_threads(blas_threads) == [2, 2]
+
+
+def test_smallest_eigen_without_the_libraries_runs_unpinned(
+    blas_threads, tabulated_pencil_2d, monkeypatch
+):
+    pinned = smallest_eigen(tabulated_pencil_2d, 6)
+
+    def not_loaded(*args, **kwargs):
+        raise OSError("not loaded")
+
+    # the lookup itself, uncached, with every library refused by the loader
+    monkeypatch.setattr(variational.ctypes, "CDLL", not_loaded)
+    monkeypatch.setattr(variational, "_bundled_openblas", variational._bundled_openblas.__wrapped__)
+    assert variational._bundled_openblas() == ()
+    unpinned, seen = _solve_recording(
+        tabulated_pencil_2d, 6, monkeypatch, lambda a: _read_threads(blas_threads)
+    )
+    assert seen == [[2, 2]] * 4  # the caller's counts
+    np.testing.assert_allclose(
+        [sol.nu for sol in unpinned], [sol.nu for sol in pinned], rtol=0, atol=1e-12
+    )
 
 
 def test_operator_apply_and_functional():
