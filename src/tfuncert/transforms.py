@@ -180,9 +180,14 @@ class PhaseSpaceFunction:
 #
 # For real f and g both factors are real, and the streamed rows may be taken
 # as half spectra: V_g f(x, -w) = conj V_g f(x, w).  _half_nodes is the one
-# statement of their layout: the halved axis is the first node axis.  The
-# factored route takes an rfft over j1, the general route rfftn with its axes
-# reversed, so both d = 2 routes write that layout.
+# statement of their layout: the halved axis is the first node axis.  Both
+# d = 2 routes take their rfft over j1, so both write that layout.
+#
+# Every FFT is one 1-D numpy.fft transform per axis, in the order the axes
+# are listed, in place (out=); a real input takes its rfft over the last
+# listed axis first.  That is the order of scipy's fftn, ifftn and rfftn,
+# whose bits it gives on power-of-two grids (a test checks this);
+# np.fft.fftn takes the axes in reverse and rounds differently.
 #
 # Every route, full or half, factored or general, is one
 # fill(start, stop, out) that writes a chunk's rows into the block it is
@@ -266,21 +271,21 @@ def _chunk_map(task, size: int):
 
 
 def _row_fftn(
-    block: np.ndarray, axes: tuple[int, ...], inverse: bool = False, real: bool = False
+    block: np.ndarray, axes: tuple[int, ...], inverse: bool = False, real: bool = False, out=None
 ) -> np.ndarray:
-    """DFT (or inverse DFT) of each row of ``block`` on the calling thread, overwriting ``block`` where it can.
+    """DFT (or inverse DFT) over ``axes`` of ``block`` on the calling thread, in place.
 
-    With ``real`` the rows are real and only the half spectrum of
-    ``scipy.fft.rfftn`` is returned: the last of ``axes`` is cut to n/2 + 1.
-    scipy.fft is imported on first use: it adds about 0.1 s to process
-    start, which commands that never take an STFT should not pay.
+    One 1-D transform per axis, in the order of ``axes``.  With ``real`` the
+    block is real: its rfft over the last of ``axes`` (cut to n/2 + 1) goes
+    into ``out`` (a new array if None), where the other axes are transformed.
     """
-    import scipy.fft
-
     if real:
-        return scipy.fft.rfftn(block, axes=axes, overwrite_x=True, workers=1)
-    transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return transform(block, axes=axes, overwrite_x=True, workers=1)
+        block = np.fft.rfft(block, axis=axes[-1], out=out)
+        axes = axes[:-1]
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in axes:
+        transform(block, axis=axis, out=block)
+    return block
 
 
 def _parity(grid: Grid) -> np.ndarray:
@@ -360,21 +365,16 @@ def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, hal
     With ``half`` (real fs, a and b) the first FFT is an rfft, which halves
     the first node axis.
     """
-    import scipy.fft
-
     n = fs.shape[0]
-    first = scipy.fft.rfft if half else scipy.fft.fft
     bank_a, bank_b = _window_bank(a, flip), _window_bank(b, flip)
 
     def fill(start: int, stop: int, out: np.ndarray) -> None:
         block = out.reshape(stop - start, -1, n)
         for lo, hi, i1, i2 in _node_runs(n, start, stop):
             # shared by the rows of i1: Q[k1, j2] = FFT over j1 of fs[j1, j2] a[j1 - i1]
-            q = first(fs * bank_a[i1][:, None], axis=0, overwrite_x=True, workers=1)
+            q = _row_fftn(fs * bank_a[i1][:, None], (0,), real=half)
             np.multiply(q, bank_b[i2 : i2 + hi - lo, None], out=block[lo:hi])
-        res = scipy.fft.fft(block, axis=-1, overwrite_x=True, workers=1)
-        if not np.may_share_memory(res, block):
-            block[...] = res
+        _row_fftn(block, (2,))
 
     return fill
 
@@ -416,19 +416,18 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, hal
     factors = _tensor_factors(w)
     if factors is not None:
         return _factored_fill(fs, *factors, flip, half)
-    # rfftn halves the last of its axes, so half rows take them reversed
+    # the last of the axes is the halved one, so half rows take them reversed
     axes = tuple(range(grid.dim, 0, -1)) if half else tuple(range(1, grid.dim + 1))
     bank = _window_bank(w, flip)
+    cut = grid.n // 2 + 1 if half else grid.n
 
     def fill(start: int, stop: int, out: np.ndarray) -> None:
-        shape = (stop - start,) + grid.shape
-        # a real node product has its own block: rfftn cannot write into out
-        block = np.empty(shape) if half else out.reshape(shape)
+        rows = out.reshape((stop - start, cut) + grid.shape[1:])
+        # a real node product has its own block, whose rfft writes into out
+        block = np.empty((stop - start,) + grid.shape) if half else rows
         for lo, hi, windows in _bank_segments(bank, start, stop):
             np.multiply(fs, windows, out=block[lo:hi])
-        res = _row_fftn(block, axes, real=half)
-        if not np.may_share_memory(res, out):
-            out.reshape(res.shape)[...] = res
+        _row_fftn(block, axes, real=half, out=rows)
 
     return fill
 

@@ -149,6 +149,36 @@ def test_python_m_tfuncert_runs_the_cli():
     assert proc.stdout == run_cli(argv)[1]
 
 
+@pytest.mark.parametrize(
+    "argv, linalg",
+    [
+        (["certify", "lieb_reverse_wx", "--seeds", "2"], False),
+        (["certify", "modulation_bound", "--seeds", "1", "--grid", "32,12,2"], False),
+        (["minimize", "--preset", "heisenberg", "--starts", "1"], False),
+        (["spectrum", "--oscillator", "--count", "2"], True),
+    ],
+    ids=["certify-1d", "certify-2d", "minimize", "spectrum"],
+)
+def test_stft_commands_load_no_scipy(argv, linalg):
+    # the STFT engine runs on numpy.fft: only the eigensolves import scipy,
+    # and they do not import scipy.fft
+    src = str(Path(tfuncert.__file__).resolve().parents[1])
+    probe = (
+        "import contextlib, io, sys\n"
+        "from tfuncert.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    code, *modules = proc.stdout.split()
+    assert code == "0" and "scipy.fft" not in modules
+    assert "scipy.linalg" in modules if linalg else modules == []
+
+
 def test_closed_pipe_exits_quietly(tmp_path):
     # `certify young --seeds 100 | head -n 1`: the reader takes one line and
     # closes the pipe while most of the 130 kB of output is unwritten, beyond

@@ -321,25 +321,35 @@ def test_tensor_windows_take_the_factored_route(monkeypatch):
 
 
 def _record_fft_calls(monkeypatch) -> list:
-    """Log ``(entries, workers, thread id)`` of every scipy.fft fft/fftn/ifftn/rfft/rfftn call from now on."""
+    """Log ``(entries, thread id)`` of every numpy.fft fft/ifft/rfft call from now on.
+
+    Every scipy.fft function raises meanwhile: the engine's FFTs are numpy's.
+    """
     import scipy.fft
 
     calls = []
-    for name in ("fft", "fftn", "ifftn", "rfft", "rfftn"):
-        real = getattr(scipy.fft, name)
+    for name in ("fft", "ifft", "rfft"):
+        real = getattr(np.fft, name)
 
         def spy(x, *args, _real=real, **kwargs):
-            calls.append((x.size, kwargs["workers"], threading.get_ident()))
+            calls.append((x.size, threading.get_ident()))
             return _real(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, spy)
+        monkeypatch.setattr(np.fft, name, spy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.fft was called")
+
+    for name in scipy.fft.__all__:
+        if callable(getattr(scipy.fft, name)):
+            monkeypatch.setattr(scipy.fft, name, refuse)
     return calls
 
 
 def test_stft_results_independent_of_fft_workers(monkeypatch):
     # 1024 nodes and 32^2 both have eight 128-row chunks, so with more than
     # one worker the chunks really run on the pool; the real part of f
-    # streams half-spectrum rows (rfftn).  In d = 2 the Gaussian window takes
+    # streams half-spectrum rows (rfft).  In d = 2 the Gaussian window takes
     # the factored route, and the norms of the rotated one the general route
     calls = _record_fft_calls(monkeypatch)
     rng = np.random.default_rng(12)
@@ -382,8 +392,7 @@ def test_stft_results_independent_of_fft_workers(monkeypatch):
                 first = results
             for want, got in zip(first, results):
                 np.testing.assert_array_equal(got, want)
-    assert {workers for _, workers, _ in calls} == {1}
-    assert {thread for _, _, thread in calls} - {threading.get_ident()}
+    assert {thread for _, thread in calls} - {threading.get_ident()}
 
 
 def test_row_ffts_run_on_one_thread_per_chunk(monkeypatch, grid128):
@@ -396,15 +405,44 @@ def test_row_ffts_run_on_one_thread_per_chunk(monkeypatch, grid128):
     monkeypatch.setattr(transforms, "_FFT_WORKERS", 2)
     calls = _record_fft_calls(monkeypatch)
     stft(gaussian(grid128), default_window(grid128))
-    assert calls == [(128 * 128, 1, threading.get_ident())]
+    assert calls == [(128 * 128, threading.get_ident())]
     grid = make_grid(64, 10.0, dim=2)
     chunks = [len(idx) for idx, _ in stft_row_chunks(gaussian(grid), default_window(grid))]
     assert chunks == [32] * 128
-    assert Counter((entries, workers) for entries, workers, _ in calls[1:]) == {
-        (64**2, 1): 128,
-        (32 * 64**2, 1): 128,
-    }
-    assert max(entries for entries, _, _ in calls) <= transforms._CHUNK_ENTRIES
+    assert Counter(entries for entries, _ in calls[1:]) == {64**2: 128, 32 * 64**2: 128}
+    assert max(entries for entries, _ in calls) <= transforms._CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize(
+    "shape, axes, real",
+    [
+        ((6, 128), (1,), False),
+        ((5, 32, 32), (1, 2), False),
+        ((6, 128), (1,), True),
+        ((5, 32, 32), (2, 1), True),
+        ((8, 8, 8, 8), (1, 2, 3, 0), True),
+    ],
+)
+def test_row_ffts_are_bit_equal_to_scipy_fft(shape, axes, real):
+    # the engine's FFTs take the axes in scipy's order, so scipy's fftn,
+    # ifftn and rfftn give the same bits: the goldens hold whichever library
+    # computed them
+    import scipy.fft
+
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal(shape)
+    if len(shape) == 4:  # _m0sq_spectrum's: m0^2 on an 8^2 grid, as a transposed view
+        x = x.reshape(64, 64).T.reshape(shape)
+    message = f"numpy.fft no longer rounds as scipy.fft does over axes {axes}"
+    if real:
+        want = scipy.fft.rfftn(x, axes=axes, workers=1)
+        np.testing.assert_array_equal(transforms._row_fftn(x, axes, real=True), want, message)
+        return
+    x = x + 1j * rng.standard_normal(shape)
+    for inverse, scipy_transform in ((False, scipy.fft.fftn), (True, scipy.fft.ifftn)):
+        want = scipy_transform(x, axes=axes, workers=1)
+        got = transforms._row_fftn(x.copy(), axes, inverse=inverse)
+        np.testing.assert_array_equal(got, want, message)
 
 
 def test_stft_guards(grid512):
