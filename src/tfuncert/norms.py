@@ -32,7 +32,6 @@ __all__ = [
     "MixedOrder",
     "default_window",
     "lp_weighted",
-    "fourier_weighted",
     "moment_seminorm",
     "mixed_norm",
     "stft_mixed_norm",
@@ -194,11 +193,6 @@ def lp_weighted(f: SampledFunction, p: float, a: float = 0.0) -> float:
     return float(_power_sum(mags, p, f.grid.cell))
 
 
-def fourier_weighted(f: SampledFunction, q: float, b: float = 0.0) -> float:
-    """Weighted norm of the Fourier transform on the conjugate grid."""
-    return lp_weighted(fourier(f), q, b)
-
-
 def moment_seminorm(f: SampledFunction, p: float, a: float, side: str = "x") -> float:
     """Moment seminorm || |x|^a f ||_p, or || |w|^a F f ||_p when side='omega'."""
     p = _check_exponent(p)
@@ -248,9 +242,9 @@ class _MixedReduction:
         else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
             if half:
-                keep, self.counts = _half_nodes(grid)
-                ww = ww[keep]
+                self.counts = _half_nodes(grid)
                 columns = self.counts.size
+                ww = ww[:columns]
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
         self.acc = np.zeros(columns if self.over_x else grid.size)

@@ -13,7 +13,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "RandomFunctionSpec",
     "make_grid",
     "sample_gaussian",
-    "sample_closure",
     "random_smooth",
     "scale",
 ]
@@ -149,11 +147,11 @@ class Grid:
         """The grid record of every JSON output: ``{"n": ..., "extent": ..., "dim": ...}``."""
         return {"n": self.n, "extent": self.extent, "dim": self.dim}
 
-    def compatible(self, other: "Grid", tol: float = 1e-12) -> bool:
+    def compatible(self, other: "Grid") -> bool:
         return (
             self.n == other.n
             and self.dim == other.dim
-            and math.isclose(self.extent, other.extent, rel_tol=tol, abs_tol=0.0)
+            and math.isclose(self.extent, other.extent, rel_tol=1e-12, abs_tol=0.0)
         )
 
 
@@ -342,23 +340,6 @@ def sample_gaussian(spec: GaussianSpec, grid: Grid) -> SampledFunction:
             "grid too small for this Gaussian: boundary magnitude "
             f"{edge:.3e} exceeds {GAUSSIAN_DECAY_THRESHOLD:g} of peak {peak:.3e}"
         )
-    return SampledFunction(grid, vals)
-
-
-def sample_closure(fn: Callable[..., np.ndarray], grid: Grid) -> SampledFunction:
-    """Sample a vectorized rule on the grid nodes.
-
-    ``fn`` receives the flat coordinate array for each axis (one argument per
-    dimension) and must return an array of node values.  Non-finite values
-    are rejected.
-    """
-    coords = grid.coords()
-    args = [coords[:, ax] for ax in range(grid.dim)]
-    vals = np.asarray(fn(*args), dtype=np.complex128)
-    if vals.shape != (grid.size,):
-        raise ValueError(f"closure returned shape {vals.shape}, expected ({grid.size},)")
-    if not np.all(np.isfinite(vals.view(np.float64))):
-        raise ValueError("closure produced non-finite values")
     return SampledFunction(grid, vals)
 
 

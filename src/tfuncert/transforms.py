@@ -150,10 +150,6 @@ class PhaseSpaceFunction:
             raise ValueError("values must be finite")
         vals.setflags(write=False)
 
-    @property
-    def freq_grid(self) -> Grid:
-        return self.grid.conjugate()
-
 
 # ---------------------------------------------------------------------------
 # STFT engine
@@ -379,11 +375,11 @@ def _factored_fill(fs: np.ndarray, a: np.ndarray, b: np.ndarray, flip: bool, hal
     return fill
 
 
-def _half_nodes(grid: Grid) -> tuple[slice, np.ndarray]:
-    """``(keep, counts)``: the layout of half-spectrum rows on ``grid``.
+def _half_nodes(grid: Grid) -> np.ndarray:
+    """``counts``: the layout of half-spectrum rows on ``grid``.
 
-    The kept frequency nodes are those whose first index is at most n/2, in
-    node order, which is the flat prefix ``keep`` of the frequency lattice.
+    The kept frequency nodes, those whose first index is at most n/2, are
+    the first ``counts.size`` nodes of the frequency lattice in flat order.
     Every other node is the mirror (-k mod n per axis) of a kept one, where
     V_g f(x, -w) = conj V_g f(x, w) for real f and g.  ``counts`` is the
     number of lattice nodes each kept node stands for: 1 where the first
@@ -392,7 +388,7 @@ def _half_nodes(grid: Grid) -> tuple[slice, np.ndarray]:
     cut = grid.n // 2 + 1
     counts = np.full((cut,) + grid.shape[1:], 2.0)
     counts[[0, -1]] = 1.0
-    return slice(0, counts.size), counts.ravel()
+    return counts.ravel()
 
 
 def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, half: bool = False):
@@ -403,7 +399,7 @@ def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, hal
     of node -i (periodically), as the ambiguity function needs.  With
     ``half`` f and g must be real (a ``ValueError`` otherwise); the node
     product is then real, and each row holds only the kept nodes of
-    :func:`_half_nodes`, ``width = keep.stop``.  A d = 2 tensor window takes
+    :func:`_half_nodes`, ``width = counts.size``.  A d = 2 tensor window takes
     the factored route.
     """
     grid = f.grid
@@ -470,7 +466,7 @@ def stft_row_chunks(
     size = f.grid.size
     rows = _chunk_rows(size, chunk)
     fill = _engine_rows(f, g, half=half)
-    width = _half_nodes(f.grid)[0].stop if half else size
+    width = _half_nodes(f.grid).size if half else size
     threaded = rows < size and _FFT_WORKERS > 1
     # with reduce, chunk k is alive from its task until the consumer's next
     # step, and at most _AHEAD later chunks compute meanwhile: ring slot

@@ -74,7 +74,6 @@ __all__ = [
     "ModulationTerm",
     "build_forms",
     "smallest_eigen",
-    "oscillator_spectrum",
     "oscillator_modes",
     "operator_A_apply",
     "hilbert_functional",
@@ -331,7 +330,8 @@ def build_forms(
     dtype = np.float64 if real else np.complex128
     if m0sq.ndim == 0:
         # constant-table specialization of the lag path: only lag zero survives
-        base = float(m0sq) * float(np.sum(np.abs(gp) ** 2)) * grid.cell**2
+        # ||g||^2 h^2d first: m0^2 times the bare sum may overflow where form0 does not
+        base = float(m0sq) * (float(np.sum(np.abs(gp) ** 2)) * grid.cell**2)
         form0 = base * np.eye(size, dtype=dtype)
     else:
         # the lag loop reads only m0^2's spectrum, and form_full only form0, so
@@ -565,20 +565,17 @@ def hilbert_functional(pair: QuadraticFormPair, u: SampledFunction) -> float:
     return float(np.real(np.vdot(v, pair.form_full @ v))) / den - 1.0
 
 
-def oscillator_spectrum(n: int, extent: float, count: int = 6) -> np.ndarray:
-    """Eigenvalues of -(1/4 pi^2) f'' + x^2 f by three-point finite differences.
-
-    Dirichlet truncation at the grid ends; valid because the eigenfunctions
-    decay super-exponentially.  Serves as the discretization-independent
-    cross-check for the quadratic-form eigenproblem.
-    """
-    return oscillator_modes(n, extent, count)[0]
-
-
 def oscillator_modes(
     n: int, extent: float, count: int = 6
 ) -> tuple[np.ndarray, list[SampledFunction]]:
-    """Finite-difference oscillator eigenvalues plus L2-normalized eigenvectors."""
+    """Eigenvalues of -(1/4 pi^2) f'' + x^2 f by three-point finite differences.
+
+    Returns the ``count`` lowest eigenvalues and their L2-normalized
+    eigenvectors.  Dirichlet truncation at the grid ends; valid because the
+    eigenfunctions decay super-exponentially.  Serves as the
+    discretization-independent cross-check for the quadratic-form
+    eigenproblem.
+    """
     import scipy.linalg
 
     if not (1 <= count <= 10):

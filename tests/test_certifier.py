@@ -36,7 +36,7 @@ from tfuncert.constants import (
     solve_partner_exponent,
 )
 from tfuncert.norms import default_window, lp_weighted
-from tfuncert.sampling import RandomFunctionSpec, make_grid, random_smooth
+from tfuncert.sampling import RandomFunctionSpec, SampledFunction, make_grid, random_smooth
 from tfuncert.transforms import AliasingError
 
 from conftest import gaussian, strict_json
@@ -256,6 +256,43 @@ def test_ratios_invariant_under_translation_modulation_and_phase(invariance_inpu
         moved = (_moved(f, *move_f), _moved(g, *move_g))
         rep = certifier._certify(ineq, moved, point, 1e-9)
         assert rep.ratio == pytest.approx(ratio, rel=1e-12, abs=0), (ineq, point)
+
+
+# Resolved on both sides for every dilation below: at lam = 0.6 and r' = 11
+# the peak of |Ff|^r' still spans several frequency nodes.  Neither input has
+# a zero, so no |.|^p kink limits the rectangle rule.
+_DILATION_GRID = make_grid(256, 20.0)
+
+
+def _dilated(lam):
+    """f(lam x) and g(lam x) on ``_DILATION_GRID``."""
+    x = lam * _DILATION_GRID.axis
+    f = (1.0 + x + 0.5 * x**2) * np.exp(-math.pi * x**2)
+    g = (1.0 + 0.4 * x**2) * np.exp(-2.0 * x**2 + 0.3j * x)
+    return SampledFunction(_DILATION_GRID, f), SampledFunction(_DILATION_GRID, g)
+
+
+_DILATIONS = st.floats(0.6, 1.6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(lam=_DILATIONS, r=st.floats(1.1, 2.0))
+def test_hausdorff_young_is_dilation_invariant(lam, r):
+    # ||F f(lam.)||_r' and ||f(lam.)||_r both scale by lam^(-d/r), and the
+    # certificate's rhs is their ratio
+    (f, _), (fl, _) = _dilated(1.0), _dilated(lam)
+    want = certify_hausdorff_young(f, r).rhs
+    assert certify_hausdorff_young(fl, r).rhs == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(lam=_DILATIONS, m=st.floats(1.1, 1.9), n=st.floats(1.1, 1.9))
+def test_young_is_dilation_invariant_on_its_scaling_line(lam, m, n):
+    # f(lam.) * g(lam.) = lam^-d (f * g)(lam.), so on 1/m + 1/n = 1 + 1/r the
+    # ratio ||f * g||_r / (||f||_m ||g||_n) has dilation exponent 0
+    r = 1.0 / (1.0 / m + 1.0 / n - 1.0)
+    want = certify_young(*_dilated(1.0), m, n, r).rhs
+    assert certify_young(*_dilated(lam), m, n, r).rhs == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_cowling_functional_gaussian_equality(grid512):

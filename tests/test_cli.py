@@ -555,6 +555,19 @@ def test_spectrum_overflowing_composite_weight_exits_2(capsys, psi, m0):
     )
 
 
+def test_spectrum_huge_admissible_m0_gives_finite_forms():
+    # m0^2 = 1e308 times the bare window sum once overflowed form0 to inf, and
+    # scipy refused the pencil, although form0 = m0^2 h I is a finite float
+    argv = ["spectrum", "--psi", "coord", "--phi", "coord", "--m0", "1e154", "--count", "2",
+            "--grid", "64,8"]
+    code, out = run_cli(argv)
+    assert code == 0
+    (rec,) = lines_of(out)
+    assert rec["eigenvalues"] == [0.0, 0.0]
+    np.testing.assert_allclose(rec["nu"], 1.0, rtol=0, atol=1e-14)
+    assert all(res < 1e-12 for res in rec["residuals"])
+
+
 def test_spectrum_degenerate_pencil_exits_2(capsys):
     code, out = run_cli(["spectrum", "--psi", "1", "--phi", "1", "--m0", "0", "--grid", "64,8"])
     assert code == 2 and out == ""

@@ -17,7 +17,6 @@ from tfuncert.norms import (
     MixedOrder,
     TabulatedWeight,
     default_window,
-    fourier_weighted,
     lp_weighted,
     mixed_norm,
     modulation_norm,
@@ -76,15 +75,6 @@ def test_moment_seminorm_sides(grid512):
         moment_seminorm(f, 2.0, -1.0)
     with pytest.raises(ValueError):
         moment_seminorm(f, 2.0, 1.0, "phase")
-
-
-def test_fourier_weighted(grid512):
-    f = gaussian(grid512, 2.0)
-    from tfuncert.transforms import fourier
-
-    assert fourier_weighted(f, 1.5, 0.7) == pytest.approx(
-        lp_weighted(fourier(f), 1.5, 0.7), rel=1e-14
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from tfuncert.sampling import (
     SampledFunction,
     make_grid,
     random_smooth,
-    sample_closure,
     sample_gaussian,
     scale,
 )
@@ -197,16 +196,6 @@ def test_gaussian_validation():
         sample_gaussian(GaussianSpec(np.array([[0.05]])), grid)  # too wide for the box
     with pytest.raises(ValueError):
         sample_gaussian(GaussianSpec(np.eye(2)), grid)  # dimension mismatch
-
-
-def test_sample_closure(grid128):
-    f = sample_closure(lambda x: np.cos(x) * np.exp(-x**2), grid128)
-    x = grid128.axis
-    np.testing.assert_allclose(f.values, np.cos(x) * np.exp(-(x**2)))
-    with pytest.raises(ValueError):
-        sample_closure(lambda x: x[:-1], grid128)
-    with pytest.raises(ValueError):
-        sample_closure(lambda x: np.full(x.shape, np.inf), grid128)
 
 
 # ---------------------------------------------------------------------------

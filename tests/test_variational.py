@@ -50,7 +50,6 @@ from tfuncert.variational import (
     minimize_multistart,
     operator_A_apply,
     oscillator_modes,
-    oscillator_spectrum,
     smallest_eigen,
 )
 
@@ -783,18 +782,17 @@ def test_hilbert_functional_allocation_budget():
 
 
 def test_oscillator_spectrum_and_modes():
-    vals = oscillator_spectrum(1024, 16.0, 6)
+    vals = oscillator_modes(1024, 16.0, 6)[0]
     targets = [(2 * k + 1) / (2 * math.pi) for k in range(6)]
     np.testing.assert_allclose(vals, targets, atol=1e-3)
     mvals, modes = oscillator_modes(512, 12.0, 3)
-    np.testing.assert_allclose(mvals, oscillator_spectrum(512, 12.0, 3), rtol=1e-14)
     h = modes[0].grid.spacing
     gram = np.array(
         [[np.vdot(a.values, b.values).real * h for b in modes] for a in modes]
     )
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
     with pytest.raises(ValueError):
-        oscillator_spectrum(512, 12.0, 11)
+        oscillator_modes(512, 12.0, 11)
 
 
 def test_import_defers_scipy_solvers_and_fft():
@@ -1131,13 +1129,20 @@ def test_minimize_stops_on_the_largest_defect():
             assert el_residual_banach(sol.minimizer, sol.lam, HEISENBERG, win, [u]) <= sol.el_residual
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.0, 0.25)])
-def test_minimize_matches_hilbert_banach_bridge(alpha, beta):
+@pytest.mark.parametrize(
+    "grid, alpha, beta",
+    [
+        pytest.param(make_grid(256, 12.0), 0.5, 0.5, id="0.5-0.5"),
+        pytest.param(make_grid(256, 12.0), 1.0, 0.25, id="1.0-0.25"),
+        # the d = 2 field-route gradient, tabulated form0 and per-axis parity blocks
+        pytest.param(make_grid(32, 9.0, dim=2), 0.5, 0.5, id="32^2-0.5-0.5"),
+    ],
+)
+def test_minimize_matches_hilbert_banach_bridge(grid, alpha, beta):
     # For p = q = r = s = 2, Cauchy-Schwarz gives A + B = min_c (A^2/c + B^2/(1-c))^(1/2),
     # so the Banach minimum is sqrt(min_c lam_H(c)), lam_H(c) the smallest
     # eigenvalue of the pencil with psi = |x|/sqrt(c), phi = |w|/sqrt(1-c) and
     # m0 the bracket weight of the modulation norm.
-    grid = make_grid(256, 12.0)
     win = default_window(grid)
     x, w = grid.radii(), grid.freq_radii()
     m0 = np.outer((1.0 + x) ** alpha, (1.0 + w) ** beta)
@@ -1152,7 +1157,7 @@ def test_minimize_matches_hilbert_banach_bridge(alpha, beta):
     oracle = math.sqrt(best.fun)
     # the Euler-Lagrange equations make the minimizer the ground eigenvector at c*
     v = ground(best.x).vector.values
-    e = ExponentSet(d=1, p=2, q=2, a=1, b=1, r=2, s=2, alpha=alpha, beta=beta)
+    e = ExponentSet(d=grid.dim, p=2, q=2, a=1, b=1, r=2, s=2, alpha=alpha, beta=beta)
     for sol in minimize_multistart(e, win, grid, starts=2):
         assert sol.converged
         assert sol.lam == pytest.approx(oracle, abs=1e-6)
