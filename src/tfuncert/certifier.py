@@ -111,7 +111,6 @@ class CertificateReport:
     tol: float
     grid: dict
     seed: Optional[int] = None
-    note: str = ""
 
     def __post_init__(self) -> None:
         for name in ("lhs", "rhs", "constant"):
@@ -150,7 +149,7 @@ class CertificateReport:
             "tol": self.tol,
             "grid": self.grid,
             "seed": self.seed,
-            "note": self.note,
+            "note": "",
         }
 
     def to_json_line(self) -> str:
@@ -200,9 +199,29 @@ def certify_hausdorff_young(
     )
 
 
-def _young_relation(m: float, n: float, r: float, what: str) -> None:
+def _require_nonnegative(f: SampledFunction, what: str) -> None:
+    peak = float(np.abs(f.values).max())
+    atol = 1e-13 * max(peak, 1.0)
+    if float(np.abs(f.values.imag).max()) > atol or float(f.values.real.min()) < -atol:
+        raise DomainError(f"{what} requires nonnegative real inputs")
+
+
+def _convolution_sides(
+    f: SampledFunction, g: SampledFunction, m: float, n: float, r: float, what: str,
+    nonnegative: bool = False,
+) -> tuple[float, float]:
+    """(C_m C_n / C_r)^d and ||f*g||_r on the unit inputs, after the relation,
+    same-grid and (with ``nonnegative``) sign checks."""
     if abs(_inv(m) + _inv(n) - 1.0 - _inv(r)) > RELATION_TOL:
         raise DomainError(f"{what}: exponents must satisfy 1/m + 1/n = 1 + 1/r")
+    _require_same_grid(f, g, f"certify_{what}")
+    if nonnegative:
+        _require_nonnegative(f, what)
+        _require_nonnegative(g, what)
+    f = _unit(f, lp_weighted(f, m), f"{what} input f")
+    g = _unit(g, lp_weighted(g, n), f"{what} input g")
+    const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** f.grid.dim
+    return const, lp_weighted(convolve(f, g), r)
 
 
 def certify_young(
@@ -218,23 +237,10 @@ def certify_young(
     m, n, r = (as_exponent(x, nm) for x, nm in ((m, "m"), (n, "n"), (r, "r")))
     if min(m, n, r) < 1.0:
         raise DomainError(f"young requires m, n, r >= 1, got ({m}, {n}, {r})")
-    _young_relation(m, n, r, "young")
-    _require_same_grid(f, g, "certify_young")
-    d = f.grid.dim
-    f = _unit(f, lp_weighted(f, m), "young input f")
-    g = _unit(g, lp_weighted(g, n), "young input g")
-    const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
-    rhs = lp_weighted(convolve(f, g), r)
+    const, rhs = _convolution_sides(f, g, m, n, r, "young")
     return CertificateReport(
         "young", dict(m=m, n=n, r=r), const, rhs, const, tol, f.grid.to_json_dict(), seed
     )
-
-
-def _require_nonnegative(f: SampledFunction, what: str) -> None:
-    peak = float(np.abs(f.values).max())
-    atol = 1e-13 * max(peak, 1.0)
-    if float(np.abs(f.values.imag).max()) > atol or float(f.values.real.min()) < -atol:
-        raise DomainError(f"{what} requires nonnegative real inputs")
 
 
 def certify_leindler(
@@ -251,15 +257,7 @@ def certify_leindler(
     m, n, r = (as_exponent(x, nm) for x, nm in ((m, "m"), (n, "n"), (r, "r")))
     if not (0.0 < m <= 1.0 and 0.0 < n <= 1.0):
         raise DomainError(f"leindler requires 0 < m, n <= 1, got ({m}, {n})")
-    _young_relation(m, n, r, "leindler")
-    _require_same_grid(f, g, "certify_leindler")
-    _require_nonnegative(f, "leindler")
-    _require_nonnegative(g, "leindler")
-    d = f.grid.dim
-    f = _unit(f, lp_weighted(f, m), "leindler input f")
-    g = _unit(g, lp_weighted(g, n), "leindler input g")
-    const = (babenko_beckner(m) * babenko_beckner(n) / babenko_beckner(r)) ** d
-    lhs = lp_weighted(convolve(f, g), r)
+    const, lhs = _convolution_sides(f, g, m, n, r, "leindler", nonnegative=True)
     return CertificateReport(
         "leindler", dict(m=m, n=n, r=r), lhs, const, const, tol, f.grid.to_json_dict(), seed
     )
@@ -404,33 +402,21 @@ def certify_cowling_functional(
     q: float,
     a: float,
     b: float,
-    r: float = 2.0,
-    s: float = 2.0,
-    alpha: float = 0.0,
-    beta: float = 0.0,
     K: float = HEISENBERG_SHARP_K,
-    g: Optional[SampledFunction] = None,
     tol: float = DEFAULT_TOL,
     seed: Optional[int] = None,
 ) -> CertificateReport:
-    """Moment functional dominates K times the modulation norm.
+    """Moment functional >= K times the default window's unweighted M^{2,2} norm.
 
     K is the certified constant; the default is the sharp one-dimensional
-    value for p = q = 2, a = b = 1, r = s = 2 with unweighted modulation norm.
+    value for p = q = 2, a = b = 1.
     """
-    if g is None:
-        g = default_window(f.grid)
-    f = _unit(f, modulation_norm(f, g, r, s, alpha, beta), "cowling_price_functional input f")
+    g = default_window(f.grid)
+    f = _unit(f, modulation_norm(f, g, 2.0, 2.0), "cowling_price_functional input f")
     lhs = evaluate_banach_functional(f, p, q, a, b)
+    exponents = dict(p=p, q=q, a=a, b=b, r=2.0, s=2.0, alpha=0.0, beta=0.0, K=K)
     return CertificateReport(
-        "cowling_price_functional",
-        dict(p=p, q=q, a=a, b=b, r=r, s=s, alpha=alpha, beta=beta, K=K),
-        lhs,
-        K,
-        K,
-        tol,
-        f.grid.to_json_dict(),
-        seed,
+        "cowling_price_functional", exponents, lhs, K, K, tol, f.grid.to_json_dict(), seed
     )
 
 

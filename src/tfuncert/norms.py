@@ -50,18 +50,18 @@ def _check_exponent(p: float, name: str = "p") -> float:
     return p
 
 
-def _power_sum(mags: np.ndarray, p: float, cell: float, axis=None, counts=None) -> np.ndarray:
+def _power_sum(mags: np.ndarray, p: float, cell: float, counts=None) -> float:
     """(sum |.|^p * cell)^(1/p), or the max when p = inf.
 
     With ``counts`` (broadcast against ``mags``) each term is taken that
     many times; the max ignores it.
     """
     if p == math.inf:
-        return np.max(mags, axis=axis)
+        return np.max(mags)
     powered = mags**p
     if counts is not None:
         powered *= counts
-    return (np.sum(powered, axis=axis) * cell) ** (1.0 / p)
+    return (np.sum(powered) * cell) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +147,6 @@ class AdmissibleTriple:
         m0sq = m0**2 if m0.ndim == 0 else m0[np.ix_(zero_x, zero_w)] ** 2
         if np.any(zero_x) and np.any(zero_w) and not np.all(m0sq > 0):
             raise ValueError("composite weight m vanishes somewhere; the triple is not admissible")
-
-    def m0_weight(self) -> TabulatedWeight:
-        return TabulatedWeight(np.broadcast_to(self.m0, (self.psi.shape[0],) * 2))
 
 
 _UNIT_WEIGHT = BracketWeight(0.0, 0.0)
@@ -403,7 +400,7 @@ def psi_phi_norm(f: SampledFunction, g: SampledFunction, w: AdmissibleTriple) ->
         # a constant m0 is never tabulated: ||m0 V_g f||_2 = m0 ||V_g f||_2
         base = float(w.m0) * modulation_norm_m(f, g, _UNIT_WEIGHT)
     else:
-        base = modulation_norm_m(f, g, w.m0_weight())
+        base = modulation_norm_m(f, g, TabulatedWeight(w.m0))
     loc_x = float(np.sum(np.abs(w.psi * f.values) ** 2) * f.grid.cell)
     F = fourier(f)
     loc_w = float(np.sum(np.abs(w.phi * F.values) ** 2) * F.grid.cell)

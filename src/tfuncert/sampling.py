@@ -313,13 +313,10 @@ class GaussianSpec:
         return self.quad_real.shape[0]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points of shape ``(m, dim)`` (or ``(m,)`` when dim=1)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        """Evaluate at real points of shape ``(m, dim)``, such as ``Grid.coords()``."""
         M = self.quad_real + 1j * self.quad_imag
-        quad = np.einsum("nd,de,ne->n", pts, M, pts)
-        lin = pts @ self.linear
+        quad = np.einsum("nd,de,ne->n", points, M, points)
+        lin = points @ self.linear
         return np.exp(-quad + lin + self.log_amp)
 
 

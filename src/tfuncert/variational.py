@@ -601,6 +601,14 @@ def oscillator_modes(
 # Frechet derivatives of the Banach functional pieces
 
 
+def _check_moment_term(p: float, a: float, name: str) -> None:
+    """Refuse a non-differentiable moment term: exponent ``name`` finite and > 1, order >= 0."""
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"differentiable moment term needs finite {name} > 1, got {p}")
+    if a < 0:
+        raise DomainError(f"moment order must be nonnegative, got {a}")
+
+
 @dataclass(frozen=True)
 class XMomentTerm:
     """The term || |x|^a f ||_p."""
@@ -609,10 +617,7 @@ class XMomentTerm:
     a: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise DomainError(f"differentiable moment term needs finite p > 1, got {self.p}")
-        if self.a < 0:
-            raise DomainError(f"moment order must be nonnegative, got {self.a}")
+        _check_moment_term(self.p, self.a, "p")
 
     def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
         return _moment_grad(f, self.p, self.a, "x-moment")
@@ -626,10 +631,7 @@ class OmegaMomentTerm:
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.q) and self.q > 1.0):
-            raise DomainError(f"differentiable moment term needs finite q > 1, got {self.q}")
-        if self.b < 0:
-            raise DomainError(f"moment order must be nonnegative, got {self.b}")
+        _check_moment_term(self.q, self.b, "q")
 
     def _value_and_grad(self, f: SampledFunction) -> tuple[float, np.ndarray]:
         # the x moment of Ff on the conjugate grid is the w moment of f; the

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tfuncert.certifier import (
     CertificateReport,
@@ -293,6 +293,36 @@ def test_young_is_dilation_invariant_on_its_scaling_line(lam, m, n):
     r = 1.0 / (1.0 / m + 1.0 / n - 1.0)
     want = certify_young(*_dilated(1.0), m, n, r).rhs
     assert certify_young(*_dilated(lam), m, n, r).rhs == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# Gaussians are the equality cases of the sharp constants, so on grids that
+# resolve both sides the certificates read ratio 1 to rounding.  Below
+# r = 1.2 the rectangle rule under-resolves the peak of |F f|^r' and
+# Hausdorff-Young drifts from 1 (by 3.8e-3 at r = 1.01, width pi/2, d = 2).
+_SATURATION_GRIDS = {1: make_grid(512, 12.0), 2: make_grid(128, 12.0, dim=2)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(r=st.floats(1.2, 2.0), width=st.floats(math.pi / 2, 2 * math.pi), d=st.sampled_from([1, 2]))
+def test_every_centered_gaussian_saturates_hausdorff_young(r, width, d):
+    f = certifier._centered_gaussian(_SATURATION_GRIDS[d], width)
+    assert certify_hausdorff_young(f, r).gap <= 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(m=st.floats(1.2, 2.0), n=st.floats(1.2, 2.0))
+def test_the_gaussian_convolution_pair_saturates_young(grid512, m, n):
+    r = certifier._young_target(m, n)
+    assume(r <= 6.0)
+    rep = certify_young(*certifier._convolution_pair(grid512, m, n, r), m, n, r)
+    assert rep.gap <= 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(r=st.floats(2.1, 8.0))
+def test_a_gaussian_with_itself_saturates_lieb_forward(grid512, r):
+    f = certifier._centered_gaussian(grid512)
+    assert certify_lieb_forward(f, f, r, 2.0).gap <= 1e-10
 
 
 def test_cowling_functional_gaussian_equality(grid512):

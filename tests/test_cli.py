@@ -515,6 +515,26 @@ def test_spectrum_symmetric_triple_modes_are_real(tmp_path):
     assert np.all(table["mode_0_im"] == 0.0) and np.all(table["mode_1_im"] == 0.0)
 
 
+@pytest.mark.parametrize("psi, phi", [("coord", "abs"), ("abs", "coord")])
+def test_spectrum_abs_profile_prints_the_coord_bytes(psi, phi):
+    # the forms read |psi|^2 and |phi|^2 only, so |x| and x give the same bytes
+    argv = ["spectrum", "--m0", "1", "--grid", "128,12", "--count", "3"]
+    want = run_cli(argv + ["--psi", "coord", "--phi", "coord"])
+    assert want[0] == 0
+    assert run_cli(argv + ["--psi", psi, "--phi", phi]) == want
+
+
+def test_spectrum_zero_psi_leaves_the_frequency_multiplier():
+    # with psi = 0 and m0 = 1 the pencil is 1 + |w|^2 on the conjugate grid:
+    # its two smallest lam are w = 0 and the first node 1/L = 1/8, squared
+    code, out = run_cli(
+        ["spectrum", "--psi", "zero", "--phi", "abs", "--m0", "1", "--grid", "64,8", "--count", "2"]
+    )
+    assert code == 0
+    (rec,) = lines_of(out)
+    np.testing.assert_allclose(rec["eigenvalues"], [0.0, 1.0 / 64.0], rtol=0, atol=1e-12)
+
+
 def test_spectrum_errors(capsys):
     assert run_cli(["spectrum"])[0] == 2  # neither oscillator nor a triple
     assert run_cli(["spectrum", "--psi", "bogus", "--phi", "coord", "--m0", "1"])[0] == 2

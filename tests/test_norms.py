@@ -328,7 +328,7 @@ def test_psi_phi_norm_components(grid128):
     w = grid128.freq_axis.astype(complex)
     triple = AdmissibleTriple(x, w, 1.0)
     total = psi_phi_norm(f, g, triple)
-    base = modulation_norm_m(f, g, triple.m0_weight())
+    base = modulation_norm_m(f, g, BracketWeight())
     locx = moment_seminorm(f, 2.0, 1.0, "x")
     locw = moment_seminorm(f, 2.0, 1.0, "omega")
     assert total == pytest.approx(

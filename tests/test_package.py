@@ -25,21 +25,23 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _definition_lines(path):
-    """Line numbers of ``path``'s ``__all__`` assignment and of each top-level definition."""
+    """Line spans of ``path``'s ``__all__`` assignment and of each top-level definition.
+
+    A function's or class's span is all of it, body included, so the name in
+    its own error messages or recursive calls is not a use.
+    """
     tree = ast.parse(path.read_text())
     spans = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
-            lines = [node.lineno]  # the def/class line, not the body
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
-            lines = list(range(node.lineno, node.end_lineno + 1))
         else:
             continue
         for name in names:
-            spans[name] = lines
+            spans[name] = list(range(node.lineno, node.end_lineno + 1))
     return spans
 
 

@@ -29,6 +29,7 @@ from tfuncert.norms import (
     lp_weighted,
     modulation_norm,
     moment_seminorm,
+    psi_phi_norm,
 )
 from tfuncert.sampling import RandomFunctionSpec, _centered_ifftn, make_grid, random_smooth, scale
 from tfuncert import transforms, variational
@@ -213,6 +214,27 @@ def test_real_route_eigenvalues_match_complex_brute_force():
     sols = smallest_eigen(pair, 4)
     np.testing.assert_allclose([sol.nu for sol in sols], expected, atol=1e-10)
     assert all(sol.residual < 1e-10 for sol in sols)
+
+
+@pytest.mark.parametrize("m0", ["tabulated", 1.3])
+@pytest.mark.parametrize("shift, dtype", [(0.0, np.float64), (1.0, np.complex128)])
+@pytest.mark.parametrize("n, dim", [(128, 1), (32, 2)])
+def test_graph_norm_squared_is_the_full_form(n, dim, shift, dtype, m0):
+    # psi_phi_norm streams ||u||_{M,m0}^2 + ||psi u||^2 + ||phi Fu||^2 from
+    # V_g u; build_forms assembles the same quadratic form lag by lag, so
+    # u^H form_full u must equal it on the real route and the complex one
+    # (phi = 1 + w_1 is not even in w), for a tabulated and a constant m0
+    grid = make_grid(n, 12.0, dim=dim)
+    win = _unit_window(grid)
+    if m0 == "tabulated":
+        m0 = np.sqrt(np.outer(1.0 + grid.radii(), 1.0 + grid.freq_radii()))
+    phi = grid.freq_coords()[:, 0] + shift
+    triple = AdmissibleTriple(grid.radii().astype(complex), phi.astype(complex), m0)
+    pair = build_forms(triple, win, grid)
+    assert pair.form_full.dtype == dtype
+    u = random_smooth(RandomFunctionSpec(seed=3), grid)
+    form = float(np.real(np.vdot(u.values, pair.form_full @ u.values)))
+    assert psi_phi_norm(u, win, triple) ** 2 == pytest.approx(form, rel=1e-12, abs=0)
 
 
 def test_build_forms_constant_weight_tight_frame():
