@@ -20,6 +20,7 @@ from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
     _half_nodes,
+    _mirror_even,
     fourier,
     stft,
     stft_row_chunks,
@@ -224,37 +225,48 @@ class _MixedReduction:
     layout (``transforms._half_nodes``) and the weight must be a bracket
     weight, whose w profile is even, so each column stands for itself and
     its mirror: every power sum over w, the inner one and the outer one
-    after an x-inner pass, takes each column ``counts`` times.  A maximum
-    (r or s infinite) ignores it.  For full rows ``counts`` is None.
+    after an x-inner pass, takes each column ``col_counts`` times.  With
+    ``mirror`` as well (|field| even in x) the rows are halved the same way:
+    only the first ``row_counts.size`` x nodes are fed, the x profile is
+    radial and so even, and every power sum over x takes each row
+    ``row_counts`` times.  A maximum (r or s infinite) ignores the counts.
+    For full rows or columns the counts are None.
     """
 
-    def __init__(self, grid: Grid, order: MixedOrder, weight: Weight, half: bool = False):
+    def __init__(
+        self, grid: Grid, order: MixedOrder, weight: Weight, half: bool = False, mirror: bool = False
+    ):
         self.grid, self.order = grid, order
         self.over_x = order.inner == "x"
-        self.counts = None
-        columns = grid.size
+        self.col_counts = self.row_counts = None
+        self.x_nodes = columns = grid.size
         if isinstance(weight, TabulatedWeight):
             self.field = weight.field(grid)
             self.inner_weight = self.outer_weight = None
         else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
             if half:
-                self.counts = _half_nodes(grid)
-                columns = self.counts.size
+                self.col_counts = _half_nodes(grid)
+                columns = self.col_counts.size
                 ww = ww[:columns]
+            if mirror:
+                self.row_counts = _half_nodes(grid)
+                self.x_nodes = self.row_counts.size
+                wx = wx[: self.x_nodes]
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
-        self.acc = np.zeros(columns if self.over_x else grid.size)
+        self.acc = np.zeros(columns if self.over_x else self.x_nodes)
 
     def stream(self, f: SampledFunction, g: SampledFunction, chunk: int | None = None):
-        """Fold in V_g f, half rows for a half reduction; returns the last chunk's rows.
+        """Fold in V_g f, halved as the reduction is; returns the last chunk's rows.
 
         Each chunk is reduced in the pool task that makes it and folded in
         chunk order, so the result does not depend on the worker count.  The
         returned rows stay valid in the engine's ring.  Inputs are not checked.
         """
-        chunks = stft_row_chunks(f, g, chunk, half=self.counts is not None,
-                                 reduce=lambda idx, rows: self.reduce(idx, np.abs(rows)))
+        chunks = stft_row_chunks(f, g, chunk, half=self.col_counts is not None,
+                                 reduce=lambda idx, rows: self.reduce(idx, np.abs(rows)),
+                                 _stop=self.x_nodes)
         for idx, rows, part in chunks:
             self.fold(idx, part)
         return rows
@@ -281,10 +293,12 @@ class _MixedReduction:
             return np.max(mags, axis=axis)
         mags **= r
         if self.over_x:
+            if self.row_counts is not None:
+                mags *= self.row_counts[idx, None]
             return np.sum(mags, axis=0)
         # the inner omega norm is complete per x row: (sum |.|^r cell)^(1/r)
-        if self.counts is not None:
-            mags *= self.counts
+        if self.col_counts is not None:
+            mags *= self.col_counts
         return (np.sum(mags, axis=1) * self.grid.freq_cell) ** (1.0 / r)
 
     def fold(self, idx, part: np.ndarray) -> None:
@@ -308,7 +322,7 @@ class _MixedReduction:
         if self.outer_weight is not None:
             inner = inner * self.outer_weight
         outer_cell = self.grid.freq_cell if self.over_x else self.grid.cell
-        counts = self.counts if self.over_x else None
+        counts = self.col_counts if self.over_x else self.row_counts
         return float(_power_sum(inner, self.order.s, outer_cell, counts=counts))
 
 
@@ -341,13 +355,18 @@ def stft_mixed_norm(
     g are real (zero imaginary parts, tested exactly) and the weight is a
     bracket weight, the rows are half spectra: V_g f(x, -w) = conj V_g f(x, w)
     and the w profile is even, so each mirrored frequency column is counted
-    twice instead of computed.  Complex inputs and tabulated weights take the
-    full rows.  The inner='x' order accumulates power sums over x per
-    frequency node, the inner='omega' order reduces each x row.  ``chunk``
-    rows are taken per step, by default the engine's 2^17-entry rule, and
-    reduced by :meth:`_MixedReduction.stream` in the pool task that makes
-    them, while later chunks may already be computing.  Like
-    :func:`~tfuncert.transforms.stft_row_chunks` it does not check its
+    twice instead of computed.  When f and g are moreover even under
+    x -> -x (bit-equal to their mirror, see ``transforms._mirror_even``),
+    as the real Gaussians of the Lieb extremals are, |V_g f(-x, w)| =
+    |V_g f(x, w)| and the x profile is even, so the x rows are halved the
+    same way: only the rows of x nodes whose first index is at most n/2 are
+    computed, and each mirrored row is counted twice.  Complex inputs and
+    tabulated weights take the full rows.  The inner='x' order accumulates
+    power sums over x per frequency node, the inner='omega' order reduces
+    each x row.  ``chunk`` rows are taken per step, by default the engine's
+    2^17-entry rule, and reduced by :meth:`_MixedReduction.stream` in the
+    pool task that makes them, while later chunks may already be computing.
+    Like :func:`~tfuncert.transforms.stft_row_chunks` it does not check its
     inputs; :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
     half = (
@@ -355,7 +374,9 @@ def stft_mixed_norm(
         and not np.any(f.values.imag)
         and not np.any(g.values.imag)
     )
-    reduction = _MixedReduction(f.grid, order, weight, half)
+    axes = range(f.grid.dim)
+    mirror = half and _mirror_even(f.reshaped(), axes) and _mirror_even(g.reshaped(), axes)
+    reduction = _MixedReduction(f.grid, order, weight, half, mirror)
     reduction.stream(f, g, chunk)
     return reduction.value()
 

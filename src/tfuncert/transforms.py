@@ -16,7 +16,8 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, starmap
+from itertools import islice, product, starmap
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -177,7 +178,10 @@ class PhaseSpaceFunction:
 # For real f and g both factors are real, and the streamed rows may be taken
 # as half spectra: V_g f(x, -w) = conj V_g f(x, w).  _half_nodes is the one
 # statement of their layout: the halved axis is the first node axis.  Both
-# d = 2 routes take their rfft over j1, so both write that layout.
+# d = 2 routes take their rfft over j1, so both write that layout.  When f
+# and g are also even (_mirror_even on every axis), V_g f(-x, w) =
+# V_g f(x, -w), so |V_g f| is even in x as well, and a streamed norm takes
+# only the x rows of that same layout: the first counts.size rows.
 #
 # Every FFT is one 1-D numpy.fft transform per axis, in the order the axes
 # are listed, in place (out=); a real input takes its rfft over the last
@@ -383,12 +387,30 @@ def _half_nodes(grid: Grid) -> np.ndarray:
     Every other node is the mirror (-k mod n per axis) of a kept one, where
     V_g f(x, -w) = conj V_g f(x, w) for real f and g.  ``counts`` is the
     number of lattice nodes each kept node stands for: 1 where the first
-    index is 0 or n/2 (its mirror is kept, or is itself), 2 elsewhere.
+    index is 0 or n/2 (its mirror is kept, or is itself), 2 elsewhere.  The
+    same prefix and counts serve the x nodes of a streamed norm whose |V_g f|
+    is even in x (see the engine comment above).
     """
     cut = grid.n // 2 + 1
     counts = np.full((cut,) + grid.shape[1:], 2.0)
     counts[[0, -1]] = 1.0
     return counts.ravel()
+
+
+def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
+    """Whether ``table`` equals itself under j -> (-j) mod n on ``axes`` jointly, bit for bit.
+
+    The mirror fixes index 0 and reverses [1:] on each axis, so the table is
+    compared with reversed views of itself, one block per choice of index 0
+    or [1:] on each axis, and nothing is gathered.
+    """
+    for tails in product((False, True), repeat=len(axes)):
+        here, there = [slice(None)] * table.ndim, [slice(None)] * table.ndim
+        for axis, tail in zip(axes, tails):
+            here[axis], there[axis] = (slice(1, None), slice(None, 0, -1)) if tail else (0, 0)
+        if not np.array_equal(table[tuple(here)], table[tuple(there)]):
+            return False
+    return True
 
 
 def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, half: bool = False):
@@ -435,6 +457,7 @@ def stft_row_chunks(
     *,
     half: bool = False,
     reduce=None,
+    _stop: int | None = None,
 ):
     """Iterate ``(flat_x_indices, V rows)`` of the short-time Fourier transform.
 
@@ -462,16 +485,21 @@ def stft_row_chunks(
     next step: neither ``reduce`` nor the consumer may keep them, except
     that the last chunk's rows stay valid once the iteration has ended.
     ``reduce`` runs on the pool's threads and must not wait on the pool.
+
+    ``_stop``, for the streamed norms of :mod:`tfuncert.norms` only, ends the
+    rows at x node ``_stop`` (by default every row); the chunks are those of
+    the whole field, cut there.
     """
     size = f.grid.size
+    nodes = size if _stop is None else _stop
     rows = _chunk_rows(size, chunk)
     fill = _engine_rows(f, g, half=half)
     width = _half_nodes(f.grid).size if half else size
-    threaded = rows < size and _FFT_WORKERS > 1
+    threaded = rows < nodes and _FFT_WORKERS > 1
     # with reduce, chunk k is alive from its task until the consumer's next
     # step, and at most _AHEAD later chunks compute meanwhile: ring slot
     # k mod (_AHEAD + 1) is free when chunk k starts
-    slots = min(_AHEAD + 1, -(-size // rows)) if threaded else 1
+    slots = min(_AHEAD + 1, -(-nodes // rows)) if threaded else 1
     ring = [None] * slots
 
     def task(start: int, stop: int):
@@ -480,13 +508,13 @@ def stft_row_chunks(
         else:
             slot = (start // rows) % slots
             if ring[slot] is None:
-                ring[slot] = np.empty((min(rows, size), width), dtype=np.complex128)
+                ring[slot] = np.empty((min(rows, nodes), width), dtype=np.complex128)
             out = ring[slot][: stop - start]
         fill(start, stop, out)
         idx = np.arange(start, stop)
         return (idx, out) if reduce is None else (idx, out, reduce(idx, out))
 
-    return _ordered_map(task, _chunk_bounds(size, rows), threaded)
+    return _ordered_map(task, _chunk_bounds(nodes, rows), threaded)
 
 
 def _materialize(f: SampledFunction, g: SampledFunction, flip: bool = False) -> np.ndarray:

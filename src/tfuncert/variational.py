@@ -44,6 +44,7 @@ from .transforms import (  # noqa: F401
     _check_stft_inputs,
     _chunk_map,
     _engine_rows,
+    _mirror_even,
     _parity,
     _row_fftn,
     _window_bank,
@@ -109,6 +110,10 @@ class QuadraticFormPair:
     ``even_axes``, derived by :func:`build_forms` from the input tables, are
     the grid axes i on which the pencil commutes with the mirror x_i -> -x_i:
     :func:`smallest_eigen` solves its even and odd parts on each apart.
+
+    A form with a non-finite entry raises ``ValueError`` here, so the solver
+    need not check its blocks again; the check reads 2^16 entries at a time,
+    with no size x size temporary.
     """
 
     grid: Grid
@@ -118,10 +123,13 @@ class QuadraticFormPair:
 
     def __post_init__(self) -> None:
         size = self.grid.size
+        step = max(1, (1 << 16) // size)
         for name in ("form0", "form_full"):
             mat = getattr(self, name)
             if mat.shape != (size, size):
                 raise ValueError(f"{name} must be {size}x{size}")
+            if not all(np.isfinite(mat[i : i + step]).all() for i in range(0, size, step)):
+                raise ValueError(f"{name} must be finite")
             mat.setflags(write=False)
 
 
@@ -235,22 +243,6 @@ def _node_mirror(grid: Grid) -> np.ndarray:
     return _node_bank(grid)[(...,) + (0,) * grid.dim].reshape(grid.size)
 
 
-def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
-    """Whether ``table`` equals itself under j -> (-j) mod n on ``axes`` jointly, bit for bit.
-
-    The mirror fixes index 0 and reverses [1:] on each axis, so the table is
-    compared with reversed views of itself, one block per choice of index 0
-    or [1:] on each axis, and nothing is gathered.
-    """
-    for tails in itertools.product((False, True), repeat=len(axes)):
-        here, there = [slice(None)] * table.ndim, [slice(None)] * table.ndim
-        for axis, tail in zip(axes, tails):
-            here[axis], there[axis] = (slice(1, None), slice(None, 0, -1)) if tail else (0, 0)
-        if not np.array_equal(table[tuple(here)], table[tuple(there)]):
-            return False
-    return True
-
-
 def _input_symmetries(
     gp: np.ndarray, psisq: np.ndarray, phisq: np.ndarray, m0sq: np.ndarray, grid: Grid
 ) -> tuple[bool, tuple[int, ...]]:
@@ -262,7 +254,7 @@ def _input_symmetries(
     in (x_i, w_i) and |psi|^2 and |phi|^2 even in x_i and w_i make both forms
     commute with R.  On the centered grid the node of -w is (0 - l) mod n, so
     the mirrored tables are bit-equal and the view comparisons (see
-    :func:`_mirror_even`) exact.  A 0-d ``m0sq`` is a constant m0.
+    :func:`~tfuncert.transforms._mirror_even`) exact.  A 0-d ``m0sq`` is a constant m0.
     """
     d = grid.dim
     scalar = m0sq.ndim == 0
@@ -387,17 +379,22 @@ def _parity_block(form: np.ndarray, grid: Grid, bases: list) -> np.ndarray:
     (e_j +- R e_j)/sqrt 2 is sqrt 2 times that of e_j: only the first node of
     each vector is read as a row, the columns fold on views, [1:n/2] +-
     [n-1:n/2:-1], and a part with k more terms in its rows than in its
-    columns is scaled by sqrt(2)^k.  The block is written in place into a
-    preallocated Fortran array (coordinates in Fortran order), for LAPACK.
+    columns is scaled by sqrt(2)^k.  The form is Hermitian bit for bit, so
+    each of those columns is read as the conjugate of a row, and the block
+    is written in place, through its transposed view, into a preallocated
+    Fortran array (coordinates in Fortran order, for LAPACK), which a
+    complex form then conjugates once.
     """
+    d = grid.dim
     dims = tuple(basis[-1][0].stop for basis in bases)
     cube = np.empty(dims * 2, dtype=form.dtype, order="F")
+    transposed = cube.transpose(tuple(range(d, 2 * d)) + tuple(range(d)))
     nodes = form.reshape(grid.shape * 2)  # nodes[l][m]: row l, column m as node multi-indices
     for rows, cols in itertools.product(itertools.product(*bases), repeat=2):
-        out = cube[tuple(part for part, _ in rows + cols)]
+        out = transposed[tuple(part for part, _ in cols + rows)]
         first = tuple(terms[0][0] for _, terms in rows)
         for k, terms in enumerate(itertools.product(*(terms for _, terms in cols))):
-            src = nodes[first + tuple(node for node, _ in terms)]
+            src = nodes[tuple(node for node, _ in terms) + first]
             if k == 0:
                 out[...] = src
             elif math.prod(sign for _, sign in terms) > 0:
@@ -407,6 +404,8 @@ def _parity_block(form: np.ndarray, grid: Grid, bases: list) -> np.ndarray:
         lift = sum(len(terms) for _, terms in rows) - sum(len(terms) for _, terms in cols)
         if lift:
             out *= math.sqrt(2.0**lift)
+    if np.iscomplexobj(cube):
+        np.conjugate(cube, out=cube)
     return cube.reshape((math.prod(dims),) * 2, order="F")
 
 
@@ -517,6 +516,7 @@ def smallest_eigen(pair: QuadraticFormPair, count: int = 1) -> list[EigenSolutio
             w, x = scipy.linalg.eigh(
                 *(_parity_block(form, grid, bases) for form in (pair.form_full, pair.form0)),
                 subset_by_index=[0, min(count, block_size) - 1], overwrite_a=True, overwrite_b=True,
+                check_finite=False,  # the pair checked its forms
             )
         except np.linalg.LinAlgError as exc:
             # the solver's Cholesky factorization of form0 is the definiteness check

@@ -90,10 +90,14 @@ COMMANDS = {
     "edge_modulation_bound_u_dual": "certify modulation_bound --extremal r=1.5 s=1.5 u=3",
     "edge_young_m1_n1": "certify young --extremal m=1 n=1",
     "edge_leindler_m1_n1": "certify leindler --extremal m=1 n=1",
-    # real extremals: the streamed norm reduces half-spectrum rows, in d = 1 and d = 2
+    # real, even extremals: the streamed norm reduces half-spectrum rows of
+    # the mirror-kept x nodes, in d = 1 and d = 2, inner over w and over x
     "real_lieb_reverse_wx": "certify lieb_reverse_wx --extremal r=1.5 s=1.5",
     "real_lieb_reverse_wx_2d": (
         "certify lieb_reverse_wx --extremal r=1.5 s=1.5 --grid 32,9,2 --tol 1e-3"
+    ),
+    "real_modulation_bound_2d": (
+        "certify modulation_bound --extremal r=1.5 s=1.5 --grid 32,9,2 --tol 1e-3"
     ),
     # complex random inputs and the Gaussian window in d = 2: full rows on the
     # engine's factored route for tensor-product windows

@@ -501,6 +501,34 @@ def test_spectrum_quadratic_form():
     assert rec["herm_defects"] == [0.0, 0.0]
 
 
+def _column_herm_defect(form):
+    """The column-gathering formula that cli._herm_defect's tiles replaced."""
+    step = max(1, (1 << 16) // len(form))
+    starts = range(0, len(form), step)
+    defect = max(np.max(np.abs(form[i : i + step] - form[:, i : i + step].conj().T)) for i in starts)
+    return float(defect) / max(float(np.max(np.abs(form[i : i + step]))) for i in starts)
+
+
+def test_tiled_herm_defect_gives_the_column_formula_value():
+    # a max does not depend on the order of its terms: both forms of a
+    # 512-node pencil (Hermitian, so 0.0), one with an entry moved off its
+    # mirror across two tiles, and a non-Hermitian matrix of partial tiles
+    from tfuncert.cli import _herm_defect
+    from tfuncert.norms import AdmissibleTriple, default_window
+    from tfuncert.variational import build_forms
+
+    grid = make_grid(512, 12.0)
+    triple = AdmissibleTriple(grid.axis.astype(complex), grid.freq_axis.astype(complex), 1.0)
+    pair = build_forms(triple, default_window(grid), grid)
+    moved = pair.form_full.copy()
+    moved[3, 300] += 1e-3
+    rng = np.random.default_rng(5)
+    other = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    for form in (pair.form0, pair.form_full, moved, other):
+        assert _herm_defect(form) == _column_herm_defect(form)
+    assert _herm_defect(pair.form_full) == 0.0 and _herm_defect(moved) > 0.0
+
+
 def test_spectrum_symmetric_triple_modes_are_real(tmp_path):
     # a real window with coord profiles is conjugation-symmetric: the pencil
     # is solved in real arithmetic and the exported modes have zero imaginary parts

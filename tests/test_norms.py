@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tfuncert import norms, transforms
+from tfuncert import norms, transforms, variational
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
@@ -240,6 +240,85 @@ def test_real_inputs_stream_half_rows(monkeypatch, grid128):
     ):
         stft_mixed_norm(*args)
         assert routes.pop() is half
+
+
+def _even_pairs(grid):
+    """Real (f, g) pairs, each bit-equal to its mirror x -> -x: the Lieb
+    extremals, a Gaussian with the default window and, summed with its
+    mirror, the real part of a random function; in d = 2 also with the
+    rotated window summed with its mirror (the general route)."""
+    mirror = variational._node_mirror(grid)
+    h = random_smooth(RandomFunctionSpec(seed=6, envelope_sigma=1.2), grid).values.real
+    even = SampledFunction(grid, h + h[mirror])
+    pairs = [lieb_extremals(grid), (gaussian(grid, 2.0), default_window(grid))]
+    pairs.append((even, default_window(grid)))
+    if grid.dim == 2:
+        w = rotated_gaussian(grid).values
+        pairs.append((even, SampledFunction(grid, w + w[mirror])))
+    for f, g in pairs:
+        assert not np.any(f.values.imag) and not np.any(g.values.imag)
+        assert all(transforms._mirror_even(h.reshaped(), range(grid.dim)) for h in (f, g))
+    return pairs
+
+
+@pytest.mark.parametrize("n, extent, dim", [(512, 12.0, 1), (32, 9.0, 2)])
+def test_even_real_inputs_match_the_dense_norm(n, extent, dim):
+    # the mirror route streams only the x rows whose first index is at most
+    # n/2 and counts the others through their mirrors
+    grid = make_grid(n, extent, dim=dim)
+    exps = (1.5, 2.0, math.inf)
+    for f, g in _even_pairs(grid):
+        V = stft(f, g)
+        for r, s, inner in itertools.product(exps, exps, ("x", "omega")):
+            for weight in (BracketWeight(), BracketWeight(0.7, 1.1)):
+                order = MixedOrder(r, s, inner)
+                dense = mixed_norm(V, order, weight)
+                for chunk in (None, 37):
+                    streamed = stft_mixed_norm(f, g, order, weight, chunk)
+                    assert streamed == pytest.approx(dense, rel=1e-13, abs=0)
+
+
+def _filled_rows(monkeypatch) -> list:
+    """Rows the engine fills, one entry per stft_mixed_norm call after each reset."""
+    filled = []
+    engine_rows = transforms._engine_rows
+
+    def spy(*args, **kwargs):
+        fill = engine_rows(*args, **kwargs)
+
+        def counted(start, stop, out):
+            filled.append(stop - start)
+            fill(start, stop, out)
+
+        return counted
+
+    monkeypatch.setattr(transforms, "_engine_rows", spy)
+    return filled
+
+
+@pytest.mark.parametrize("n, extent, dim", [(512, 12.0, 1), (32, 9.0, 2)])
+def test_only_even_real_inputs_stream_mirror_rows(monkeypatch, n, extent, dim):
+    # (n/2 + 1) n^(d-1) rows for real even f and g with a bracket weight;
+    # every row for a complex even input, a real input one node off even,
+    # and a tabulated weight
+    grid = make_grid(n, extent, dim=dim)
+    filled = _filled_rows(monkeypatch)
+    kept = (n // 2 + 1) * n ** (dim - 1)
+    order = MixedOrder(1.5, 2.0, "x")
+    f, g = lieb_extremals(grid)
+    nudged = f.values.copy()
+    nudged[1] = np.nextafter(nudged[1].real, 1.0)  # flat node 1 mirrors to node n - 1
+    tab = TabulatedWeight(np.ones((grid.size, grid.size)))
+    for args, rows in (
+        ((f, g, order), kept),
+        ((f, g, MixedOrder(2.0, 1.5, "omega"), BracketWeight(0.5, 0.5)), kept),
+        ((gaussian(grid, 2.0, chirp=1.0), g, order), grid.size),
+        ((f.with_values(nudged), g, order), grid.size),
+        ((f, g, order, tab), grid.size),
+    ):
+        filled.clear()
+        stft_mixed_norm(*args, chunk=37)
+        assert sum(filled) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 finite differences, and the Banach minimizer against the Gaussian minimizer
 and the Hilbert-Banach bridge."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -563,6 +564,65 @@ def test_pencil_even_only_jointly_takes_one_solve(monkeypatch):
     sols, shapes = _solve_recording(pair, 6, monkeypatch)
     assert shapes == [(grid.size, grid.size)]
     _check_matches_unsplit(pair, sols)
+
+
+def _column_parity_block(form, grid, bases):
+    """The column-reading formula that variational._parity_block's row reads replaced."""
+    dims = tuple(basis[-1][0].stop for basis in bases)
+    cube = np.empty(dims * 2, dtype=form.dtype, order="F")
+    nodes = form.reshape(grid.shape * 2)
+    for rows, cols in itertools.product(itertools.product(*bases), repeat=2):
+        out = cube[tuple(part for part, _ in rows + cols)]
+        first = tuple(terms[0][0] for _, terms in rows)
+        for k, terms in enumerate(itertools.product(*(terms for _, terms in cols))):
+            src = nodes[first + tuple(node for node, _ in terms)]
+            if k == 0:
+                out[...] = src
+            elif math.prod(sign for _, sign in terms) > 0:
+                out += src
+            else:
+                out -= src
+        lift = sum(len(terms) for _, terms in rows) - sum(len(terms) for _, terms in cols)
+        if lift:
+            out *= math.sqrt(2.0**lift)
+    return cube.reshape((math.prod(dims),) * 2, order="F")
+
+
+@pytest.mark.parametrize("window", ["real", "complex", "real 2d"])
+def test_parity_blocks_read_rows_as_the_column_formula(window):
+    # the forms are Hermitian, so each column is read as the conjugate of a
+    # row.  Real blocks are byte-equal to the column reads.  A complex form's
+    # diagonal holds zero imaginary parts, which conjugation turns from -0.0
+    # to 0.0 (LAPACK never reads them), so complex blocks are equal in value,
+    # and byte-equal once the sign of every zero is cleared
+    grid = make_grid(32, 6.5, dim=2) if window == "real 2d" else make_grid(1024, 12.0)
+    win = _chirped_window(grid) if window == "complex" else _unit_window(grid)
+    pair = build_forms(_tabulated_triple(grid), win, grid)
+    assert pair.form0.dtype == (np.complex128 if window == "complex" else np.float64)
+    assert pair.even_axes == tuple(range(grid.dim))
+    for parities in itertools.product((True, False), repeat=grid.dim):
+        bases = [variational._axis_basis(grid.n, parity) for parity in parities]
+        for form in (pair.form0, pair.form_full):
+            got = variational._parity_block(form, grid, bases)
+            want = _column_parity_block(form, grid, bases)
+            assert got.flags.f_contiguous
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+            if window != "complex":
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", ["real", "complex"])
+def test_non_finite_forms_are_refused_before_any_solve(monkeypatch, window):
+    # the pair checks its forms once, so the solver skips scipy's check
+    grid = make_grid(64, 8.0)
+    win = _chirped_window(grid) if window == "complex" else _unit_window(grid)
+    pair = build_forms(_tabulated_triple(grid), win, grid)
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *args, **kwargs: pytest.fail("solved"))
+    for name, bad in (("form0", np.inf), ("form_full", np.nan)):
+        form = getattr(pair, name).copy()
+        form[40, 7] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            smallest_eigen(dataclasses.replace(pair, **{name: form}))
 
 
 def _axis_mirror(grid, axis):
