@@ -20,7 +20,7 @@ from .transforms import (  # noqa: F401
     PhaseSpaceFunction,
     _check_stft_inputs,
     _half_nodes,
-    _mirror_even,
+    _input_symmetries,
     fourier,
     stft,
     stft_row_chunks,
@@ -55,14 +55,24 @@ def _power_sum(mags: np.ndarray, p: float, cell: float, counts=None) -> float:
     """(sum |.|^p * cell)^(1/p), or the max when p = inf.
 
     With ``counts`` (broadcast against ``mags``) each term is taken that
-    many times; the max ignores it.
+    many times; the max ignores it.  When the direct total is not a normal
+    positive float (|.|^p overflowed or underflowed), the sum is taken again
+    over |.| / max and scaled back by the max.
     """
     if p == math.inf:
         return np.max(mags)
-    powered = mags**p
-    if counts is not None:
-        powered *= counts
-    return (np.sum(powered) * cell) ** (1.0 / p)
+
+    def total(scaled: np.ndarray) -> float:
+        with np.errstate(over="ignore"):
+            powered = scaled**p
+            if counts is not None:
+                powered *= counts
+            return np.sum(powered) * cell
+
+    direct = total(mags)
+    if 2.0**-1022 <= direct < math.inf or not 0.0 < (peak := np.max(mags)) < math.inf:
+        return direct ** (1.0 / p)
+    return peak * total(mags / peak) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +255,12 @@ class _MixedReduction:
             self.inner_weight = self.outer_weight = None
         else:
             wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
+            counts = _half_nodes(grid) if half else None
             if half:
-                self.col_counts = _half_nodes(grid)
-                columns = self.col_counts.size
+                self.col_counts, columns = counts, counts.size
                 ww = ww[:columns]
             if mirror:
-                self.row_counts = _half_nodes(grid)
-                self.x_nodes = self.row_counts.size
+                self.row_counts, self.x_nodes = counts, counts.size
                 wx = wx[: self.x_nodes]
             self.field = None
             self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
@@ -351,15 +360,13 @@ def stft_mixed_norm(
     """Mixed norm of m V_g f computed row by row without materializing V_g f.
 
     Either weight is accepted: a bracket weight is split into its x and w
-    profiles, a tabulated one multiplies each chunk by its rows.  When f and
-    g are real (zero imaginary parts, tested exactly) and the weight is a
-    bracket weight, the rows are half spectra: V_g f(x, -w) = conj V_g f(x, w)
-    and the w profile is even, so each mirrored frequency column is counted
-    twice instead of computed.  When f and g are moreover even under
-    x -> -x (bit-equal to their mirror, see ``transforms._mirror_even``),
-    as the real Gaussians of the Lieb extremals are, |V_g f(-x, w)| =
-    |V_g f(x, w)| and the x profile is even, so the x rows are halved the
-    same way: only the rows of x nodes whose first index is at most n/2 are
+    profiles, a tabulated one multiplies each chunk by its rows.  With a
+    bracket weight the rows follow the symmetries of f and g, decided by
+    ``transforms._input_symmetries``.  When both are real, V_g f(x, -w) =
+    conj V_g f(x, w) and the w profile is even, so the rows are half spectra
+    and each mirrored frequency column is counted twice.  When both are also
+    even under x -> -x, as the Lieb extremals are, |V_g f| and the x profile
+    are even in x, so only the x rows whose first index is at most n/2 are
     computed, and each mirrored row is counted twice.  Complex inputs and
     tabulated weights take the full rows.  The inner='x' order accumulates
     power sums over x per frequency node, the inner='omega' order reduces
@@ -369,13 +376,9 @@ def stft_mixed_norm(
     Like :func:`~tfuncert.transforms.stft_row_chunks` it does not check its
     inputs; :func:`modulation_norm` and :func:`modulation_norm_m` do.
     """
-    half = (
-        isinstance(weight, BracketWeight)
-        and not np.any(f.values.imag)
-        and not np.any(g.values.imag)
-    )
-    axes = range(f.grid.dim)
-    mirror = half and _mirror_even(f.reshaped(), axes) and _mirror_even(g.reshaped(), axes)
+    half = mirror = False
+    if isinstance(weight, BracketWeight):
+        half, _, mirror = _input_symmetries(f.grid, (f.values, g.values), real_only=True)
     reduction = _MixedReduction(f.grid, order, weight, half, mirror)
     reduction.stream(f, g, chunk)
     return reduction.value()

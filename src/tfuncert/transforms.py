@@ -179,7 +179,7 @@ class PhaseSpaceFunction:
 # as half spectra: V_g f(x, -w) = conj V_g f(x, w).  _half_nodes is the one
 # statement of their layout: the halved axis is the first node axis.  Both
 # d = 2 routes take their rfft over j1, so both write that layout.  When f
-# and g are also even (_mirror_even on every axis), V_g f(-x, w) =
+# and g are also even (_input_symmetries' ``even``), V_g f(-x, w) =
 # V_g f(x, -w), so |V_g f| is even in x as well, and a streamed norm takes
 # only the x rows of that same layout: the first counts.size rows.
 #
@@ -397,6 +397,16 @@ def _half_nodes(grid: Grid) -> np.ndarray:
     return counts.ravel()
 
 
+def _node_mirror(grid: Grid) -> np.ndarray:
+    """Flat node numbers of the mirror x -> -x: node j goes to (-j) mod n per axis.
+
+    Node j sits at (j - n/2) h, so node 0 (the edge -L/2, equal to +L/2 on
+    the period) and node n/2 (the origin) are fixed on each axis.
+    """
+    nodes = np.arange(grid.size).reshape(grid.shape)
+    return np.roll(np.flip(nodes), 1, tuple(range(grid.dim))).ravel()
+
+
 def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
     """Whether ``table`` equals itself under j -> (-j) mod n on ``axes`` jointly, bit for bit.
 
@@ -411,6 +421,37 @@ def _mirror_even(table: np.ndarray, axes: Sequence[int]) -> bool:
         if not np.array_equal(table[tuple(here)], table[tuple(there)]):
             return False
     return True
+
+
+def _input_symmetries(grid: Grid, x_tables, w_tables=(), xw_table=None, real_only=False):
+    """``(real, even_axes, even)`` of input tables of x, of w and of (x, w), by exact comparison.
+
+    The x tables are f, g or |psi|^2; the w tables |phi|^2 and the (x, w)
+    table m0^2 (flat (size, size), or 0-d for a constant) are real.  ``real``:
+    every table is real and even in w; for real g, conj V_g u(x, w) =
+    V_g conj(u)(x, -w), so a norm's half spectra are exact and the forms
+    real.  ``even_axes``: the axes i on whose mirror R, (x_i, w_i) ->
+    (-x_i, -w_i), every table is even; for g even on axis i, V_g(u o R) =
+    (V_g u) o R, so the forms commute with R.  ``even``: every table is even
+    under the joint mirror, as when ``even_axes`` holds every axis; for real
+    f and g, |V_g f| is then even in x.  The node of -x is (-j) mod n, so
+    :func:`_mirror_even` compares reversed views, exactly.  With
+    ``real_only`` complex tables make no comparison and read ``((), False)``.
+    """
+    d = grid.dim
+    tables = [t.reshape(grid.shape + (1,) * d) for t in x_tables]
+    tables += [t.reshape((1,) * d + grid.shape) for t in w_tables]
+    if xw_table is not None:
+        tables.append(xw_table.reshape(grid.shape * 2 if xw_table.ndim else (1,) * (2 * d)))
+
+    def even_on(axes) -> bool:  # a table is even on an axis of length 1
+        return all(_mirror_even(t, a) for t in tables if (a := [i for i in axes if t.shape[i] > 1]))
+
+    real = not any(np.any(t.imag) for t in x_tables) and even_on(range(d, 2 * d))
+    if real_only and not real:
+        return False, (), False
+    even_axes = tuple(axis for axis in range(d) if even_on((axis, d + axis)))
+    return real, even_axes, len(even_axes) == d or (d > 1 and even_on(range(2 * d)))
 
 
 def _engine_rows(f: SampledFunction, g: SampledFunction, flip: bool = False, half: bool = False):

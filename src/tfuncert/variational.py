@@ -44,7 +44,8 @@ from .transforms import (  # noqa: F401
     _check_stft_inputs,
     _chunk_map,
     _engine_rows,
-    _mirror_even,
+    _input_symmetries,
+    _node_mirror,
     _parity,
     _row_fftn,
     _window_bank,
@@ -133,11 +134,6 @@ class QuadraticFormPair:
             mat.setflags(write=False)
 
 
-def _node_bank(grid: Grid) -> np.ndarray:
-    """Window bank of the flat node numbers: ``bank[l][m]`` is the node (m - l) mod n per axis."""
-    return _window_bank(np.arange(grid.size).reshape(grid.shape))
-
-
 def _half_lags(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """[a, b) runs of the flat lags l <= -l (one in d = 1, two in d = 2), and the 2^d lags l = -l."""
     lags, neg = np.arange(grid.size), _node_mirror(grid)  # neg[l] is the flat number of -l
@@ -190,7 +186,7 @@ def _assemble_form0_general(
     runs, own = _half_lags(grid)
     conj_g = np.conj(window.reshaped())
     lags = _window_bank(window.reshaped())  # lags[l][m] = g[(m - l) mod n]
-    nodes = _node_bank(grid)
+    nodes = _window_bank(np.arange(size).reshape(shape))  # nodes[l][m] = node (m - l) mod n
     cols = np.arange(size)
     form0 = np.empty((size, size), dtype=np.float64 if real else np.complex128)
 
@@ -233,47 +229,6 @@ def _form_phi_bank(phisq: np.ndarray, grid: Grid, real: bool) -> np.ndarray:
     return _window_bank(t.reshape(grid.shape))
 
 
-def _node_mirror(grid: Grid) -> np.ndarray:
-    """Flat node numbers of the mirror x -> -x: node j goes to (-j) mod n per axis.
-
-    On the centered grid node j sits at (j - n/2) h, so the mirror maps each
-    node to the node of its negated coordinate; node 0 (the edge -L/2, equal
-    to +L/2 on the period) and node n/2 (the origin) are fixed per axis.
-    """
-    return _node_bank(grid)[(...,) + (0,) * grid.dim].reshape(grid.size)
-
-
-def _input_symmetries(
-    gp: np.ndarray, psisq: np.ndarray, phisq: np.ndarray, m0sq: np.ndarray, grid: Grid
-) -> tuple[bool, tuple[int, ...]]:
-    """(conjugation symmetric, even axes) by exact comparison of the input tables.
-
-    For real g, conj(V_g u(x, w)) = V_g conj(u)(x, -w), so an m0^2 weight even
-    in w makes form0 real; likewise for the |phi|^2 term.  If R mirrors axis
-    i and g is even on it, V_g(u o R)(x, w) = V_g u(Rx, Rw), so an m0^2 even
-    in (x_i, w_i) and |psi|^2 and |phi|^2 even in x_i and w_i make both forms
-    commute with R.  On the centered grid the node of -w is (0 - l) mod n, so
-    the mirrored tables are bit-equal and the view comparisons (see
-    :func:`~tfuncert.transforms._mirror_even`) exact.  A 0-d ``m0sq`` is a constant m0.
-    """
-    d = grid.dim
-    scalar = m0sq.ndim == 0
-    table = None if scalar else m0sq.reshape(grid.shape * 2)  # axes (x, w)
-    g, psisq, phisq = (t.reshape(grid.shape) for t in (gp, psisq, phisq))
-    real = (
-        _mirror_even(phisq, range(d))
-        and not np.any(gp.imag)
-        and (scalar or _mirror_even(table, range(d, 2 * d)))
-    )
-    even_axes = tuple(
-        axis
-        for axis in range(d)
-        if all(_mirror_even(t, (axis,)) for t in (g, psisq, phisq))
-        and (scalar or _mirror_even(table, (axis, d + axis)))
-    )
-    return real, even_axes
-
-
 def build_forms(
     triple: AdmissibleTriple, window: SampledFunction, grid: Grid
 ) -> QuadraticFormPair:
@@ -286,7 +241,8 @@ def build_forms(
     tight-frame identity form0 = m0^2 ||g||^2 h^d I, which is what the general
     path produces up to rounding.  Conjugation-symmetric input gives real
     symmetric forms, which the eigensolver then handles in real arithmetic;
-    it splits by parity on the pair's ``even_axes`` (see :func:`_input_symmetries`).
+    it splits by parity on the pair's ``even_axes``.  Both follow from an
+    exact comparison of the input tables, with no setting.
     Definiteness of form0 is not checked here: the eigensolver's factorization
     of form0 checks it (see :func:`smallest_eigen`).
 
@@ -318,7 +274,7 @@ def build_forms(
     m0sq = triple.m0**2  # 0-d for a constant m0
     psisq = np.abs(triple.psi) ** 2
     phisq = np.abs(triple.phi) ** 2
-    real, even_axes = _input_symmetries(gp, psisq, phisq, m0sq, grid)
+    real, even_axes, _ = _input_symmetries(grid, (gp, psisq), (phisq,), m0sq)
     dtype = np.float64 if real else np.complex128
     if m0sq.ndim == 0:
         # constant-table specialization of the lag path: only lag zero survives

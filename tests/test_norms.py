@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from tfuncert import norms, transforms, variational
+from tfuncert import norms, transforms
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
@@ -54,6 +54,25 @@ def test_lp_weighted_against_quadrature_oracle(grid512):
     fine = abs(lp_weighted(gaussian(make_grid(4096, 12.0), width), p, a) - oracle)
     assert coarse <= 3e-4 * oracle
     assert fine <= coarse / 16.0
+
+
+def test_lp_power_sums_stay_in_range():
+    # 50^200 overflows and (1e-3)^120 underflows, so these two totals are
+    # taken again scaled by the peak, with no warning; a total in range keeps
+    # the direct sum's bits
+    grid = make_grid(256, 12.0)
+    for amp, p in ((50.0, 200.0), (1e-3, 120.0)):
+        mags = np.abs(gaussian(grid, math.pi, log_amp=math.log(amp)).values)
+        peak = mags.max()
+        scaled = peak * (np.sum((mags / peak) ** p) * grid.cell) ** (1.0 / p)
+        got = lp_weighted(SampledFunction(grid, mags), p)
+        assert got == pytest.approx(scaled, rel=1e-12, abs=0)
+        # the continuous norm amp p^(-1/(2p)); 256 nodes resolve |.|^200 to 1e-5
+        assert got == pytest.approx(amp * p ** (-0.5 / p), rel=1e-5)
+    mags = np.abs(gaussian(grid, math.pi, log_amp=math.log(50.0)).values)
+    assert lp_weighted(SampledFunction(grid, mags), 150.0) == (
+        np.sum(mags**150.0) * grid.cell
+    ) ** (1.0 / 150.0)
 
 
 def test_lp_weighted_2d():
@@ -247,7 +266,7 @@ def _even_pairs(grid):
     extremals, a Gaussian with the default window and, summed with its
     mirror, the real part of a random function; in d = 2 also with the
     rotated window summed with its mirror (the general route)."""
-    mirror = variational._node_mirror(grid)
+    mirror = transforms._node_mirror(grid)
     h = random_smooth(RandomFunctionSpec(seed=6, envelope_sigma=1.2), grid).values.real
     even = SampledFunction(grid, h + h[mirror])
     pairs = [lieb_extremals(grid), (gaussian(grid, 2.0), default_window(grid))]
@@ -319,6 +338,26 @@ def test_only_even_real_inputs_stream_mirror_rows(monkeypatch, n, extent, dim):
         filled.clear()
         stft_mixed_norm(*args, chunk=37)
         assert sum(filled) == rows
+
+
+def test_complex_inputs_make_no_mirror_comparison(monkeypatch):
+    # the mirror rows need real f and g, so a complex f or g, or a tabulated
+    # weight, decides no mirror; real even inputs compare f and g on the mirror
+    grid = make_grid(64, 9.0)
+    calls = []
+    mirror_even = transforms._mirror_even
+    monkeypatch.setattr(
+        transforms, "_mirror_even", lambda *args: calls.append(args) or mirror_even(*args)
+    )
+    f, g = lieb_extremals(grid)
+    chirped = gaussian(grid, 2.0, chirp=1.0)
+    order = MixedOrder(2.0, 2.0, "x")
+    tab = TabulatedWeight(np.ones((grid.size, grid.size)))
+    for args in ((chirped, g, order), (f, chirped, order), (f, g, order, tab)):
+        stft_mixed_norm(*args)
+    assert calls == []
+    stft_mixed_norm(f, g, order)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The package namespace re-exports each layer module's public surface, and
-every public name has a use outside the tests."""
+"""The package namespace re-exports each layer module's public surface,
+every public name has a use outside the tests, and the input symmetries are
+decided in one place."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import tfuncert
@@ -45,13 +48,29 @@ def _definition_lines(path):
     return spans
 
 
+def _uncommented(path):
+    """``path``'s text with each ``#`` comment cut from its line; strings and docstrings stay."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    return lines
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # a name in a layer's __all__ is mentioned in the README, under perfbench/
-    # or in the library itself, apart from its own definition and __all__ entry
+    # or in the library itself, apart from its own definition and __all__
+    # entry; in Python files code and docstrings count, comments do not
     sources = sorted((ROOT / "src" / "tfuncert").glob("*.py"))
-    texts = {path: path.read_text().splitlines() for path in sources}
+    texts = {path: _uncommented(path) for path in sources}
     others = [ROOT / "README.md", *sorted(p for p in (ROOT / "perfbench").rglob("*") if p.is_file())]
-    elsewhere = "\n".join(p.read_text(errors="ignore") for p in others if p.suffix in (".md", ".py", ".json"))
+    elsewhere = "\n".join(
+        "\n".join(_uncommented(p)) if p.suffix == ".py" else p.read_text(errors="ignore")
+        for p in others
+        if p.suffix in (".md", ".py", ".json")
+    )
     unused = []
     for mod in LAYERS:
         path = Path(mod.__file__)
@@ -67,3 +86,19 @@ def test_every_public_name_is_used_outside_the_tests():
             if not word.search(elsewhere) and not any(word.search(line) for line in library):
                 unused.append(f"{mod.__name__}.{name}")
     assert unused == []
+
+
+def test_mirror_comparisons_are_made_by_the_shared_decision_only():
+    # transforms._input_symmetries decides every input symmetry; no other
+    # library function calls _mirror_even, so the streamed norms and the
+    # spectrum forms cannot drift apart
+    callers = set()
+    for path in sorted((ROOT / "src" / "tfuncert").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "_mirror_even":
+                        callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("transforms.py", "_input_symmetries")}

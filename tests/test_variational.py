@@ -556,9 +556,9 @@ def test_pencil_even_only_jointly_takes_one_solve(monkeypatch):
     # pencil is one block
     grid = make_grid(16, 8.0, dim=2)
     window = rotated_gaussian(grid)
-    window = window.with_values(window.values + window.values[variational._node_mirror(grid)])
+    window = window.with_values(window.values + window.values[transforms._node_mirror(grid)])
     window = scale(window, 1.0 / lp_weighted(window, 2.0))
-    assert variational._mirror_even(window.values.reshape(grid.shape), (0, 1))
+    assert transforms._input_symmetries(grid, (window.values,)) == (True, (), True)
     pair = _test_pencil_2d(window, grid.radii())
     assert pair.even_axes == ()
     sols, shapes = _solve_recording(pair, 6, monkeypatch)
@@ -631,22 +631,26 @@ def _axis_mirror(grid, axis):
     return np.roll(np.flip(nodes, axis), 1, axis).ravel()
 
 
-def _gather_symmetries(gp, psisq, phisq, m0sq, grid):
-    """(real, even axes) from size^2 gathers of the mirrored tables, one mirror per axis."""
-    joint = variational._node_mirror(grid)
+def _gather_symmetries(grid, x_tables=(), w_tables=(), m0sq=None):
+    """(real, even axes, jointly even) from gathers of the mirrored tables, one mirror per axis.
+
+    The x tables and w tables are flat, ``m0sq`` a (size, size) table or None.
+    """
+    m0 = [] if m0sq is None else [m0sq]
+    joint = transforms._node_mirror(grid)
     real = (
-        np.array_equal(phisq, phisq[joint])
-        and not np.any(gp.imag)
-        and np.array_equal(m0sq, np.take(m0sq, joint, axis=1))
+        not any(np.any(t.imag) for t in x_tables)
+        and all(np.array_equal(t, t[joint]) for t in w_tables)
+        and all(np.array_equal(t, np.take(t, joint, axis=1)) for t in m0)
     )
-    even_axes = []
-    for axis in range(grid.dim):
-        mirror = _axis_mirror(grid, axis)
-        if all(np.array_equal(t, t[mirror]) for t in (gp, psisq, phisq)) and np.array_equal(
-            m0sq, m0sq[np.ix_(mirror, mirror)]
-        ):
-            even_axes.append(axis)
-    return real, tuple(even_axes)
+
+    def even(mirror):
+        return all(np.array_equal(t, t[mirror]) for t in (*x_tables, *w_tables)) and all(
+            np.array_equal(t, t[np.ix_(mirror, mirror)]) for t in m0
+        )
+
+    even_axes = tuple(axis for axis in range(grid.dim) if even(_axis_mirror(grid, axis)))
+    return real, even_axes, even(joint)
 
 
 @pytest.mark.parametrize("n, dim", [(16, 1), (8, 2)])
@@ -657,7 +661,7 @@ def test_symmetry_decisions_match_the_gather_oracle(n, dim):
     # decide as the gathers do, and see real and complex forms both split and
     # solved whole
     grid = make_grid(n, 8.0, dim=dim)
-    mirror = variational._node_mirror(grid)
+    mirror = transforms._node_mirror(grid)
     paired = int(np.flatnonzero(mirror != np.arange(grid.size))[1])
     corner = int(np.ravel_multi_index((1,) * dim, grid.shape))
     middle = int(np.ravel_multi_index((n // 2,) * dim, grid.shape))
@@ -672,15 +676,51 @@ def test_symmetry_decisions_match_the_gather_oracle(n, dim):
             m0 = base.copy()
             if spot is not None:
                 m0.view(np.int64)[spot] ^= 1 << 20
-            args = (gp, x**2, w**2, m0**2, grid)
-            got = variational._input_symmetries(*args)
-            assert got == _gather_symmetries(*args)
-            seen.add(got)
+            tables = ((gp, x**2), (w**2,), m0**2)
+            got = transforms._input_symmetries(grid, *tables)
+            assert got == _gather_symmetries(grid, *tables)
+            seen.add(got[:2])
     assert {(real, bool(axes)) for real, axes in seen} == set(
         itertools.product((True, False), repeat=2)
     )
     if dim == 2:
         assert (True, (0,)) in seen and (False, (0,)) in seen  # split on one axis only
+
+
+@pytest.mark.parametrize("n, dim", [(16, 1), (8, 2)])
+def test_engine_symmetry_decisions_match_the_gather_oracle(n, dim):
+    # the streamed norm's (f, g): a real f even on each axis, even only
+    # jointly (in d = 2) or not at all, and its complex multiple, each also
+    # nudged by one ulp at a paired node, in the real part (which breaks a
+    # mirror) or in the imaginary part (which breaks realness); with
+    # real_only a complex pair reads no mirror
+    grid = make_grid(n, 8.0, dim=dim)
+    joint = transforms._node_mirror(grid)
+    paired = int(np.flatnonzero(joint != np.arange(grid.size))[1])
+    h = np.random.default_rng(7).uniform(0.5, 2.0, grid.size)
+    per_axis = h
+    for axis in range(dim):
+        per_axis = per_axis + per_axis[_axis_mirror(grid, axis)]
+    g = _unit_window(grid).values
+    seen = set()
+    for base in (per_axis, h + h[joint], h):
+        for f in (base.astype(complex), base * (1.0 + 1.0j)):
+            for part in (None, "real", "imag"):
+                nudged = f.copy()
+                if part == "real":
+                    nudged[paired] += np.nextafter(f[paired].real, np.inf) - f[paired].real
+                elif part == "imag":
+                    nudged[paired] += 1j * (np.nextafter(f[paired].imag, np.inf) - f[paired].imag)
+                for tables in ((nudged, g), (g, nudged)):
+                    got = transforms._input_symmetries(grid, tables)
+                    assert got == _gather_symmetries(grid, tables)
+                    lean = transforms._input_symmetries(grid, tables, real_only=True)
+                    assert lean == (got if got[0] else (False, (), False))
+                    seen.add(got)
+    full = tuple(range(dim))
+    assert {(True, full, True), (False, full, True), (True, (), False), (False, (), False)} <= seen
+    if dim == 2:
+        assert (True, (), True) in seen and (False, (), True) in seen  # jointly even only
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
