@@ -222,48 +222,48 @@ def moment_seminorm(f: SampledFunction, p: float, a: float, side: str = "x") -> 
 
 
 class _MixedReduction:
-    """The mixed (r, s) norm of a weighted |field|, fed (x rows, w columns) chunk by chunk.
+    """The mixed (r, s) norm of a weighted |V_g f|, fed the engine's row chunks by :meth:`stream`.
 
     With inner='x' the inner norm integrates over x at fixed w with exponent
     r and cell h^d, and the outer norm over w with exponent s and cell
-    (1/L)^d; inner='omega' swaps the roles.  A bracket weight is split: the
-    profile of the inner variable multiplies the field, the profile of the
-    outer variable multiplies the inner norms (equal, since it is constant
-    along each inner sum).  A tabulated weight multiplies the field.
+    (1/L)^d; inner='omega' swaps the roles.  The weight is one table read by
+    x-row range: a tabulated weight itself, or for a bracket weight the
+    profile of the inner variable, as a column (inner x) or a broadcast row
+    (inner omega); the profile of the outer variable multiplies the inner
+    norms (equal, since it is constant along each inner sum).
 
     With ``half`` the columns are the kept nodes of the half-spectrum
     layout (``transforms._half_nodes``) and the weight must be a bracket
     weight, whose w profile is even, so each column stands for itself and
     its mirror: every power sum over w, the inner one and the outer one
-    after an x-inner pass, takes each column ``col_counts`` times.  With
+    after an x-inner pass, takes each column ``counts`` times.  With
     ``mirror`` as well (|field| even in x) the rows are halved the same way:
-    only the first ``row_counts.size`` x nodes are fed, the x profile is
-    radial and so even, and every power sum over x takes each row
-    ``row_counts`` times.  A maximum (r or s infinite) ignores the counts.
-    For full rows or columns the counts are None.
+    only the first ``counts.size`` x nodes are fed, the x profile is radial
+    and so even, and every power sum over x takes each row ``counts`` times.
+    A maximum (r or s infinite) ignores the counts.
     """
 
     def __init__(
         self, grid: Grid, order: MixedOrder, weight: Weight, half: bool = False, mirror: bool = False
     ):
-        self.grid, self.order = grid, order
-        self.over_x = order.inner == "x"
-        self.col_counts = self.row_counts = None
-        self.x_nodes = columns = grid.size
+        self.order, self.half, self.over_x = order, half, order.inner == "x"
+        self.cells = (grid.cell, grid.freq_cell) if self.over_x else (grid.freq_cell, grid.cell)
+        counts = _half_nodes(grid) if half or mirror else None
+        self.x_nodes = counts.size if mirror else grid.size
+        columns = counts.size if half else grid.size
         if isinstance(weight, TabulatedWeight):
-            self.field = weight.field(grid)
-            self.inner_weight = self.outer_weight = None
+            self.weight, self.outer_weight = weight.field(grid), 1.0
+            self.inner_counts = self.outer_counts = None
         else:
-            wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
-            counts = _half_nodes(grid) if half else None
-            if half:
-                self.col_counts, columns = counts, counts.size
-                ww = ww[:columns]
-            if mirror:
-                self.row_counts, self.x_nodes = counts, counts.size
-                wx = wx[: self.x_nodes]
-            self.field = None
-            self.inner_weight, self.outer_weight = (wx, ww) if self.over_x else (ww, wx)
+            sides = [(weight.x_profile(grid)[: self.x_nodes], counts if mirror else None),
+                     (weight.omega_profile(grid)[:columns], counts if half else None)]
+            inner, (self.outer_weight, self.outer_counts) = sides if self.over_x else sides[::-1]
+            # the inner variable's profile and counts as tables that an x-row range slices
+            shape = (self.x_nodes, columns)
+            self.weight, self.inner_counts = (
+                a if a is None else a[:, None] if self.over_x else np.broadcast_to(a, shape)
+                for a in inner
+            )
         self.acc = np.zeros(columns if self.over_x else self.x_nodes)
 
     def stream(self, f: SampledFunction, g: SampledFunction, chunk: int | None = None):
@@ -273,81 +273,65 @@ class _MixedReduction:
         chunk order, so the result does not depend on the worker count.  The
         returned rows stay valid in the engine's ring.  Inputs are not checked.
         """
-        chunks = stft_row_chunks(f, g, chunk, half=self.col_counts is not None,
-                                 reduce=lambda idx, rows: self.reduce(idx, np.abs(rows)),
+        chunks = stft_row_chunks(f, g, chunk, half=self.half, reduce=self.reduce,
                                  _stop=self.x_nodes)
         for idx, rows, part in chunks:
-            self.fold(idx, part)
+            if not self.over_x:
+                self.acc[idx] = part
+            elif self.order.r == math.inf:
+                np.maximum(self.acc, part, out=self.acc)
+            else:
+                self.acc += part
         return rows
 
-    def add(self, idx, rows: np.ndarray) -> None:
-        """Fold in the rows of x nodes ``idx`` (an index array or slice)."""
-        self.fold(idx, self.reduce(idx, np.abs(rows)))
+    def reduce(self, idx, rows: np.ndarray) -> np.ndarray:
+        """Power sums, or maxima, along the inner axis of the weighted |rows| of x nodes ``idx``.
 
-    def reduce(self, idx, mags: np.ndarray) -> np.ndarray:
-        """This chunk's part of the reduction from ``|rows|`` of x nodes ``idx``; ``mags`` is overwritten.
-
-        Reads no state that :meth:`fold` writes, so chunks may be reduced on
-        any thread.
+        ``idx`` is a run of consecutive nodes, so each table is read as a
+        slice view.  Reads no state that :meth:`stream` writes, so chunks may
+        be reduced on any thread.
         """
-        if self.field is not None:
-            mags *= self.field[idx]
-        elif self.over_x:
-            mags *= self.inner_weight[idx, None]
-        else:
-            mags *= self.inner_weight[None, :]
-        r = self.order.r
+        span = slice(idx[0], idx[-1] + 1)
+        mags = np.abs(rows)
+        mags *= self.weight[span]
         axis = 0 if self.over_x else 1
-        if r == math.inf:
+        if self.order.r == math.inf:
             return np.max(mags, axis=axis)
-        mags **= r
-        if self.over_x:
-            if self.row_counts is not None:
-                mags *= self.row_counts[idx, None]
-            return np.sum(mags, axis=0)
-        # the inner omega norm is complete per x row: (sum |.|^r cell)^(1/r)
-        if self.col_counts is not None:
-            mags *= self.col_counts
-        return (np.sum(mags, axis=1) * self.grid.freq_cell) ** (1.0 / r)
-
-    def fold(self, idx, part: np.ndarray) -> None:
-        """Fold in the :meth:`reduce` result of x nodes ``idx``; call in chunk order."""
-        if not self.over_x:
-            self.acc[idx] = part
-        elif self.order.r == math.inf:
-            np.maximum(self.acc, part, out=self.acc)
-        else:
-            self.acc += part
+        mags **= self.order.r
+        if self.inner_counts is not None:
+            mags *= self.inner_counts[span]
+        return np.sum(mags, axis=axis)
 
     def inner(self) -> np.ndarray:
         """Inner norms along the outer variable, before the outer weight."""
         r = self.order.r
-        if not self.over_x or r == math.inf:
-            return self.acc
-        return (self.acc * self.grid.cell) ** (1.0 / r)
+        return self.acc if r == math.inf else (self.acc * self.cells[0]) ** (1.0 / r)
 
     def value(self) -> float:
-        inner = self.inner()
-        if self.outer_weight is not None:
-            inner = inner * self.outer_weight
-        outer_cell = self.grid.freq_cell if self.over_x else self.grid.cell
-        counts = self.col_counts if self.over_x else self.row_counts
-        return float(_power_sum(inner, self.order.s, outer_cell, counts=counts))
+        inner = self.inner() * self.outer_weight
+        return float(_power_sum(inner, self.order.s, self.cells[1], counts=self.outer_counts))
 
 
 def mixed_norm(
     F: PhaseSpaceFunction, order: MixedOrder, weight: Weight = _UNIT_WEIGHT
 ) -> float:
-    """Iterated norm of a phase-space field.
+    """Iterated norm of a phase-space field, the dense reference of the streamed norms.
 
     With inner='x' the inner norm integrates over x at fixed w with exponent
     r and cell h^d, and the outer norm integrates over w with exponent s and
     cell (1/L)^d; inner='omega' swaps the roles.  The weight multiplies the
-    field values before either norm is taken.
+    field values before either norm is taken.  Plain iterated sums over the
+    whole field, without the streamed reducer.
     """
-    reduction = _MixedReduction(F.grid, order, weight)
-    reduction.add(slice(None), F.values)
-    return reduction.value()
+    grid = F.grid
+    if isinstance(weight, TabulatedWeight):
+        m = weight.field(grid)
+    else:
+        m = np.outer(weight.x_profile(grid), weight.omega_profile(grid))
+    cells, axis = (grid.cell, grid.freq_cell), 0 if order.inner == "x" else 1
+    inner = np.linalg.norm(np.abs(F.values) * m, ord=order.r, axis=axis)
+    inner *= cells[axis] ** (1.0 / order.r)
+    return float(np.linalg.norm(inner, ord=order.s) * cells[1 - axis] ** (1.0 / order.s))
 
 
 def stft_mixed_norm(
@@ -387,9 +371,17 @@ def stft_mixed_norm(
 def _guarded_stft_norm(
     f: SampledFunction, g: SampledFunction, order: MixedOrder, weight: Weight = _UNIT_WEIGHT
 ) -> float:
-    """Streamed mixed norm of m V_g f behind the guards of :func:`stft`."""
+    """Streamed mixed norm of m V_g f behind the guards of :func:`stft`.
+
+    V_g f of a nonzero f is nonzero (Moyal) and a bracket weight is >= 1, so
+    a zero bracket-weighted norm of a nonzero f has underflowed and raises
+    ``ValueError``; a zero f, or a tabulated weight (it may vanish), gives 0.0.
+    """
     _check_stft_inputs(f, g)
-    return stft_mixed_norm(f, g, order, weight)
+    value = stft_mixed_norm(f, g, order, weight)
+    if value == 0.0 and isinstance(weight, BracketWeight) and np.any(f.values):
+        raise ValueError(f"the (r, s) = ({order.r:g}, {order.s:g}) norm of a nonzero f underflowed")
+    return value
 
 
 def modulation_norm(

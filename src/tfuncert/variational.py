@@ -665,7 +665,8 @@ def _modulation_grad(
     """
     grid = f.grid
     _check_stft_inputs(f, g)
-    reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
+    weight = BracketWeight(alpha, beta)
+    reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), weight)
     last_rows = reduction.stream(f, g)
     value = reduction.value()
     if value == 0.0:
@@ -673,8 +674,8 @@ def _modulation_grad(
     inner = reduction.inner()
     with np.errstate(divide="ignore", invalid="ignore"):
         col = np.where(inner > 0, inner ** (s - r), 0.0)
-    col_coeff = value ** (1.0 - s) * (reduction.outer_weight**s * col)
-    row_coeff = reduction.inner_weight**r
+    col_coeff = value ** (1.0 - s) * (weight.omega_profile(grid) ** s * col)
+    row_coeff = weight.x_profile(grid) ** r
     fill = _engine_rows(f, g)
 
     def scaled(start: int, stop: int) -> np.ndarray:

@@ -14,6 +14,8 @@ text byte for byte.  The cases reach each route of the engine:
   node axis in d = 2;
 - inner x and inner omega orders, with r or s infinite among them;
 - the unit and a bracket weight, each order with both across the chunk rules;
+- a seeded, positive tabulated weight, read by row range on full rows, with
+  every order and both chunk rules, for the complex f and the Gaussian window;
 - the flipped window bank of ``ambiguity``;
 - the modulation gradient of a complex f off the tight-frame route: one
   chunk at 128 nodes, eight at 32^2 with the factored and the general
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tfuncert.norms import BracketWeight, MixedOrder, default_window, stft_mixed_norm
+from tfuncert.norms import BracketWeight, MixedOrder, TabulatedWeight, default_window, stft_mixed_norm
 from tfuncert.sampling import GaussianSpec, RandomFunctionSpec, make_grid, random_smooth, sample_gaussian
 from tfuncert.transforms import ambiguity
 from tfuncert.variational import _modulation_grad
@@ -108,6 +110,17 @@ def compute() -> dict[str, str]:
             bits[f"{case} value"] = value.hex()
             bits[f"{case} vdot(grad, probe).real"] = pairing.real.hex()
             bits[f"{case} vdot(grad, probe).imag"] = pairing.imag.hex()
+    for grid in (make_grid(128, 10.0), make_grid(32, 9.0, dim=2)):
+        prefix = f"d={grid.dim} n={grid.n}"
+        f, g = random_smooth(_spec(11), grid), default_window(grid)
+        table = TabulatedWeight(np.random.default_rng(17).uniform(0.5, 2.0, (grid.size, grid.size)))
+        for chunk in CHUNKS:
+            for order in ORDERS:
+                case = (
+                    f"{prefix} complex-f gaussian chunk={chunk} r={order.r:g} s={order.s:g} "
+                    f"inner={order.inner} tabulated"
+                )
+                bits[case] = stft_mixed_norm(f, g, order, table, chunk).hex()
     return bits
 
 

@@ -269,6 +269,14 @@ def test_certify_extremal_young_corner():
     assert code == 2
 
 
+def test_certify_underflowed_norm_exits_2(capsys):
+    # |A|^r underflowed to 0 at r = 1e308, and rhs = 0.0 once passed the bound
+    argv = ["certify", "lieb_forward", "--extremal", "r=1e308", "p=2", "--grid", "64,12"]
+    assert run_cli(argv) == (2, "")
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("tfuncert: ") and "underflowed" in line
+
+
 def test_certify_forced_failure_exits_1():
     code, out = run_cli(
         ["certify", "hausdorff_young", "--extremal", "r=1.5", "--tol", "-1.0", "--grid", "256,10"]

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from tfuncert import norms, transforms
@@ -25,7 +26,14 @@ from tfuncert.norms import (
     psi_phi_norm,
     stft_mixed_norm,
 )
-from tfuncert.sampling import RandomFunctionSpec, SampledFunction, make_grid, random_smooth
+from tfuncert.sampling import (
+    GaussianSpec,
+    RandomFunctionSpec,
+    SampledFunction,
+    make_grid,
+    random_smooth,
+    sample_gaussian,
+)
 from tfuncert.transforms import AliasingError, stft
 
 from conftest import gaussian, lieb_extremals, rotated_gaussian
@@ -280,6 +288,64 @@ def _even_pairs(grid):
     return pairs
 
 
+def _gaussian_mixed_norm(A, B, order):
+    """The mixed norm of V_g f for f = exp(-pi x.Ax) and g = exp(-pi x.Bx).
+
+    With C = A + B and P = B C^-1 A, |V_g f(x, w)| = det(C)^(-1/2)
+    exp(-pi [x.Px + w.C^-1 w]) separates, so each norm is a Gaussian
+    integral: ||exp(-pi y.Qy)||_p = (p^(-d/2) det(Q)^(-1/2))^(1/p), and 1
+    at p = inf."""
+    C = A + B
+    quads = {"x": B @ np.linalg.solve(C, A), "omega": np.linalg.inv(C)}
+    outer = "omega" if order.inner == "x" else "x"
+
+    def gaussian_norm(p, Q):
+        if p == math.inf:
+            return 1.0
+        return (p ** (-len(Q) / 2) / math.sqrt(np.linalg.det(Q))) ** (1 / p)
+
+    inner = gaussian_norm(order.r, quads[order.inner])
+    return inner * gaussian_norm(order.s, quads[outer]) / math.sqrt(np.linalg.det(C))
+
+
+def _spd(dim, low, high, angle):
+    """diag(low, high) rotated by ``angle`` in d = 2 (not a tensor product), low in d = 1."""
+    if dim == 1:
+        return np.array([[low]])
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, -s], [s, c]])
+    return turn @ np.diag([low, high]) @ turn.T
+
+
+_GAUSS_EXPONENTS = st.one_of(st.floats(1.0, 4.0), st.just(math.inf))
+# 256 nodes with L = 12, and 64^2 with L = 7.25: eigenvalues in [1, 1.4]
+# keep both the x tails (P >= 1/2) and the w tails (C <= 2.8) below 1e-10
+_GAUSS_GRIDS = {1: make_grid(256, 12.0), 2: make_grid(64, 7.25, dim=2)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(derandomize=True, database=None, deadline=None, max_examples=6)
+@given(
+    eig=st.tuples(*[st.floats(1.0, 1.15), st.floats(1.25, 1.4)] * 2),
+    angles=st.tuples(st.floats(0.3, 1.2), st.floats(0.3, 1.2)),
+    r=_GAUSS_EXPONENTS,
+    s=_GAUSS_EXPONENTS,
+)
+def test_gaussian_streamed_norms_match_the_closed_form(dim, eig, angles, r, s):
+    # an outside value for the reducer at any (r, s) and both orders; in
+    # d = 2 neither Gaussian is a tensor product, so the window takes the
+    # general route
+    grid = _GAUSS_GRIDS[dim]
+    A, B = _spd(dim, *eig[:2], angles[0]), _spd(dim, *eig[2:], angles[1])
+    f, g = (sample_gaussian(GaussianSpec(math.pi * Q), grid) for Q in (A, B))
+    if dim == 2:
+        assert transforms._tensor_factors(np.conj(g.reshaped())) is None
+    for inner in ("x", "omega"):
+        order = MixedOrder(r, s, inner)
+        want = _gaussian_mixed_norm(A, B, order)
+        assert stft_mixed_norm(f, g, order) == pytest.approx(want, rel=1e-9, abs=0)
+
+
 @pytest.mark.parametrize("n, extent, dim", [(512, 12.0, 1), (32, 9.0, 2)])
 def test_even_real_inputs_match_the_dense_norm(n, extent, dim):
     # the mirror route streams only the x rows whose first index is at most
@@ -410,6 +476,20 @@ def test_modulation_norm_guards_every_route():
         modulation_norm(g, default_window(make_grid(128, 10.0)), 2.0, 2.0)
     # the streaming primitive stays unguarded
     assert math.isfinite(stft_mixed_norm(flat, g, MixedOrder(2.0, 2.0)))
+
+
+def test_underflowed_streamed_norm_raises_but_zero_f_gives_zero():
+    # |V_g f|^r of a unit Gaussian underflows to 0 at r = 1e308; a bracket
+    # weight is at least 1 and V_g f of a nonzero f is nonzero, so the zero
+    # is refused.  A zero f and a zero table are honest zeros
+    grid = make_grid(64, 12.0)
+    f, g = gaussian(grid), default_window(grid)
+    with pytest.raises(ValueError, match=r"\(r, s\) = \(1e\+308, 2\).*underflowed"):
+        modulation_norm(f, g, 1e308, 2.0)
+    zero = f.with_values(np.zeros(grid.size))
+    assert modulation_norm(zero, g, 1e308, 2.0) == 0.0
+    assert modulation_norm(zero, g, 2.0, 2.0) == 0.0
+    assert modulation_norm_m(f, g, TabulatedWeight(np.zeros((grid.size, grid.size)))) == 0.0
 
 
 def test_modulation_norm_m_routes(grid128):

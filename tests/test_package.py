@@ -1,6 +1,7 @@
 """The package namespace re-exports each layer module's public surface,
-every public name has a use outside the tests, and the input symmetries are
-decided in one place."""
+every public name has a use outside the tests, the input symmetries are
+decided in one place, and the streamed reducer is read through its feed and
+finish only."""
 
 import ast
 import io
@@ -102,3 +103,33 @@ def test_mirror_comparisons_are_made_by_the_shared_decision_only():
                     if name == "_mirror_even":
                         callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("transforms.py", "_input_symmetries")}
+
+
+def test_the_reducer_layout_stays_inside_norms():
+    # outside norms the streamed reducer is read through stream, inner and
+    # value only, so its weight tables and counts can change in one module;
+    # the dense mixed_norm never names it, so it checks the reducer
+    def constructs(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_MixedReduction"
+
+    read = set()
+    for path in sorted((ROOT / "src" / "tfuncert").glob("*.py")):
+        if path.name == "norms.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            bound = {
+                target.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Assign) and constructs(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and (
+                    constructs(node.value) or getattr(node.value, "id", None) in bound
+                ):
+                    read.add(node.attr)
+    assert read == {"stream", "inner", "value"}
+    tree = ast.parse((ROOT / "src" / "tfuncert" / "norms.py").read_text())
+    (mixed,) = [top for top in tree.body if getattr(top, "name", None) == "mixed_norm"]
+    assert not any(getattr(node, "id", None) == "_MixedReduction" for node in ast.walk(mixed))

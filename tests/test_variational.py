@@ -24,8 +24,6 @@ from tfuncert.constants import DomainError, ExponentSet, check_galperin_grocheni
 from tfuncert.norms import (
     AdmissibleTriple,
     BracketWeight,
-    MixedOrder,
-    _MixedReduction,
     default_window,
     lp_weighted,
     modulation_norm,
@@ -989,15 +987,14 @@ def _modulation_grad_oracle(f, g, r, s, alpha, beta):
     """The gradient as the plain composition stft -> signed power -> adjoint."""
     grid = f.grid
     V = stft(f, g).values
-    reduction = _MixedReduction(grid, MixedOrder(r, s, inner="x"), BracketWeight(alpha, beta))
-    reduction.add(slice(None), V)
-    inner = reduction.inner()
-    value = reduction.value()
-    wx, ww = reduction.inner_weight, reduction.outer_weight
+    weight = BracketWeight(alpha, beta)
+    wx, ww = weight.x_profile(grid), weight.omega_profile(grid)
+    mags = np.abs(V)
+    inner = (np.sum((mags * wx[:, None]) ** r, axis=0) * grid.cell) ** (1.0 / r)
+    value = (np.sum((inner * ww) ** s) * grid.freq_cell) ** (1.0 / s)
     with np.errstate(divide="ignore", invalid="ignore"):
         col = np.where(inner > 0, inner ** (s - r), 0.0)
     coeff = value ** (1.0 - s) * (ww**s * col)[None, :] * (wx**r)[:, None]
-    mags = np.abs(V)
     with np.errstate(divide="ignore", invalid="ignore"):
         signed = np.where(mags > 0, mags ** (r - 2.0), 0.0) * V
     return value, grid.freq_cell * stft_adjoint(coeff * signed, g)
